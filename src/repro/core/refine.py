@@ -39,19 +39,17 @@ def partition_connectivity_matrix(adjacency, labels) -> np.ndarray:
         )
     k = int(lab.max()) + 1 if lab.size else 0
 
-    sum_sq = np.zeros((k, k))
-    count = np.zeros((k, k))
     coo = adj.tocoo()
-    for u, v, w in zip(coo.row, coo.col, coo.data):
-        if u >= v:
-            continue
-        i, j = int(lab[u]), int(lab[v])
-        if i == j:
-            continue
-        sum_sq[i, j] += w * w
-        sum_sq[j, i] += w * w
-        count[i, j] += 1
-        count[j, i] += 1
+    i, j = lab[coo.row], lab[coo.col]
+    cross = (coo.row < coo.col) & (i != j)
+    i, j, w = i[cross], j[cross], coo.data[cross]
+    # cell keys (i, j) and (j, i) interleaved per superlink: bincount
+    # adds in input order, so each cell sums its terms in superlink
+    # order and the matrix is exactly symmetric
+    keys = np.column_stack((i * k + j, j * k + i)).ravel()
+    sq = np.repeat(w * w, 2)
+    sum_sq = np.bincount(keys, weights=sq, minlength=k * k).reshape(k, k)
+    count = np.bincount(keys, minlength=k * k).reshape(k, k)
 
     out = np.zeros((k, k))
     mask = count > 0

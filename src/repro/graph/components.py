@@ -100,19 +100,24 @@ def _components_csgraph(
     """C-speed components with our discovery-order id convention."""
     from scipy.sparse.csgraph import connected_components as _cc
 
+    n = adj.shape[0]
     if labels is not None:
-        coo = adj.tocoo()
-        keep = labels[coo.row] == labels[coo.col]
+        # keep only same-label edges, straight on the CSR arrays
+        rows = np.repeat(np.arange(n), np.diff(adj.indptr))
+        keep = labels[rows] == labels[adj.indices]
+        kept = np.concatenate(([0], np.cumsum(keep)))
         adj = sp.csr_matrix(
-            (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=adj.shape
+            (adj.data[keep], adj.indices[keep], kept[adj.indptr]), shape=adj.shape
         )
-    __, raw = _cc(adj, directed=False)
+    n_comp, raw = _cc(adj, directed=False)
     # relabel so ids follow first appearance by node index, matching
     # the BFS discovery order (BFS starts successive components from
     # the lowest-numbered unvisited node)
-    __, first_pos, dense = np.unique(raw, return_index=True, return_inverse=True)
-    order = np.argsort(np.argsort(first_pos))
-    return order[dense]
+    first = np.full(n_comp, n)
+    np.minimum.at(first, raw, np.arange(n))
+    rank = np.empty(n_comp, dtype=int)
+    rank[np.argsort(first)] = np.arange(n_comp)
+    return rank[raw]
 
 
 def constrained_components(adjacency, labels: Sequence[int]) -> np.ndarray:

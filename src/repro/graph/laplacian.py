@@ -100,6 +100,10 @@ class AlphaCutOperator(LinearOperator):
 
     Keeps the rank-one densifying term implicit so ARPACK can work on
     large supergraphs without materialising an ``n x n`` dense matrix.
+    The coefficient ``d.x`` is a numpy reduction rather than a BLAS dot:
+    ARPACK calls the operator a couple of hundred times per solve, and
+    a threaded BLAS ``ddot`` on a vector of a few ten thousand entries
+    costs far more in thread hand-off than in arithmetic.
     """
 
     def __init__(self, adjacency) -> None:
@@ -114,14 +118,15 @@ class AlphaCutOperator(LinearOperator):
         x = np.asarray(x).ravel()
         rank_one = 0.0
         if self._total > 0:
-            rank_one = self._deg * (self._deg @ x) / self._total
+            rank_one = self._deg * np.add.reduce(self._deg * x) / self._total
         return rank_one - self._adj @ x
 
     def _matmat(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X)
         rank_one = 0.0
         if self._total > 0:
-            rank_one = np.outer(self._deg, self._deg @ X) / self._total
+            coeffs = np.add.reduce(self._deg[:, None] * X, axis=0)
+            rank_one = np.outer(self._deg, coeffs) / self._total
         return rank_one - self._adj @ X
 
     def _adjoint(self) -> "AlphaCutOperator":

@@ -88,31 +88,54 @@ def create_supernodes(
     feats = None if features is None else np.asarray(features, dtype=float)
     means = None if cluster_means is None else np.asarray(cluster_means, dtype=float)
 
-    supernodes: List[Supernode] = []
-    for cid in range(n_comp):
-        members = np.flatnonzero(comp == cid)
-        if means is not None:
-            cluster = int(labels[members[0]])
-            if cluster >= means.size:
-                raise GraphError(
-                    f"cluster index {cluster} out of range for "
-                    f"{means.size} cluster means"
-                )
-            feature = float(means[cluster])
-        else:
-            feature = float(feats[members].mean())
-        supernodes.append(Supernode(cid, members, feature))
-    return supernodes
+    if n_comp == 0:
+        return []
+    # one stable sort groups the nodes by component with each group in
+    # ascending node order; component ids are dense, so the i-th group
+    # is component i
+    order = np.argsort(comp, kind="stable")
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(comp[order])) + 1))
+    ends = np.append(starts[1:], comp.size)
+    groups = [order[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+    if means is not None:
+        clusters = labels[order[starts]]
+        bad = np.flatnonzero(clusters >= means.size)
+        if bad.size:
+            raise GraphError(
+                f"cluster index {int(clusters[bad[0]])} out of range for "
+                f"{means.size} cluster means"
+            )
+        feature_of = means[clusters].tolist()
+    else:
+        feature_of = [float(feats[members].mean()) for members in groups]
+    return [
+        Supernode(cid, members, feature)
+        for cid, (members, feature) in enumerate(zip(groups, feature_of))
+    ]
 
 
 def membership_vector(supernodes: Sequence[Supernode], n_nodes: int) -> np.ndarray:
     """Map node id → supernode id; raises if the cover is not a partition."""
-    out = np.full(n_nodes, -1, dtype=int)
-    for sn in supernodes:
-        if (out[sn.members] != -1).any():
-            raise GraphError("supernodes overlap")
-        out[sn.members] = sn.id
-    if (out == -1).any():
-        missing = int((out == -1).sum())
-        raise GraphError(f"{missing} nodes not covered by any supernode")
+    members = np.concatenate([np.empty(0, dtype=int)] + [sn.members for sn in supernodes])
+    ids = np.repeat(
+        np.array([sn.id for sn in supernodes], dtype=int),
+        [sn.size for sn in supernodes],
+    )
+    out_of_range = (members < 0) | (members >= n_nodes)
+    if out_of_range.any():
+        raise GraphError(
+            f"supernode member id {int(members[out_of_range][0])} out of range "
+            f"for {n_nodes} nodes"
+        )
+    hits = np.bincount(members, minlength=n_nodes)
+    if (hits > 1).any():
+        node = int(np.flatnonzero(hits > 1)[0])
+        owners = np.unique(ids[members == node])
+        if owners.size == 1:
+            raise GraphError(f"supernode {int(owners[0])} lists node {node} twice")
+        raise GraphError("supernodes overlap")
+    if members.size < n_nodes:
+        raise GraphError(f"{n_nodes - members.size} nodes not covered by any supernode")
+    out = np.empty(n_nodes, dtype=int)
+    out[members] = ids
     return out

@@ -3,6 +3,8 @@ and greedy pruning (Algorithm 3, lines 12-24)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from oracles import graphs_with_labels, partition_connectivity_matrix_loop
 
 from repro.core.refine import (
     greedy_prune,
@@ -38,6 +40,15 @@ class TestPartitionConnectivityMatrix:
         g = Graph(3, edges=[(0, 1)])
         with pytest.raises(PartitioningError):
             partition_connectivity_matrix(g.adjacency, [0, 1])
+
+    @given(graph=graphs_with_labels(max_labels=6))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_loop(self, graph):
+        adj, labels = graph
+        np.testing.assert_array_equal(
+            partition_connectivity_matrix(adj, labels),
+            partition_connectivity_matrix_loop(adj, labels),
+        )
 
 
 class TestRecursiveBipartition:

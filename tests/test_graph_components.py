@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import graphs_with_labels
 
 from repro.exceptions import GraphError
 from repro.graph.adjacency import Graph
 from repro.graph.components import (
+    _components_csgraph,
     connected_components,
     constrained_components,
     count_constrained_components,
@@ -108,3 +112,17 @@ class TestIsConnected:
         adj = _adj(3, [(0, 1)])
         assert is_connected(adj, [])
         assert is_connected(adj, [2])
+
+
+class TestCsgraphMatchesBfs:
+    """The scipy route used above the size cutoff returns exactly the
+    FIFO BFS ids (small graphs always take the BFS route)."""
+
+    @given(graph=graphs_with_labels(), constrained=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_identical_ids(self, graph, constrained):
+        adj, labels = graph
+        labels = labels if constrained else None
+        np.testing.assert_array_equal(
+            _components_csgraph(adj, labels), connected_components(adj, labels)
+        )

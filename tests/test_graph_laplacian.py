@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import graphs_with_labels
 
 from repro.exceptions import GraphError
 from repro.graph.adjacency import Graph
@@ -101,6 +104,18 @@ class TestAlphaCutOperator:
         m = alpha_cut_matrix(weighted_adj)
         x = rng.normal(size=(4, 3))
         np.testing.assert_allclose(op @ x, m @ x, atol=1e-12)
+
+    @given(graph=graphs_with_labels(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matvec_and_matmat_match_dense_on_random_graphs(self, graph, seed):
+        adj, __ = graph
+        op = AlphaCutOperator(adj)
+        m = alpha_cut_matrix(adj)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=adj.shape[0])
+        X = rng.normal(size=(adj.shape[0], 3))
+        np.testing.assert_allclose(op.matvec(x), m @ x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(op.matmat(X), m @ X, rtol=0, atol=1e-12)
 
     def test_symmetric_adjoint(self, weighted_adj):
         op = AlphaCutOperator(weighted_adj)

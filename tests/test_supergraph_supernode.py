@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import create_supernodes_loop, graphs_with_labels, membership_vector_loop
 
 from repro.exceptions import GraphError
 from repro.graph.adjacency import Graph
@@ -75,7 +78,66 @@ class TestCreateSupernodes:
             create_supernodes(_path_adj(3), [0, 0, 5], cluster_means=[0.1])
 
 
+class TestCreateSupernodesMatchesLoop:
+    @staticmethod
+    def _assert_same(fast, slow):
+        assert len(fast) == len(slow)
+        for a, b in zip(fast, slow):
+            assert a.id == b.id
+            np.testing.assert_array_equal(a.members, b.members)
+            assert a.feature == b.feature
+
+    @given(graph=graphs_with_labels(), means_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_cluster_means(self, graph, means_seed):
+        adj, labels = graph
+        means = np.random.default_rng(means_seed).random(labels.max() + 1)
+        self._assert_same(
+            create_supernodes(adj, labels, cluster_means=means),
+            create_supernodes_loop(adj, labels, cluster_means=means),
+        )
+
+    @given(graph=graphs_with_labels(), feature_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_member_means(self, graph, feature_seed):
+        adj, labels = graph
+        feats = np.random.default_rng(feature_seed).random(labels.size)
+        self._assert_same(
+            create_supernodes(adj, labels, features=feats),
+            create_supernodes_loop(adj, labels, features=feats),
+        )
+
+
 class TestMembershipVector:
+    @given(graph=graphs_with_labels())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_loop(self, graph):
+        adj, labels = graph
+        sns = create_supernodes(adj, labels, features=np.zeros(labels.size))
+        np.testing.assert_array_equal(
+            membership_vector(sns, labels.size), membership_vector_loop(sns, labels.size)
+        )
+
+    def test_negative_id_rejected(self):
+        sns = [Supernode(0, [0, -1], 0.1), Supernode(1, [1], 0.9)]
+        with pytest.raises(GraphError, match="out of range"):
+            membership_vector(sns, 3)
+
+    def test_id_past_end_rejected(self):
+        sns = [Supernode(0, [0, 1], 0.1), Supernode(1, [2, 3], 0.9)]
+        with pytest.raises(GraphError, match="out of range"):
+            membership_vector(sns, 3)
+
+    def test_duplicate_within_supernode_rejected(self):
+        sns = [Supernode(0, [0, 1, 1], 0.1), Supernode(1, [2], 0.9)]
+        with pytest.raises(GraphError, match="lists node 1 twice"):
+            membership_vector(sns, 3)
+
+    def test_empty_cover(self):
+        assert membership_vector([], 0).size == 0
+        with pytest.raises(GraphError, match="2 nodes not covered"):
+            membership_vector([], 2)
+
     def test_basic(self):
         sns = [Supernode(0, [0, 1], 0.1), Supernode(1, [2], 0.9)]
         np.testing.assert_array_equal(membership_vector(sns, 3), [0, 0, 1])
