@@ -3,8 +3,9 @@
 This subpackage is the in-house substrate the partitioning framework
 runs on. It intentionally avoids third-party graph libraries: the paper
 stores the road graph as a sparse binary adjacency matrix and runs a
-FIFO (breadth-first) connected-components pass over it, so we implement
-exactly that on top of :mod:`scipy.sparse` storage.
+FIFO (breadth-first) connected-components pass over it, so we keep
+that on :mod:`scipy.sparse` storage, with the components computed by
+:mod:`scipy.sparse.csgraph` and numbered in the BFS discovery order.
 """
 
 from repro.graph.adjacency import Graph

@@ -1,4 +1,4 @@
-"""FIFO (breadth-first) connected-components algorithms.
+"""Connected-components algorithms over CSR adjacency.
 
 The paper uses "the standard FIFO based connected components
 identification algorithm" (Section 4.3.1) in two places:
@@ -8,20 +8,22 @@ identification algorithm" (Section 4.3.1) in two places:
   are adjacent in the road graph **and** share a k-means cluster label.
   Those constrained components are exactly the supernodes.
 
-Both are implemented here over CSR adjacency, O(n + m).
+Both run through :func:`scipy.sparse.csgraph.connected_components`
+(C, O(n + m)). Labels are then renumbered in order of each
+component's lowest node, which is the id order a FIFO BFS started
+from node 0 upward produces; ``tests/oracles.py`` keeps that BFS as
+the reference the tests compare against.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components as _csgraph_components
 
 from repro.exceptions import GraphError
-
-UNVISITED = -1
 
 
 def _as_csr(adjacency) -> sp.csr_matrix:
@@ -31,14 +33,25 @@ def _as_csr(adjacency) -> sp.csr_matrix:
     return adj
 
 
-# above this order, delegate to scipy's C implementation (relabelled to
-# our discovery-order convention); below it, the from-scratch FIFO BFS
-# is just as fast and stays the reference implementation
-_CSGRAPH_CUTOFF = 5000
+def _same_label_edges(adj: sp.csr_matrix, labels: Optional[Sequence[int]]) -> sp.csr_matrix:
+    """``adj`` restricted to edges whose endpoints share a label."""
+    if labels is None:
+        return adj
+    n = adj.shape[0]
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise GraphError(f"labels must have shape ({n},), got {labels.shape}")
+    # filter straight on the CSR arrays; the row order is kept
+    rows = np.repeat(np.arange(n), np.diff(adj.indptr))
+    keep = labels[rows] == labels[adj.indices]
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    return sp.csr_matrix(
+        (adj.data[keep], adj.indices[keep], kept[adj.indptr]), shape=adj.shape
+    )
 
 
 def connected_components(adjacency, labels: Optional[Sequence[int]] = None) -> np.ndarray:
-    """Component id per node via FIFO BFS.
+    """Component id per node.
 
     Parameters
     ----------
@@ -53,66 +66,14 @@ def connected_components(adjacency, labels: Optional[Sequence[int]] = None) -> n
     -------
     numpy.ndarray of int:
         ``out[i]`` is the component id of node ``i``; ids are dense and
-        assigned in order of BFS discovery from node 0 upward.
-
-    Notes
-    -----
-    Large graphs (above ~5k nodes) are routed through
-    :func:`scipy.sparse.csgraph.connected_components` and relabelled
-    to the same discovery-order ids; the result is identical to the
-    BFS, just computed in C.
+        numbered by each component's lowest node (the FIFO BFS
+        discovery order from node 0 upward).
     """
-    adj = _as_csr(adjacency)
+    adj = _same_label_edges(_as_csr(adjacency), labels)
     n = adj.shape[0]
-    if labels is not None:
-        labels = np.asarray(labels)
-        if labels.shape != (n,):
-            raise GraphError(f"labels must have shape ({n},), got {labels.shape}")
-
-    if n > _CSGRAPH_CUTOFF:
-        return _components_csgraph(adj, labels)
-
-    comp = np.full(n, UNVISITED, dtype=int)
-    indptr, indices = adj.indptr, adj.indices
-    current = 0
-    queue: deque = deque()
-    for start in range(n):
-        if comp[start] != UNVISITED:
-            continue
-        comp[start] = current
-        queue.append(start)
-        while queue:
-            u = queue.popleft()
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                if comp[v] != UNVISITED:
-                    continue
-                if labels is not None and labels[v] != labels[u]:
-                    continue
-                comp[v] = current
-                queue.append(v)
-        current += 1
-    return comp
-
-
-def _components_csgraph(
-    adj: sp.csr_matrix, labels: Optional[np.ndarray]
-) -> np.ndarray:
-    """C-speed components with our discovery-order id convention."""
-    from scipy.sparse.csgraph import connected_components as _cc
-
-    n = adj.shape[0]
-    if labels is not None:
-        # keep only same-label edges, straight on the CSR arrays
-        rows = np.repeat(np.arange(n), np.diff(adj.indptr))
-        keep = labels[rows] == labels[adj.indices]
-        kept = np.concatenate(([0], np.cumsum(keep)))
-        adj = sp.csr_matrix(
-            (adj.data[keep], adj.indices[keep], kept[adj.indptr]), shape=adj.shape
-        )
-    n_comp, raw = _cc(adj, directed=False)
-    # relabel so ids follow first appearance by node index, matching
-    # the BFS discovery order (BFS starts successive components from
-    # the lowest-numbered unvisited node)
+    n_comp, raw = _csgraph_components(adj, directed=False)
+    # renumber by each component's lowest node, the order in which a
+    # BFS started from successive unvisited nodes discovers them
     first = np.full(n_comp, n)
     np.minimum.at(first, raw, np.arange(n))
     rank = np.empty(n_comp, dtype=int)
@@ -137,23 +98,32 @@ def count_constrained_components(adjacency, labels: Sequence[int]) -> int:
 
     Used to pick, among the MCG-shortlisted clustering configurations,
     the one producing the fewest supernodes (Algorithm 1, lines 10-16).
+    Only the count is computed, so no ids are renumbered. Edges are
+    undirected: one triangle of the adjacency (``scipy.sparse.triu``)
+    gives the same count as the full matrix for half the filtering.
     """
-    comp = constrained_components(adjacency, labels)
-    return int(comp.max()) + 1 if comp.size else 0
+    if labels is None:
+        raise GraphError("count_constrained_components requires labels")
+    adj = _same_label_edges(_as_csr(adjacency), labels)
+    return int(_csgraph_components(adj, directed=False, return_labels=False))
 
 
 def is_connected(adjacency, nodes: Optional[Sequence[int]] = None) -> bool:
     """True when the graph (or the induced subgraph on ``nodes``) is connected.
 
-    An empty node set and a single node both count as connected.
+    ``nodes`` is read as a set: repeated ids count once. An empty node
+    set and a single node both count as connected; an id outside
+    ``0..n-1`` raises :class:`GraphError`.
     """
     adj = _as_csr(adjacency)
     if nodes is not None:
-        idx = np.asarray(list(nodes), dtype=int)
-        if idx.size == 0:
-            return True
+        idx = np.unique(np.asarray(list(nodes), dtype=int))
+        if idx.size and (idx[0] < 0 or idx[-1] >= adj.shape[0]):
+            raise GraphError(
+                f"node ids must lie in [0, {adj.shape[0]}), got "
+                f"{idx[0] if idx[0] < 0 else idx[-1]}"
+            )
         adj = adj[idx][:, idx]
     if adj.shape[0] <= 1:
         return True
-    comp = connected_components(adj)
-    return int(comp.max()) == 0
+    return int(_csgraph_components(adj, directed=False, return_labels=False)) == 1

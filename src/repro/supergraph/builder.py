@@ -4,9 +4,10 @@ Steps (paper Section 4):
 
 1. scan kappa with 1-D k-means on (a sample of) the node densities and
    shortlist every kappa whose MCG clears the optimality threshold;
-2. for each shortlisted kappa, cluster the *full* density set, count
-   the constrained connected components, and keep the configuration
-   producing the fewest components (fewest supernodes);
+2. for each shortlisted kappa, cluster the *full* density set (the
+   scan's own fit when it ran on the full set), count the constrained
+   connected components, and keep the configuration producing the
+   fewest components (fewest supernodes);
 3. create supernodes with cluster means as features;
 4. optionally run the stability check (Algorithm 2) with threshold
    epsilon_eta;
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.clustering.kmeans import KMeansResult, kmeans_1d
 from repro.clustering.optimality import KappaScan, shortlist_kappa
@@ -40,16 +42,28 @@ from repro.util.timer import ModuleTimer
 logger = get_logger("supergraph.builder")
 
 
+def _count_scanned(kappa: int) -> int:
+    """One shortlist candidate the scan already fitted: supernode count.
+
+    Reads the upper triangle of the adjacency and this kappa's labels
+    from the ambient :class:`repro.util.shm.ShardContext`.
+    """
+    ctx = active_shard()
+    return count_constrained_components(
+        ctx.get_csr("builder.upper"), ctx.get(f"builder.labels.{kappa}")
+    )
+
+
 def _fit_and_count(kmeans_method: str, kappa: int) -> Tuple[KMeansResult, int]:
     """One shortlist candidate: full-data fit + supernode count.
 
-    The density vector, its shared sort, and the CSR adjacency arrive
-    through the ambient :class:`repro.util.shm.ShardContext` — shared
-    memory in process mode, the caller's own arrays otherwise — so a
-    city-scale adjacency is never pickled per task. The shared-sort
-    fast path only applies to the seeded-Lloyd ``kmeans_1d`` (the
-    exact-DP variant sorts internally). Module-level so it stays
-    picklable.
+    The density vector, its shared sort and the upper triangle of the
+    CSR adjacency arrive through the ambient
+    :class:`repro.util.shm.ShardContext` — shared memory in process
+    mode, the caller's own arrays otherwise — so a city-scale
+    adjacency is never pickled per task. The shared-sort fast path only
+    applies to the seeded-Lloyd ``kmeans_1d`` (the exact-DP variant
+    sorts internally). Module-level so it stays picklable.
     """
     ctx = active_shard()
     features = ctx.get("builder.features")
@@ -59,9 +73,7 @@ def _fit_and_count(kmeans_method: str, kappa: int) -> Tuple[KMeansResult, int]:
         result = kmeans_1d_optimal(features, kappa)
     else:
         result = kmeans_1d(features, kappa, presorted=ctx.get("builder.sorted"))
-    count = count_constrained_components(
-        ctx.get_csr("builder.adjacency"), result.labels
-    )
+    count = count_constrained_components(ctx.get_csr("builder.upper"), result.labels)
     return result, count
 
 
@@ -124,9 +136,10 @@ class SupergraphBuilder:
         Seed for the sampling step.
     workers:
         Worker count for the per-kappa scan fits and the shortlist
-        refits (both embarrassingly parallel); ``None`` defers to the
-        ``REPRO_NUM_WORKERS`` environment variable (serial when
-        unset). The build result is identical for every worker count.
+        counts or refits (both embarrassingly parallel); ``None``
+        defers to the ``REPRO_NUM_WORKERS`` environment variable
+        (serial when unset). The build result is identical for every
+        worker count.
     parallel_mode:
         ``"serial"``/``"thread"``/``"process"``; ``None`` defers to the
         ``REPRO_PARALLEL_MODE`` environment variable (thread when
@@ -194,22 +207,35 @@ class SupergraphBuilder:
         )
 
         # Step 2: pick the configuration with the fewest supernodes.
-        # The shortlist fits are independent; map_parallel keeps their
-        # order, so the strict-< selection below is deterministic.
+        # An unsampled Lloyd scan already fitted every shortlisted kappa
+        # on these densities with this sort, so only the counts remain;
+        # otherwise each candidate is refitted on the full set. Either
+        # way the candidates run as one order-keeping map_parallel, so
+        # the strict-< selection below is deterministic.
+        reuse = not scan.sampled and self._kmeans_method == "lloyd"
         with timer.time("module2.shortlist_fits"):
             with ShardContext() as shard:
-                shard.put("builder.features", features)
-                if self._kmeans_method != "optimal":
-                    shard.put("builder.sorted", np.sort(features, kind="stable"))
-                shard.put_csr("builder.adjacency", adjacency)
-                fit = functools.partial(_fit_and_count, self._kmeans_method)
+                shard.put_csr("builder.upper", sp.triu(adjacency, k=1, format="csr"))
+                if reuse:
+                    fits = dict(zip(scan.kappas, scan.results))
+                    results = [fits[kappa] for kappa in shortlisted]
+                    for kappa, result in zip(shortlisted, results):
+                        shard.put(f"builder.labels.{kappa}", result.labels)
+                    task = _count_scanned
+                else:
+                    shard.put("builder.features", features)
+                    if self._kmeans_method != "optimal":
+                        shard.put("builder.sorted", np.sort(features, kind="stable"))
+                    task = functools.partial(_fit_and_count, self._kmeans_method)
                 outcomes = map_parallel(
-                    fit,
+                    task,
                     shortlisted,
                     workers=self._workers,
                     mode=self._parallel_mode,
                     shard=shard,
                 )
+        if reuse:
+            outcomes = list(zip(results, outcomes))
         incr("supergraph.shortlist_fits", len(shortlisted))
         best_kappa = -1
         best_count = None

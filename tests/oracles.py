@@ -8,6 +8,7 @@ that the fast versions return exactly the same arrays.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -17,6 +18,35 @@ from hypothesis import strategies as st
 from repro.exceptions import GraphError
 from repro.graph.components import constrained_components
 from repro.supergraph.supernode import Supernode
+
+
+def connected_components_bfs(adjacency, labels: Optional[Sequence[int]] = None) -> np.ndarray:
+    """The paper's FIFO BFS: ids in discovery order from node 0 upward.
+
+    With ``labels``, an edge only connects nodes sharing a label.
+    """
+    adj = sp.csr_matrix(adjacency)
+    n = adj.shape[0]
+    comp = np.full(n, -1, dtype=int)
+    indptr, indices = adj.indptr, adj.indices
+    current = 0
+    queue: deque = deque()
+    for start in range(n):
+        if comp[start] != -1:
+            continue
+        comp[start] = current
+        queue.append(start)
+        while queue:
+            u = queue.popleft()
+            for v in indices[indptr[u] : indptr[u + 1]]:
+                if comp[v] != -1:
+                    continue
+                if labels is not None and labels[v] != labels[u]:
+                    continue
+                comp[v] = current
+                queue.append(v)
+        current += 1
+    return comp
 
 
 def create_supernodes_loop(

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
 from repro.graph.adjacency import Graph
 from repro.graph.components import is_connected
-from repro.supergraph.builder import SupergraphBuilder, build_supergraph
-from repro.supergraph.supernode import membership_vector
+from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.supergraph.builder import SupergraphBuilder, _fit_and_count, build_supergraph
+from repro.supergraph.supernode import create_supernodes, membership_vector
+from repro.util.shm import ShardContext, use_shard
 
 
 def _stepped_path(n_groups=4, per=10, step=1.0, noise=0.02, seed=0):
@@ -118,3 +123,90 @@ class TestKmeansMethodOption:
     def test_invalid_method_rejected(self):
         with pytest.raises(GraphError):
             SupergraphBuilder(kmeans_method="magic")
+
+
+def _grid(side: int, densities) -> Graph:
+    edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+    return Graph(side * side, edges=edges, features=densities)
+
+
+def _refit(graph: Graph, kappas):
+    """The refit path, run by hand: ``_fit_and_count`` per kappa."""
+    features = np.asarray(graph.features, dtype=float)
+    with ShardContext() as shard:
+        shard.put("builder.features", features)
+        shard.put("builder.sorted", np.sort(features, kind="stable"))
+        shard.put_csr("builder.upper", sp.triu(graph.adjacency, k=1, format="csr"))
+        with use_shard(shard):
+            return [_fit_and_count("lloyd", kappa) for kappa in kappas]
+
+
+def _counted_build(graph: Graph, **kwargs):
+    builder = SupergraphBuilder(seed=0, **kwargs)
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        supergraph = builder.build(graph)
+    return builder.report, supergraph, registry
+
+
+class TestShortlistReusesScan:
+    """An unsampled Lloyd scan has already fitted every shortlisted kappa
+    on the full densities; the builder takes those fits instead of
+    refitting."""
+
+    @given(
+        densities=st.lists(
+            st.floats(min_value=0.0, max_value=5.0, allow_nan=False), min_size=49, max_size=49
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_same_outcome_as_refit(self, densities):
+        assume(len(set(densities)) >= 8)
+        graph = _grid(7, densities)
+        report, supergraph, __ = _counted_build(graph, epsilon_fraction=0.9)
+
+        refits = _refit(graph, report.shortlisted)
+        counts = [count for __, count in refits]
+        assert report.component_counts == counts
+        best = int(np.argmin(counts))  # first minimum, like the builder's strict <
+        assert report.chosen_kappa == report.shortlisted[best]
+        result = refits[best][0]
+        expected = create_supernodes(graph.adjacency, result.labels, cluster_means=result.centers)
+        assert len(supergraph.supernodes) == len(expected)
+        for got, want in zip(supergraph.supernodes, expected):
+            np.testing.assert_array_equal(got.members, want.members)
+            assert got.feature == want.feature
+
+    def test_unsampled_build_fits_only_in_the_scan(self):
+        report, __, registry = _counted_build(_stepped_path(), epsilon_fraction=0.9)
+        assert not report.scan.sampled
+        assert len(report.shortlisted) > 1
+        assert registry.counter("kmeans1d.fits") == registry.counter("kappa_scan.candidates")
+
+    def test_sampled_build_refits_the_shortlist(self):
+        graph = _stepped_path(per=50)
+        report, __, registry = _counted_build(graph, sample_size=80, epsilon_fraction=0.9)
+        assert report.scan.sampled
+        assert registry.counter("kmeans1d.fits") == (
+            registry.counter("kappa_scan.candidates") + len(report.shortlisted)
+        )
+        refits = _refit(graph, report.shortlisted)
+        assert report.component_counts == [count for __, count in refits]
+
+    @pytest.mark.parametrize("sample_size", [None, 80])
+    def test_every_mode_gives_the_same_build(self, sample_size):
+        """Reused and refitted shortlists alike: the counts travel through
+        shared memory in process mode and come out in kappa order."""
+        graph = _stepped_path(per=50, noise=0.1)
+        outcomes = []
+        for mode, workers in (("serial", 1), ("thread", 2), ("process", 2)):
+            builder = SupergraphBuilder(
+                seed=0, sample_size=sample_size, workers=workers, parallel_mode=mode
+            )
+            supergraph = builder.build(graph)
+            outcomes.append(
+                (builder.report.component_counts, builder.report.chosen_kappa,
+                 supergraph.member_of.tolist())
+            )
+        assert outcomes[0] == outcomes[1] == outcomes[2]
