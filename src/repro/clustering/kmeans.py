@@ -24,8 +24,8 @@ Both hot paths are engineered for city-scale inputs:
 * ``kmeans`` avoids materialising the O(n * kappa * d) broadcast
   distance tensor: assignment uses the expansion
   ``||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2`` evaluated in row chunks,
-  turning the inner loop into BLAS matrix products with bounded
-  memory.
+  turning the inner loop into single-thread BLAS matrix products with
+  bounded memory.
 """
 
 from __future__ import annotations
@@ -266,9 +266,10 @@ def _kmeanspp_init(
     return centers
 
 
-#: Upper bound on the number of distance-matrix cells held at once by
-#: the chunked assignment (chunk_rows * kappa).
-_ASSIGN_CHUNK_CELLS = 1 << 20
+#: Upper bound on one chunk's multiply-adds (rows * kappa * d): under
+#: OpenBLAS's 2**19 threading cutoff, where a thin product's woken
+#: worker costs more than it saves and spins on after the call returns.
+_ASSIGN_CHUNK_CELLS = 1 << 18
 
 
 def pairwise_sq_dists_reference(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -298,7 +299,7 @@ def assign_to_centers(
         Optional precomputed ``(data ** 2).sum(axis=1)``; pass it once
         per Lloyd run since the data never changes between iterations.
     chunk_cells:
-        Bound on rows-per-chunk * kappa, capping peak memory at one
+        Bound on rows-per-chunk * kappa * d, capping peak memory at one
         chunk of the distance matrix regardless of n.
 
     Returns
@@ -314,7 +315,7 @@ def assign_to_centers(
     center_norms = (centers**2).sum(axis=1)
     labels = np.empty(n, dtype=np.int64)
     min_d2 = np.empty(n, dtype=float)
-    chunk = max(1, min(n, chunk_cells // max(1, kappa)))
+    chunk = max(1, min(n, chunk_cells // max(1, kappa * data.shape[1])))
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         d2 = data[start:stop] @ centers.T

@@ -229,6 +229,17 @@ class TestNDAssignmentEquivalence:
         # to rounding while the discrete assignment is identical
         assert d2_tiny == pytest.approx(d2_full, rel=1e-12, abs=1e-12)
 
+    def test_rows_past_the_serial_gemm_bound_match_the_reference(self):
+        """20,000 rows of 8-d eigen-rows against 8 centers take several
+        single-thread products; the assignment is the reference's."""
+        rng = np.random.default_rng(3)
+        data = rng.normal(size=(20_000, 8))
+        centers = rng.normal(size=(8, 8))
+        ref_d2 = pairwise_sq_dists_reference(data, centers)
+        labels, min_d2 = assign_to_centers(data, centers)
+        assert np.array_equal(labels, ref_d2.argmin(axis=1))
+        assert min_d2 == pytest.approx(ref_d2[np.arange(20_000), labels], abs=1e-9)
+
     def test_full_kmeans_with_empty_cluster_reseeding(self):
         """Duplicated points force empty clusters through the new path."""
         rng = np.random.default_rng(2)
