@@ -4,8 +4,9 @@ The paper observes that the modularity matrix "actually equals the
 negative of our alpha-Cut matrix", so maximising modularity via the k
 *largest* eigenvalues of B is the same relaxation as minimising
 alpha-Cut via the k *smallest* eigenvalues of M. This module provides
-the modularity-side implementation, used by tests and the sanity
-benchmark to verify that equivalence empirically.
+the modularity objective and the modularity-side entry point, which
+runs the alpha-Cut spectral stage; tests and the sanity benchmark use
+them to check that equivalence empirically.
 """
 
 from __future__ import annotations
@@ -13,12 +14,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.clustering.kmeans import kmeans
-from repro.core.spectral import _densify, row_normalize
+from repro.core.spectral import spectral_partition
 from repro.exceptions import PartitioningError
-from repro.graph.components import connected_components
-from repro.graph.laplacian import modularity_matrix
-from repro.util.rng import RngLike, ensure_rng
+from repro.util.rng import RngLike
 
 
 def modularity_value(adjacency, labels) -> float:
@@ -50,21 +48,9 @@ def spectral_modularity_partition(
 ) -> np.ndarray:
     """Partition via the k largest eigenvectors of the modularity matrix.
 
-    Mirrors Algorithm 3's spectral stage on B = -M: because the two
-    matrices share eigenvectors (with negated eigenvalues), this must
-    produce the same embedding as the alpha-Cut pipeline.
+    The k largest eigenpairs of B = -M are the k smallest of the
+    alpha-Cut matrix M with negated eigenvalues, so this is Algorithm
+    3's spectral stage itself: :func:`repro.core.spectral.spectral_partition`
+    on the same adjacency.
     """
-    adj = sp.csr_matrix(adjacency, dtype=float)
-    n = adj.shape[0]
-    if not 1 <= k <= n:
-        raise PartitioningError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if k == 1:
-        return np.zeros(n, dtype=int)
-
-    b = modularity_matrix(adj)
-    values, vectors = np.linalg.eigh(b)
-    top = vectors[:, np.argsort(values)[::-1][:k]]
-    z = row_normalize(top)
-    rng = ensure_rng(seed)
-    labels = kmeans(z, k, n_init=n_init, seed=rng).labels
-    return _densify(connected_components(adj, labels=labels))
+    return spectral_partition(adjacency, k, n_init=n_init, seed=seed)

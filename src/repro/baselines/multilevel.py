@@ -19,6 +19,8 @@ import scipy.sparse as sp
 from repro.baselines.kernighan_lin import kernighan_lin_refine
 from repro.exceptions import PartitioningError
 from repro.graph.adjacency import Graph
+from repro.graph.eigen import smallest_eigenpairs
+from repro.graph.laplacian import laplacian_matrix
 from repro.util.rng import RngLike, ensure_rng
 
 
@@ -203,13 +205,10 @@ class MultilevelPartitioner:
         Laplacian eigenvector), which guarantees a balanced start, then
         refines with Kernighan-Lin under the balance tolerance.
         """
-        from repro.graph.laplacian import laplacian_matrix
-
         n = adjacency.shape[0]
         if n <= 2:
             return np.arange(n, dtype=int) % 2
-        lap = laplacian_matrix(adjacency).toarray()
-        __, vectors = np.linalg.eigh(lap)
+        __, vectors, __ = smallest_eigenpairs(laplacian_matrix(adjacency), 2)
         fiedler = vectors[:, 1]
         order = np.argsort(fiedler, kind="stable")
         labels = np.zeros(n, dtype=int)

@@ -19,18 +19,18 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from repro.core.refine import (
     partition_connectivity_matrix,
     recursive_bipartition,
     repair_connectivity,
 )
-from repro.core.spectral import DENSE_CUTOFF, _densify, row_normalize
+from repro.core.spectral import _densify, row_normalize
 from repro.exceptions import PartitioningError
 from repro.clustering.kmeans import kmeans
 from repro.graph.adjacency import Graph
 from repro.graph.components import connected_components
+from repro.graph.eigen import smallest_eigenpairs
 from repro.graph.laplacian import normalized_laplacian
 from repro.supergraph.model import Supergraph
 from repro.util.rng import RngLike, ensure_rng
@@ -67,24 +67,8 @@ def ncut_value(adjacency, labels) -> float:
 
 def ncut_embedding(adjacency, k: int) -> np.ndarray:
     """Row-normalised eigenvectors of the k smallest L_sym eigenvalues."""
-    adj = sp.csr_matrix(adjacency, dtype=float)
-    n = adj.shape[0]
-    if not 1 <= k <= n:
-        raise PartitioningError(f"need 1 <= k <= n, got k={k}, n={n}")
-    lap = normalized_laplacian(adj)
-    if n <= DENSE_CUTOFF or k >= n - 1:
-        values, vectors = np.linalg.eigh(lap.toarray())
-        return row_normalize(vectors[:, :k])
-    try:
-        values, vectors = eigsh(lap, k=k, sigma=0.0, which="LM")
-    except (ArpackNoConvergence, RuntimeError):
-        try:
-            values, vectors = eigsh(lap, k=k, which="SA")
-        except ArpackNoConvergence:
-            values, vectors = np.linalg.eigh(lap.toarray())
-            return row_normalize(vectors[:, :k])
-    order = np.argsort(values)
-    return row_normalize(vectors[:, order])
+    __, vectors, __ = smallest_eigenpairs(normalized_laplacian(adjacency), k)
+    return row_normalize(vectors)
 
 
 def _ncut_bipartition(meta_adj: np.ndarray, rng) -> np.ndarray:

@@ -24,6 +24,8 @@ import numpy as np
 
 from repro.exceptions import PartitioningError
 from repro.graph.adjacency import Graph
+from repro.graph.eigen import smallest_eigenpairs
+from repro.graph.laplacian import normalized_laplacian
 from repro.util.rng import RngLike
 
 
@@ -142,10 +144,7 @@ def select_k_by_eigengap(
     else:
         adjacency = graph.adjacency
 
-    from repro.graph.laplacian import normalized_laplacian
-
-    lap = normalized_laplacian(adjacency)
-    values = np.sort(np.linalg.eigvalsh(lap.toarray()))[: k_max + 1]
+    values, __, __ = smallest_eigenpairs(normalized_laplacian(adjacency), k_max + 1)
     gaps: Dict[int, float] = {}
     for k in range(k_min, k_max + 1):
         gaps[k] = float(values[k] - values[k - 1])

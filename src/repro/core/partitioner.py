@@ -11,7 +11,7 @@ or greedy pruning. It accepts either a raw adjacency matrix, a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,7 +22,7 @@ from repro.core.refine import (
     recursive_bipartition,
     repair_connectivity,
 )
-from repro.core.spectral import spectral_partition
+from repro.core.spectral import consume_eigensolver_outcome, spectral_partition
 from repro.exceptions import PartitioningError
 from repro.graph.adjacency import Graph
 from repro.supergraph.model import Supergraph
@@ -44,11 +44,17 @@ class AlphaCutResult:
     node_labels:
         Partition index per road-graph node — only set when the input
         was a :class:`Supergraph`; None otherwise.
+    eigensolver:
+        Outcome record of the embedding eigensolve (see
+        :func:`repro.core.spectral.last_eigensolver_outcome`), not of
+        the meta-graph bipartitions; None when k is 1 or n, which
+        solve nothing.
     """
 
     labels: np.ndarray
     k_prime: int
     node_labels: Optional[np.ndarray] = None
+    eigensolver: Optional[Dict] = None
 
     @property
     def k(self) -> int:
@@ -115,6 +121,7 @@ class AlphaCutPartitioner:
             )
         rng = ensure_rng(self._seed)
 
+        consume_eigensolver_outcome()  # drop any stale record
         labels = spectral_partition(
             adjacency,
             self._k,
@@ -122,6 +129,7 @@ class AlphaCutPartitioner:
             n_init=self._n_init,
             seed=rng,
         )
+        eigensolver = consume_eigensolver_outcome()
         k_prime = int(labels.max()) + 1
 
         if self._exact_k and k_prime > self._k:
@@ -134,7 +142,7 @@ class AlphaCutPartitioner:
             # grouping partitions can join non-adjacent ones (C.2)
             labels = repair_connectivity(adjacency, labels, self._k)
 
-        result = AlphaCutResult(labels=labels, k_prime=k_prime)
+        result = AlphaCutResult(labels=labels, k_prime=k_prime, eigensolver=eigensolver)
         if supergraph is not None:
             result.node_labels = supergraph.expand_partition(labels)
         return result

@@ -6,11 +6,9 @@ to Z, k-means the rows into k clusters, then split every cluster into
 its connected components so the resulting partitions are spatially
 connected (yielding k' >= k partitions).
 
-Eigensolver strategy: dense ``numpy.linalg.eigh`` below
-``DENSE_CUTOFF`` nodes (exact, fast at small n), otherwise ARPACK
-``eigsh`` on the matrix-free :class:`repro.graph.laplacian.AlphaCutOperator`
-(``sigma=None, which="SA"``), standing in for the paper's high
-performance Matlab eigensolver.
+The eigenpairs come from :func:`repro.graph.eigen.smallest_eigenpairs`
+on the matrix-free :class:`repro.graph.laplacian.AlphaCutOperator`:
+dense LAPACK up to its ``DENSE_CUTOFF`` nodes, ARPACK above.
 """
 
 from __future__ import annotations
@@ -20,17 +18,14 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from repro.exceptions import PartitioningError
 from repro.clustering.kmeans import kmeans
 from repro.graph.components import connected_components
-from repro.graph.laplacian import AlphaCutOperator, alpha_cut_matrix
-from repro.obs.metrics import incr
+from repro.graph.eigen import smallest_eigenpairs
+from repro.graph.laplacian import AlphaCutOperator
 from repro.obs.trace import current_tracer
 from repro.util.rng import RngLike, ensure_rng
-
-DENSE_CUTOFF = 1500
 
 #: Last eigensolver outcome recorded in this process (module-level:
 #: module 3 always runs serially in the calling process). Read it with
@@ -42,12 +37,11 @@ _LAST_OUTCOME: Optional[Dict[str, Any]] = None
 def last_eigensolver_outcome() -> Optional[Dict[str, Any]]:
     """The outcome record of the most recent :func:`smallest_eigenvectors`.
 
-    A JSON-serialisable dict: ``solver`` (the path that produced the
-    returned eigenpairs), ``method`` (what the caller requested),
-    ``n``/``k``, ``iterations`` (None when the backend does not expose
-    a count), ``residual`` (max column norm of ``M v - lambda v`` at
-    exit), ``converged`` and ``fallback_reason`` (None unless the
-    ARPACK path fell back). Returns None before the first solve.
+    The record :func:`repro.graph.eigen.smallest_eigenpairs` returns:
+    ``solver`` (the path that produced the eigenpairs), ``n``/``k``,
+    ``residual`` (max column norm of ``M v - lambda v`` at exit),
+    ``converged`` and ``fallback_reason`` (None unless the ARPACK path
+    fell back). Returns None before the first solve.
     """
     return None if _LAST_OUTCOME is None else dict(_LAST_OUTCOME)
 
@@ -59,54 +53,7 @@ def consume_eigensolver_outcome() -> Optional[Dict[str, Any]]:
     return outcome
 
 
-def _exit_residual(adj: sp.csr_matrix, values: np.ndarray, vectors: np.ndarray) -> float:
-    """``max_i ||M v_i - lambda_i v_i||`` — the solver-independent
-    quality measure of the returned eigenpairs (k matvecs, cheap next
-    to any of the solves)."""
-    operator = AlphaCutOperator(adj)
-    residual = operator.matmat(np.asarray(vectors)) - np.asarray(vectors) * np.asarray(values)
-    norms = np.linalg.norm(residual, axis=0)
-    return float(norms.max()) if norms.size else 0.0
-
-
-def _record_outcome(
-    adj: sp.csr_matrix,
-    values: np.ndarray,
-    vectors: np.ndarray,
-    *,
-    solver: str,
-    method: str,
-    k: int,
-    iterations: Optional[int],
-    converged: bool,
-    fallback_reason: Optional[str],
-    span=None,
-) -> None:
-    global _LAST_OUTCOME
-    outcome: Dict[str, Any] = {
-        "solver": solver,
-        "method": method,
-        "n": int(adj.shape[0]),
-        "k": int(k),
-        "iterations": iterations,
-        "residual": _exit_residual(adj, values, vectors),
-        "converged": bool(converged),
-        "fallback_reason": fallback_reason,
-    }
-    _LAST_OUTCOME = outcome
-    if span is not None:
-        span.attrs.update(
-            solver=solver,
-            residual=outcome["residual"],
-            converged=outcome["converged"],
-        )
-        if fallback_reason:
-            span.attrs["fallback_reason"] = fallback_reason
-
-
-def smallest_eigenvectors(
-    adjacency, k: int, method: str = "auto"
-) -> Tuple[np.ndarray, np.ndarray]:
+def smallest_eigenvectors(adjacency, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the k smallest eigenvalues of the alpha-Cut matrix M.
 
     Parameters
@@ -115,10 +62,6 @@ def smallest_eigenvectors(
         Weighted symmetric adjacency matrix.
     k:
         Number of smallest eigenpairs.
-    method:
-        ``"auto"`` (dense below :data:`DENSE_CUTOFF` nodes, ARPACK
-        above), ``"dense"``, ``"arpack"``, or ``"lanczos"`` (the
-        in-house solver of :mod:`repro.graph.lanczos`).
 
     Returns
     -------
@@ -128,123 +71,27 @@ def smallest_eigenvectors(
 
     Notes
     -----
-    Every call records an outcome record — solver used, iterations
-    where the backend exposes them, residual at exit, fallback reason
-    — retrievable via :func:`last_eigensolver_outcome` and attached to
-    the ``eigensolve`` span when a tracer is active. The framework
-    lifts it into the run manifest and
-    :class:`repro.pipeline.results.PartitioningResult`.
+    Every call records its outcome record — retrievable via
+    :func:`last_eigensolver_outcome` and attached to the ``eigensolve``
+    span when a tracer is active.
     """
-    if method not in ("auto", "dense", "arpack", "lanczos"):
-        raise PartitioningError(
-            f"method must be auto/dense/arpack/lanczos, got {method!r}"
-        )
-    adj = sp.csr_matrix(adjacency, dtype=float)
-    n = adj.shape[0]
-    if not 1 <= k <= n:
-        raise PartitioningError(f"need 1 <= k <= n, got k={k}, n={n}")
-
+    global _LAST_OUTCOME
+    operator = AlphaCutOperator(adjacency)
+    n = operator.shape[0]
     tracer = current_tracer()
-    active = (
-        tracer.span("eigensolve", n=n, k=k, method=method)
-        if tracer is not None
-        else nullcontext()
-    )
+    active = tracer.span("eigensolve", n=n, k=k) if tracer is not None else nullcontext()
     with active as span:  # nullcontext yields None; tracer.span a Span
-        if method == "lanczos":
-            from repro.graph.lanczos import lanczos_smallest
-
-            incr("eigensolver.lanczos_calls")
-            stats: Dict[str, Any] = {}
-            values, vectors = lanczos_smallest(AlphaCutOperator(adj), k, stats=stats)
-            _record_outcome(
-                adj,
-                values,
-                vectors,
-                solver="dense" if stats.get("dense_fallback") else "lanczos",
-                method=method,
-                k=k,
-                iterations=stats.get("iterations"),
-                converged=True,
-                fallback_reason=(
-                    "lanczos_invariant_subspace"
-                    if stats.get("dense_fallback")
-                    else None
-                ),
-                span=span,
+        values, vectors, outcome = smallest_eigenpairs(operator, k)
+        _LAST_OUTCOME = outcome
+        if span is not None:
+            span.attrs.update(
+                solver=outcome["solver"],
+                residual=outcome["residual"],
+                converged=outcome["converged"],
             )
-            return values, vectors
-
-        if method == "dense" or (
-            method == "auto" and (n <= DENSE_CUTOFF or k >= n - 1)
-        ):
-            incr("eigensolver.dense_calls")
-            m = alpha_cut_matrix(adj)
-            values, vectors = np.linalg.eigh(m)
-            values, vectors = values[:k], vectors[:, :k]
-            _record_outcome(
-                adj,
-                values,
-                vectors,
-                solver="dense",
-                method=method,
-                k=k,
-                iterations=None,
-                converged=True,
-                fallback_reason=None,
-                span=span,
-            )
-            return values, vectors
-
-        operator = AlphaCutOperator(adj)
-        incr("eigensolver.arpack_calls")
-        solver = "arpack"
-        converged = True
-        fallback_reason = None
-        try:
-            values, vectors = eigsh(operator, k=k, which="SA")
-        except ArpackNoConvergence as exc:
-            # fall back to whatever converged, topped up by the dense path
-            incr("eigensolver.arpack_no_convergence")
-            converged = False
-            if exc.eigenvalues is not None and len(exc.eigenvalues) >= k:
-                solver = "arpack_partial"
-                fallback_reason = "arpack_no_convergence_partial_pairs"
-                values, vectors = exc.eigenvalues[:k], exc.eigenvectors[:, :k]
-            else:
-                solver = "dense"
-                fallback_reason = "arpack_no_convergence_dense_fallback"
-                m = alpha_cut_matrix(adj)
-                values, vectors = np.linalg.eigh(m)
-                values, vectors = values[:k], vectors[:, :k]
-                _record_outcome(
-                    adj,
-                    values,
-                    vectors,
-                    solver=solver,
-                    method=method,
-                    k=k,
-                    iterations=None,
-                    converged=converged,
-                    fallback_reason=fallback_reason,
-                    span=span,
-                )
-                return values, vectors
-        order = np.argsort(values)
-        values, vectors = values[order], vectors[:, order]
-        _record_outcome(
-            adj,
-            values,
-            vectors,
-            solver=solver,
-            method=method,
-            k=k,
-            iterations=None,
-            converged=converged,
-            fallback_reason=fallback_reason,
-            span=span,
-        )
-        return values, vectors
+            if outcome["fallback_reason"]:
+                span.attrs["fallback_reason"] = outcome["fallback_reason"]
+    return values, vectors
 
 
 def row_normalize(matrix: np.ndarray) -> np.ndarray:
@@ -316,6 +163,6 @@ def spectral_partition(
 
 
 def _densify(labels: np.ndarray) -> np.ndarray:
-    """Relabel to dense 0..k-1 preserving first-appearance order."""
+    """Relabel to dense 0..k-1 in ascending order of the input labels."""
     __, dense = np.unique(labels, return_inverse=True)
     return dense.astype(int)

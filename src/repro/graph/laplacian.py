@@ -2,8 +2,9 @@
 
 Provides the degree, Laplacian, normalized Laplacian, Newman modularity
 and the paper's alpha-Cut matrices. All accept a dense/sparse symmetric
-adjacency matrix and return numpy/scipy objects suitable for the
-eigensolvers in :mod:`repro.core.spectral`.
+adjacency matrix with finite edge weights and return numpy/scipy
+objects for the one eigensolver entry point,
+:func:`repro.graph.eigen.smallest_eigenpairs`.
 
 The alpha-Cut matrix (Equation 6 of the paper) is
 
@@ -29,6 +30,8 @@ def _validate(adjacency) -> sp.csr_matrix:
     adj = sp.csr_matrix(adjacency, dtype=float)
     if adj.shape[0] != adj.shape[1]:
         raise GraphError(f"adjacency must be square, got {adj.shape}")
+    if not np.isfinite(adj.data).all():
+        raise GraphError("adjacency has non-finite edge weights")
     return adj
 
 
@@ -131,3 +134,7 @@ class AlphaCutOperator(LinearOperator):
 
     def _adjoint(self) -> "AlphaCutOperator":
         return self  # M is symmetric
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix M, as :func:`alpha_cut_matrix` builds it."""
+        return alpha_cut_matrix(self._adj)

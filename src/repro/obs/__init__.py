@@ -66,7 +66,7 @@ And the analysis layer, which *reads* what the other pillars record:
   optimization-target report over any trace export
   (``repro-partition obs analyze``);
 * :mod:`repro.obs.convergence` — per-iteration solver telemetry
-  (:class:`ConvergenceTrace`) attached to spans by the Lanczos /
+  (:class:`ConvergenceTrace`) attached to spans by the
   k-means / boundary-refinement kernels, rendered as convergence panes
   in the flight recorder;
 * :mod:`repro.obs.scaling` — power-law fits ``t ≈ a·n^b`` per pipeline

@@ -41,11 +41,10 @@ class PartitioningResult:
         (after the minimum-size clamp), or None when the run was not
         sharded. Recorded into the run manifest by the framework.
     eigensolver:
-        Outcome record of the spectral eigensolve (solver used,
-        iterations where known, residual at exit, converged flag,
-        fallback reason) — see
-        :func:`repro.core.spectral.last_eigensolver_outcome`. None for
-        schemes that never ran the alpha-Cut eigensolver (NG/JG).
+        Outcome record of the alpha-Cut embedding eigensolve (solver
+        used, n and k, residual at exit, converged flag, fallback
+        reason) — see :func:`repro.core.spectral.last_eigensolver_outcome`.
+        None for schemes that never ran it (NG/NSG/JG).
     manifest:
         Run manifest (config, seed, package versions, platform, git
         SHA, timestamp) attached by the framework; see

@@ -16,14 +16,13 @@ back to road segments.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.baselines.ji_geroliminis import JiGeroliminisPartitioner
 from repro.baselines.ncut import NcutPartitioner
 from repro.core.partitioner import AlphaCutPartitioner
-from repro.core.spectral import consume_eigensolver_outcome
 from repro.exceptions import PartitioningError
 from repro.graph.adjacency import Graph
 from repro.graph.affinity import congestion_affinity
@@ -119,14 +118,14 @@ def run_scheme(
 
     n_supernodes: Optional[int] = None
     n_shards_resolved: Optional[int] = None
-    consume_eigensolver_outcome()  # drop any stale record of a prior run
+    eigensolver: Optional[Dict] = None  # set by the alpha-Cut schemes
 
     if scheme in ("AG", "NG"):
         with own_timer.time("module3"):
             affinity = congestion_affinity(road_graph)
             if scheme == "AG":
                 result = AlphaCutPartitioner(k, seed=rng).partition(affinity)
-                labels = result.labels
+                labels, eigensolver = result.labels, result.eigensolver
             else:
                 labels = NcutPartitioner(k, seed=rng).partition(affinity)
     elif scheme == "JG":
@@ -177,7 +176,7 @@ def run_scheme(
                 )
             elif scheme == "ASG":
                 result = AlphaCutPartitioner(k, seed=rng).partition(supergraph)
-                labels = result.node_labels
+                labels, eigensolver = result.node_labels, result.eigensolver
             else:
                 labels = NcutPartitioner(k, seed=rng).partition(supergraph)
 
@@ -187,7 +186,5 @@ def run_scheme(
         timings=own_timer.timings,
         n_supernodes=n_supernodes,
         n_shards_resolved=n_shards_resolved,
-        # module 3 runs serially in this process, so the last recorded
-        # outcome (if any) is this run's eigensolve
-        eigensolver=consume_eigensolver_outcome(),
+        eigensolver=eigensolver,
     )

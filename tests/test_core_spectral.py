@@ -42,7 +42,7 @@ class TestSmallestEigenvectors:
     def test_sparse_path_agrees_with_dense(self):
         """Force the ARPACK path with a graph above the dense cutoff
         by monkeypatching the cutoff."""
-        import repro.core.spectral as spec
+        import repro.graph.eigen as eigen
 
         rng = np.random.default_rng(0)
         n = 60
@@ -50,12 +50,12 @@ class TestSmallestEigenvectors:
         edges += [(i, (i + 7) % n) for i in range(n)]
         g = Graph(n, edges=edges)
         dense_vals, __ = smallest_eigenvectors(g.adjacency, 3)
-        old = spec.DENSE_CUTOFF
-        spec.DENSE_CUTOFF = 10
+        old = eigen.DENSE_CUTOFF
+        eigen.DENSE_CUTOFF = 10
         try:
             sparse_vals, __ = smallest_eigenvectors(g.adjacency, 3)
         finally:
-            spec.DENSE_CUTOFF = old
+            eigen.DENSE_CUTOFF = old
         np.testing.assert_allclose(np.sort(sparse_vals), dense_vals, atol=1e-6)
 
 

@@ -11,6 +11,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import repro.baselines.ncut as ncut_mod
 import repro.core.spectral as spectral_mod
+import repro.graph.eigen as eigen_mod
 from repro.graph.adjacency import Graph
 from repro.graph.laplacian import alpha_cut_matrix, normalized_laplacian
 
@@ -31,8 +32,8 @@ class TestAlphaCutEigsolverFallback:
     def test_arpack_failure_falls_back_to_dense(
         self, ring_graph, monkeypatch
     ):
-        monkeypatch.setattr(spectral_mod, "DENSE_CUTOFF", 10)
-        monkeypatch.setattr(spectral_mod, "eigsh", _failing_eigsh)
+        monkeypatch.setattr(eigen_mod, "DENSE_CUTOFF", 10)
+        monkeypatch.setattr(eigen_mod, "eigsh", _failing_eigsh)
         values, vectors = spectral_mod.smallest_eigenvectors(
             ring_graph.adjacency, 3
         )
@@ -51,16 +52,16 @@ class TestAlphaCutEigsolverFallback:
                 "partial", true_vals[:4], true_vecs[:, :4]
             )
 
-        monkeypatch.setattr(spectral_mod, "DENSE_CUTOFF", 10)
-        monkeypatch.setattr(spectral_mod, "eigsh", _partially_failing)
+        monkeypatch.setattr(eigen_mod, "DENSE_CUTOFF", 10)
+        monkeypatch.setattr(eigen_mod, "eigsh", _partially_failing)
         values, __ = spectral_mod.smallest_eigenvectors(ring_graph.adjacency, 3)
         np.testing.assert_allclose(np.sort(values), true_vals[:3], atol=1e-8)
 
     def test_partitioning_survives_injected_failure(
         self, ring_graph, monkeypatch
     ):
-        monkeypatch.setattr(spectral_mod, "DENSE_CUTOFF", 10)
-        monkeypatch.setattr(spectral_mod, "eigsh", _failing_eigsh)
+        monkeypatch.setattr(eigen_mod, "DENSE_CUTOFF", 10)
+        monkeypatch.setattr(eigen_mod, "eigsh", _failing_eigsh)
         labels = spectral_mod.spectral_partition(ring_graph.adjacency, 3, seed=0)
         assert labels.shape == (ring_graph.n_nodes,)
         assert labels.max() + 1 >= 3
@@ -69,7 +70,7 @@ class TestAlphaCutEigsolverFallback:
 class TestNcutEigsolverFallback:
     def test_shift_invert_failure_falls_back(self, ring_graph, monkeypatch):
         calls = []
-        real_eigsh = ncut_mod.eigsh
+        real_eigsh = eigen_mod.eigsh
 
         def _fail_shift_invert(*args, **kwargs):
             calls.append(kwargs)
@@ -77,15 +78,15 @@ class TestNcutEigsolverFallback:
                 raise RuntimeError("injected factorization failure")
             return real_eigsh(*args, **kwargs)
 
-        monkeypatch.setattr(ncut_mod, "DENSE_CUTOFF", 10)
-        monkeypatch.setattr(ncut_mod, "eigsh", _fail_shift_invert)
+        monkeypatch.setattr(eigen_mod, "DENSE_CUTOFF", 10)
+        monkeypatch.setattr(eigen_mod, "eigsh", _fail_shift_invert)
         z = ncut_mod.ncut_embedding(ring_graph.adjacency, 3)
         assert z.shape == (ring_graph.n_nodes, 3)
         assert len(calls) >= 2  # first shift-invert, then the retry
 
     def test_total_failure_falls_back_to_dense(self, ring_graph, monkeypatch):
-        monkeypatch.setattr(ncut_mod, "DENSE_CUTOFF", 10)
-        monkeypatch.setattr(ncut_mod, "eigsh", _failing_eigsh)
+        monkeypatch.setattr(eigen_mod, "DENSE_CUTOFF", 10)
+        monkeypatch.setattr(eigen_mod, "eigsh", _failing_eigsh)
         z = ncut_mod.ncut_embedding(ring_graph.adjacency, 3)
         lap = normalized_laplacian(ring_graph.adjacency).toarray()
         __, vectors = np.linalg.eigh(lap)

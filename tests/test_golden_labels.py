@@ -26,13 +26,19 @@ GOLDEN = {
     ("M1x0.08", "NSG", 0.0): "7b3a964e819e7dcb7e5d5866c81b46d69b02dafd",
     ("M1x0.08", "AG", 0.0): "f9d6c880fca946389008f42966f0f40cdc78348f",
     ("M1x0.08", "ASG", 0.5): "565338e2263e22b37f8636568c8d08a3f989a79f",
+    # ARPACK regime: a supergraph of 3,004 nodes (ASG/NSG) and a road
+    # graph of 6,771 nodes (NG), all above the dense cutoff
+    ("M3x0.3", "ASG", 0.0): "cae4fc5ca702d69a83f3f95d6d203bc7f840c026",
+    ("M3x0.3", "NSG", 0.0): "90825564de55855608ebdfeab662c59d56d6bf77",
+    ("M3x0.3", "NG", 0.0): "c09784a682ad880a10d194fd5592a052cc94fa45",
 }
 
 @functools.lru_cache(maxsize=None)
 def _input(name):
     if name == "D1":
         return load_dataset("D1", seed=0)
-    return melbourne_like("M1", size_factor=0.08, seed=0)
+    preset, factor = name.split("x")
+    return melbourne_like(preset, size_factor=float(factor), seed=0)
 
 
 def label_hash(dataset: str, scheme: str, epsilon_eta: float) -> str:

@@ -3,9 +3,9 @@
 Covers the ConvergenceTrace record (recording, finish, exact JSON
 round-trip under hypothesis, schema rejection), the attach/harvest
 path through real spans (including the per-span cap), the
-enabled/disabled gating, and the instrumented kernels — Lanczos,
-both k-means variants, boundary refinement and the eigensolver
-outcome record that rides into results, manifests and persistence.
+enabled/disabled gating, and the instrumented kernels — both k-means
+variants, boundary refinement and the eigensolver outcome record that
+rides into results, manifests and persistence.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from repro.core.spectral import (
     smallest_eigenvectors,
 )
 from repro.datasets import small_network
-from repro.graph.lanczos import lanczos_smallest
-from repro.graph.laplacian import AlphaCutOperator
+from repro.datasets.large import melbourne_like
 from repro.obs import ObsContext
 from repro.obs.convergence import (
     CONVERGENCE_SCHEMA_VERSION,
@@ -221,18 +220,6 @@ class TestInstrumentedSolvers:
         assert "moves" in br[0].series
         assert br[0].converged in (True, False)
 
-    def test_lanczos_records_beta_and_stats(self):
-        adj = _ring_adjacency(40)
-        stats = {}
-        tracer = Tracer()
-        with activate_tracer(tracer):
-            with tracer.span("host") as span:
-                lanczos_smallest(AlphaCutOperator(adj), 3, stats=stats)
-        traces = traces_from_attrs(span.attrs)
-        assert any(t.solver == "lanczos" for t in traces)
-        assert stats["iterations"] >= 1
-        assert isinstance(stats["dense_fallback"], bool)
-
     def test_hot_loop_bounded_per_span(self):
         # thousands of kappa-scan fits under one span must not record
         # past the cap: the first MAX attach, the rest only count
@@ -259,7 +246,7 @@ class TestEigensolverOutcome:
     def test_dense_outcome_recorded(self):
         consume_eigensolver_outcome()
         adj = _ring_adjacency(12)
-        smallest_eigenvectors(adj, 3, method="dense")
+        smallest_eigenvectors(adj, 3)
         outcome = last_eigensolver_outcome()
         assert outcome["solver"] == "dense"
         assert outcome["converged"] is True
@@ -269,24 +256,15 @@ class TestEigensolverOutcome:
 
     def test_consume_clears(self):
         adj = _ring_adjacency(10)
-        smallest_eigenvectors(adj, 2, method="dense")
+        smallest_eigenvectors(adj, 2)
         assert consume_eigensolver_outcome() is not None
         assert last_eigensolver_outcome() is None
         assert consume_eigensolver_outcome() is None
 
-    def test_lanczos_outcome_has_iterations(self):
-        consume_eigensolver_outcome()
-        adj = _ring_adjacency(30)
-        smallest_eigenvectors(adj, 2, method="lanczos")
-        outcome = last_eigensolver_outcome()
-        assert outcome["solver"] in ("lanczos", "dense")
-        assert outcome["iterations"] >= 1
-        assert outcome["residual"] < 1e-6
-
     def test_eigensolve_span_attrs(self):
         tracer = Tracer()
         with activate_tracer(tracer):
-            smallest_eigenvectors(_ring_adjacency(14), 3, method="dense")
+            smallest_eigenvectors(_ring_adjacency(14), 3)
         spans = [s for s in tracer.roots if s.name == "eigensolve"]
         assert len(spans) == 1
         assert spans[0].attrs["solver"] == "dense"
@@ -299,12 +277,23 @@ class TestEigensolverOutcome:
         framework = SpatialPartitioningFramework(k=4, scheme="ASG", seed=7)
         result = framework.partition(network)
         assert result.eigensolver is not None
-        assert result.eigensolver["solver"] in ("dense", "arpack", "lanczos")
+        assert result.eigensolver["solver"] in ("dense", "arpack")
         assert result.manifest["eigensolver"] == result.eigensolver
         rebuilt = result_from_dict(
             json.loads(json.dumps(result_to_dict(result)))
         )
         assert rebuilt.eigensolver == result.eigensolver
+
+    def test_run_record_describes_embedding_solve(self):
+        # M3 x 0.3 mines 3,004 supernodes: the embedding solve runs on
+        # ARPACK, the meta-graph bipartitions after it on a few nodes
+        network, densities = melbourne_like("M3", size_factor=0.3, seed=0)
+        result = SpatialPartitioningFramework(k=6, scheme="ASG", seed=0).partition(
+            network, densities
+        )
+        assert result.eigensolver["n"] == result.n_supernodes
+        assert result.eigensolver["solver"] == "arpack"
+        assert result.manifest["eigensolver"] == result.eigensolver
 
     def test_ncut_scheme_has_no_outcome(self):
         network, densities = small_network(seed=7)

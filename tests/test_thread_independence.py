@@ -12,7 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.core.spectral import DENSE_CUTOFF
+from repro.graph.eigen import DENSE_CUTOFF
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
