@@ -95,7 +95,7 @@ profile-demo:
 	@echo "open profdir/report.html (or load profdir/profile.speedscope.json at speedscope.app)"
 
 profile-demo-process:
-	python -m repro obs profile D1 -k 6 --parallel-mode process --workers 2 --shards 4 --out-dir profdir-process
+	python -m repro obs profile D1 -k 6 --workers 2 --shards 4 --out-dir profdir-process
 	@echo "open profdir-process/report.html — one flame graph spanning the parent and both workers"
 
 examples:

@@ -229,7 +229,7 @@ def test_bench_obs_overhead(synthetic_city):
 
 
 # ---------------------------------------------------------------------
-# process-mode variant: tracing across the pool boundary
+# process-pool variant: tracing across the pool boundary
 PROCESS_WORKERS = 2
 PROCESS_SHARDS = 4
 
@@ -239,7 +239,6 @@ def _run_sharded(graph, obs=None):
     kwargs = dict(
         seed=0,
         workers=PROCESS_WORKERS,
-        parallel_mode="process",
         n_shards=PROCESS_SHARDS,
     )
     if obs is None:
@@ -299,7 +298,7 @@ def test_bench_obs_overhead_process(synthetic_city):
         "n_worker_pids": len(pids) - 1,
     }
     print_table(
-        f"Process-mode obs overhead on {graph.n_nodes}-node graph "
+        f"Process-pool obs overhead on {graph.n_nodes}-node graph "
         f"({PROCESS_WORKERS} workers, best of {REPEATS})",
         ["variant", "best_s"],
         [["obs off", best_off], ["obs on", best_on]],
@@ -308,6 +307,6 @@ def test_bench_obs_overhead_process(synthetic_city):
     save_results("bench_obs_overhead_process", payload)
 
     assert best_on <= best_off * 1.05 + ABS_SLACK_S, (
-        f"process-mode observability overhead {overhead * 100:.1f}% "
+        f"process-pool observability overhead {overhead * 100:.1f}% "
         f"exceeds 5% ({best_on:.3f}s vs {best_off:.3f}s)"
     )

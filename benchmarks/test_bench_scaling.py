@@ -1,15 +1,16 @@
-"""Scaling benchmark: sharded multiprocess partitioning beyond the GIL.
+"""Scaling benchmark: the parallel stages of supergraph mining.
 
-Times the two process-parallel stages of the pipeline on a synthetic
-metropolis-scale Manhattan grid across 1/2/4/8 workers in ``process``
-mode (shared-memory data plane, one OS process per worker):
+Times the two parallel stages of the pipeline on a synthetic
+metropolis-scale Manhattan grid across 1/2/4/8 workers, each on the
+pool its work picks (see :func:`repro.util.parallel.map_parallel`):
 
 * the Algorithm-1 kappa scan (``scan_kappa``), where every candidate
-  kappa is an independent k-means fit + MCG score;
+  kappa is an independent k-means fit + MCG score — a thread pool,
+  since the fits spend their time in numpy;
 * the sharded supergraph build (``ShardedSupergraphBuilder``), where
   each geographic shard is mined — per-shard kappa scan, k-means,
-  constrained components — in its own process and the boundary is
-  stitched globally.
+  constrained components — in its own process (shared-memory data
+  plane) and the boundary is stitched globally.
 
 By default the grid is ~100k directed segments so the whole curve
 finishes in about a minute; ``REPRO_FULL_SCALE=1`` switches to the
@@ -81,20 +82,14 @@ def test_bench_scaling(metropolis):
         "full_scale": FULL_SCALE,
         "n_shards": N_SHARDS,
         "worker_counts": WORKER_COUNTS,
-        "parallel_mode": "process",
+        "pools": {"kappa_scan": "thread", "supergraph": "process"},
     }
 
     # --- stage 1: kappa scan ------------------------------------------
     scan_times = {}
     best_kappas = {}
     for workers in WORKER_COUNTS:
-        elapsed, scan = _timed(
-            scan_kappa,
-            densities,
-            KAPPA_MAX,
-            workers=workers,
-            parallel_mode="process",
-        )
+        elapsed, scan = _timed(scan_kappa, densities, KAPPA_MAX, workers=workers)
         scan_times[workers] = elapsed
         best_kappas[workers] = scan.best_kappa
     assert len(set(best_kappas.values())) == 1, (
@@ -111,9 +106,7 @@ def test_bench_scaling(metropolis):
     build_times = {}
     reference_member_of = None
     for workers in WORKER_COUNTS:
-        builder = ShardedSupergraphBuilder(
-            n_shards=N_SHARDS, seed=0, workers=workers, parallel_mode="process"
-        )
+        builder = ShardedSupergraphBuilder(n_shards=N_SHARDS, seed=0, workers=workers)
         elapsed, supergraph = _timed(builder.build, graph, points=points)
         build_times[workers] = elapsed
         member_of = np.asarray(supergraph.member_of)
@@ -153,7 +146,7 @@ def test_bench_scaling(metropolis):
     ]
     print_table(
         f"Scaling on {graph.n_nodes}-segment grid "
-        f"({n_cores} cores, {N_SHARDS} shards, process mode)",
+        f"({n_cores} cores, {N_SHARDS} shards; scan on threads, shards in processes)",
         ["workers", "kappa_scan_s", "supergraph_s", "total_s", "speedup"],
         rows,
     )
@@ -181,14 +174,14 @@ def test_bench_scaling(metropolis):
         )
 
 
-def test_process_mode_matches_serial(metropolis):
-    """Process-mode sharded output is bit-identical to serial-mode."""
+def test_process_pool_matches_serial(metropolis):
+    """Shards mined in two processes match the single-worker loop bit for bit."""
     graph, __, points = metropolis
-    serial = ShardedSupergraphBuilder(
-        n_shards=4, seed=3, workers=1, parallel_mode="serial"
-    ).build(graph, points=points)
-    process = ShardedSupergraphBuilder(
-        n_shards=4, seed=3, workers=2, parallel_mode="process"
-    ).build(graph, points=points)
+    serial = ShardedSupergraphBuilder(n_shards=4, seed=3, workers=1).build(
+        graph, points=points
+    )
+    process = ShardedSupergraphBuilder(n_shards=4, seed=3, workers=2).build(
+        graph, points=points
+    )
     assert np.array_equal(serial.member_of, process.member_of)
     assert np.array_equal(serial.features(), process.features())

@@ -88,7 +88,6 @@ from repro.obs.logs import LOG_LEVELS, configure_logging
 from repro.pipeline.framework import SpatialPartitioningFramework
 from repro.pipeline.schemes import SCHEMES, run_scheme
 from repro.traffic.simulator import MicroSimulator
-from repro.util.parallel import PARALLEL_MODES
 
 
 def _diag(message: str) -> None:
@@ -132,14 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker count for the parallel mining loops (0 = all "
         "cores; default: the REPRO_NUM_WORKERS env var, serial when "
-        "unset)",
-    )
-    part.add_argument(
-        "--parallel-mode",
-        choices=PARALLEL_MODES,
-        default=None,
-        help="worker execution mode (default: the REPRO_PARALLEL_MODE "
-        "env var, thread when unset; process escapes the GIL)",
+        "unset); threads, or processes with --shards",
     )
     part.add_argument(
         "--shards",
@@ -323,19 +315,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "unset)",
     )
     prof.add_argument(
-        "--parallel-mode",
-        choices=PARALLEL_MODES,
-        default=None,
-        help="worker execution mode; in process mode every worker runs "
-        "its own sampler and the stacks merge into one flame graph "
-        "(pid:<pid>:<thread> lanes)",
-    )
-    prof.add_argument(
         "--shards",
         type=int,
         default=None,
         help="mine this many geographic shards in parallel and stitch "
-        "the boundaries (supergraph schemes only)",
+        "the boundaries (supergraph schemes only); with --workers > 1 "
+        "the shards are mined in processes, each running its own "
+        "sampler, and the stacks merge into one flame graph "
+        "(pid:<pid>:<thread> lanes)",
     )
     prof.add_argument(
         "--out-dir",
@@ -548,7 +535,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         epsilon_eta=args.stability,
         seed=args.seed,
         workers=args.workers,
-        parallel_mode=args.parallel_mode,
         n_shards=args.shards,
         obs=obs,
     )
@@ -820,7 +806,6 @@ def _cmd_obs_profile(args: argparse.Namespace) -> int:
         scheme=args.scheme,
         seed=args.seed,
         workers=args.workers,
-        parallel_mode=args.parallel_mode,
         n_shards=args.shards,
         obs=obs,
     )

@@ -33,6 +33,7 @@ returns every kappa whose MCG clears the optimality threshold
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -43,7 +44,6 @@ from repro.exceptions import ClusteringError
 from repro.obs.metrics import incr, set_gauge
 from repro.util.parallel import map_parallel
 from repro.util.rng import RngLike, ensure_rng
-from repro.util.shm import ShardContext, active_shard
 from repro.util.timer import ModuleTimer
 
 
@@ -207,18 +207,11 @@ class KappaScan:
         return self.shortlist(fraction * self.best_mcg)
 
 
-def _fit_and_score(kappa: int) -> Tuple[KMeansResult, float]:
-    """One kappa of the scan: fit (sharing the sort) and score MCG.
-
-    Reads the scan data from the ambient
-    :class:`repro.util.shm.ShardContext` instead of closing over it —
-    in process mode the arrays arrive through shared memory (zero
-    pickling per task), in serial/thread mode they are the caller's
-    own arrays. Module-level so it stays picklable.
-    """
-    ctx = active_shard()
-    scan_data = ctx.get("scan.values")
-    result = kmeans_1d(scan_data, kappa, presorted=ctx.get("scan.sorted"))
+def _fit_and_score(
+    scan_data: np.ndarray, presorted: np.ndarray, kappa: int
+) -> Tuple[KMeansResult, float]:
+    """One kappa of the scan: fit (sharing the sort) and score MCG."""
+    result = kmeans_1d(scan_data, kappa, presorted=presorted)
     return result, moderated_clustering_gain(scan_data, result.labels)
 
 
@@ -229,17 +222,15 @@ def scan_kappa(
     sample_size: Optional[int] = None,
     seed: RngLike = None,
     workers: Optional[int] = None,
-    parallel_mode: Optional[str] = None,
     timer: Optional[ModuleTimer] = None,
 ) -> KappaScan:
     """Run 1-D k-means for each kappa and record the MCG curve.
 
     The scan sorts the (sampled) density vector once and shares it
     across every ``kmeans_1d`` fit; the per-kappa fits are independent
-    and run through :func:`repro.util.parallel.map_parallel`, so the
-    curve is identical for every worker count and execution mode (in
-    process mode the density vector travels through shared memory, not
-    per-task pickles).
+    and run on threads through :func:`repro.util.parallel.map_parallel`
+    (numpy releases the GIL in the fits), so the curve is identical for
+    every worker count.
 
     Parameters
     ----------
@@ -259,10 +250,6 @@ def scan_kappa(
     workers:
         Worker count for the per-kappa fits; ``None`` defers to the
         ``REPRO_NUM_WORKERS`` environment variable (serial when unset).
-    parallel_mode:
-        ``"serial"``/``"thread"``/``"process"``; ``None`` defers to the
-        ``REPRO_PARALLEL_MODE`` environment variable (thread when
-        unset).
     timer:
         Optional :class:`ModuleTimer` receiving the ``module2.scan``
         timing.
@@ -295,16 +282,10 @@ def scan_kappa(
     scan = KappaScan(sampled=sampled)
     with own_timer.time("module2.scan"):
         kappas = list(range(kappa_min, kappa_max + 1))
-        with ShardContext() as shard:
-            shard.put("scan.values", scan_data)
-            shard.put("scan.sorted", np.sort(scan_data, kind="stable"))
-            outcomes = map_parallel(
-                _fit_and_score,
-                kappas,
-                workers=workers,
-                mode=parallel_mode,
-                shard=shard,
-            )
+        fit = functools.partial(
+            _fit_and_score, scan_data, np.sort(scan_data, kind="stable")
+        )
+        outcomes = map_parallel(fit, kappas, workers=workers)
         for kappa, (result, mcg) in zip(kappas, outcomes):
             scan.kappas.append(kappa)
             scan.mcg.append(mcg)
@@ -324,7 +305,6 @@ def shortlist_kappa(
     sample_size: Optional[int] = None,
     seed: RngLike = None,
     workers: Optional[int] = None,
-    parallel_mode: Optional[str] = None,
     timer: Optional[ModuleTimer] = None,
 ) -> Tuple[List[int], KappaScan]:
     """Scan kappa and shortlist values clearing the MCG threshold.
@@ -332,7 +312,7 @@ def shortlist_kappa(
     When ``epsilon_theta`` (the paper's absolute threshold) is not
     given, the scale-free ``epsilon_fraction`` of the maximum MCG is
     used instead. Always returns at least the best kappa.
-    ``workers``/``parallel_mode``/``timer`` are forwarded to
+    ``workers``/``timer`` are forwarded to
     :func:`scan_kappa`.
     """
     scan = scan_kappa(
@@ -341,7 +321,6 @@ def shortlist_kappa(
         sample_size=sample_size,
         seed=seed,
         workers=workers,
-        parallel_mode=parallel_mode,
         timer=timer,
     )
     if epsilon_theta is not None:

@@ -296,7 +296,7 @@ def _parallel_regions(
         group = list(members)
         if len(group) < 2:
             # a single worker lane still overlaps its host: measure the
-            # pair so thread-mode runs with one worker stay visible
+            # pair so thread-pool runs with one worker stay visible
             host = _innermost_host(main_roots, group[0])
             if host is None:
                 continue

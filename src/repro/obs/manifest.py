@@ -114,7 +114,6 @@ def run_manifest(
     run_id: Optional[str] = None,
     extra: Optional[Dict[str, Any]] = None,
     workers: Optional[int] = None,
-    parallel_mode: Optional[str] = None,
     n_shards: Optional[int] = None,
     n_shards_resolved: Optional[int] = None,
     stages: Optional[Dict[str, Dict[str, Any]]] = None,
@@ -140,11 +139,6 @@ def run_manifest(
         count (``workers_resolved``) — ``workers=0`` means "all
         cores", so the resolved number is what actually ran and what a
         reproduction on different hardware needs to know.
-    parallel_mode:
-        The run's requested execution mode (``None`` included); the
-        manifest records both ``parallel_mode_requested`` and the
-        resolved mode (argument, then ``REPRO_PARALLEL_MODE``, then
-        the default), mirroring the worker-count pair.
     n_shards:
         The requested shard count for sharded supergraph mining
         (``n_shards_requested`` in the manifest; None when unsharded).
@@ -154,7 +148,7 @@ def run_manifest(
         (None when unknown or unsharded).
     stages:
         Optional per-stage execution record
-        (``{stage: {"parallel_mode": ..., "workers": ..., ...}}``)
+        (``{stage: {"pool": ..., "workers": ..., ...}}``)
         for pipelines whose stages resolve differently.
 
     Returns
@@ -170,11 +164,10 @@ def run_manifest(
         alone.
     """
     env = _environment()
-    # the two historical knobs are always present (None when unset) so
+    # the worker/scale knobs are always present (None when unset) so
     # consumers can rely on the keys; any other REPRO_* knob rides along
     env_knobs: Dict[str, Optional[str]] = {
         "REPRO_NUM_WORKERS": os.environ.get("REPRO_NUM_WORKERS") or None,
-        "REPRO_PARALLEL_MODE": os.environ.get("REPRO_PARALLEL_MODE") or None,
         "REPRO_FULL_SCALE": os.environ.get("REPRO_FULL_SCALE") or None,
     }
     for key in sorted(os.environ):
@@ -190,12 +183,6 @@ def run_manifest(
         workers_resolved: Optional[int] = resolve_workers(workers)
     except Exception:  # pragma: no cover - invalid knob at manifest time
         workers_resolved = None
-    try:
-        from repro.util.parallel import resolve_parallel_mode
-
-        parallel_mode_resolved: Optional[str] = resolve_parallel_mode(parallel_mode)
-    except Exception:  # pragma: no cover - invalid knob at manifest time
-        parallel_mode_resolved = None
 
     manifest: Dict[str, Any] = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
@@ -210,8 +197,6 @@ def run_manifest(
         "env": env_knobs,
         "workers_requested": workers,
         "workers_resolved": workers_resolved,
-        "parallel_mode_requested": parallel_mode,
-        "parallel_mode_resolved": parallel_mode_resolved,
         "n_shards_requested": n_shards,
         "n_shards_resolved": n_shards_resolved,
         "stages": dict(stages) if stages else {},

@@ -21,8 +21,8 @@ a fresh worker-side registry whose snapshot travels back with each
 result; :func:`repro.util.parallel.map_parallel` merges those deltas
 into the caller's registry via :meth:`MetricsRegistry.merge_snapshot`
 — counters add up, gauges take the last write in input order, and
-histograms combine their summaries, so process-mode runs lose nothing
-relative to thread mode.
+histograms combine their summaries, so process-pool maps lose nothing
+relative to in-process recording.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ class MetricsRegistry:
     def merge_snapshot(self, snapshot: Dict[str, Any]) -> None:
         """Fold a :meth:`to_dict` snapshot from another registry in.
 
-        The merge semantics match what thread-mode recording would have
+        The merge semantics match what in-process recording would have
         produced: counters are summed, gauges take the incoming value
         (last write wins — callers merge worker snapshots in input
         order), histogram summaries combine. This is how process-pool

@@ -66,12 +66,9 @@ class SpatialPartitioningFramework:
         Worker count for the parallel supergraph-mining loops;
         ``None`` defers to the ``REPRO_NUM_WORKERS`` environment
         variable (serial when unset), ``0`` means one worker per
-        core. Results are identical for every worker count.
-    parallel_mode:
-        ``"serial"``/``"thread"``/``"process"``; ``None`` defers to
-        the ``REPRO_PARALLEL_MODE`` environment variable (thread when
-        unset). Process mode escapes the GIL — pair it with
-        ``n_shards`` for city-scale networks.
+        core. Results are identical for every worker count. Unsharded
+        mining runs its loops on threads; with ``n_shards`` the
+        per-shard mining runs in processes.
     n_shards:
         When given, supergraph schemes mine geographic shards in
         separate workers and stitch the boundaries (see
@@ -115,7 +112,6 @@ class SpatialPartitioningFramework:
         sample_size: Optional[int] = None,
         seed: RngLike = None,
         workers: Optional[int] = None,
-        parallel_mode: Optional[str] = None,
         n_shards: Optional[int] = None,
         obs: Optional[ObsContext] = None,
         profile: Optional[ProfileConfig] = None,
@@ -136,7 +132,6 @@ class SpatialPartitioningFramework:
         self._sample_size = sample_size
         self._seed = seed
         self._workers = workers
-        self._parallel_mode = parallel_mode
         self._n_shards = n_shards
         if profile is not None:
             if obs is None:
@@ -162,7 +157,6 @@ class SpatialPartitioningFramework:
             "kappa_max": self._kappa_max,
             "sample_size": self._sample_size,
             "workers": self._workers,
-            "parallel_mode": self._parallel_mode,
             "n_shards": self._n_shards,
         }
 
@@ -262,7 +256,6 @@ class SpatialPartitioningFramework:
             seed=self._seed,
             timer=timer,
             workers=self._workers,
-            parallel_mode=self._parallel_mode,
             n_shards=self._n_shards,
             shard_points=shard_points,
         )
@@ -272,7 +265,6 @@ class SpatialPartitioningFramework:
             seed=self._seed,
             run_id=self._obs.run_id if self._obs is not None else None,
             workers=self._workers,
-            parallel_mode=self._parallel_mode,
             n_shards=self._n_shards,
             n_shards_resolved=result.n_shards_resolved,
             stages=self._stage_record(result),
@@ -288,26 +280,23 @@ class SpatialPartitioningFramework:
         """Per-stage execution record for the run manifest.
 
         Modules 1 and 3 always run serially in the calling process;
-        module 2 (supergraph mining) is the stage the worker-count /
-        parallel-mode / shard knobs actually drive, so its entry
-        records what resolved — not just what was requested.
+        module 2 (supergraph mining) is the stage the worker and shard
+        counts drive, so its entry records the pool the run used: only
+        mining over more than one shard hands its map a shard context.
         """
-        try:
-            from repro.util.parallel import resolve_parallel_mode, resolve_workers
+        from repro.util.parallel import pool_kind, resolve_workers
 
-            resolved_mode: Optional[str] = resolve_parallel_mode(self._parallel_mode)
-            resolved_workers: Optional[int] = resolve_workers(self._workers)
-        except Exception:  # pragma: no cover - invalid knob at manifest time
-            resolved_mode = None
-            resolved_workers = None
         stages: Dict[str, Dict] = {
-            "module1": {"parallel_mode": "serial", "workers": 1},
-            "module3": {"parallel_mode": "serial", "workers": 1},
+            "module1": {"pool": "serial", "workers": 1},
+            "module3": {"pool": "serial", "workers": 1},
         }
         if self._scheme in ("ASG", "NSG"):
+            workers = resolve_workers(self._workers)
+            n_shards = result.n_shards_resolved
+            sharded = n_shards is not None and n_shards > 1
             stages["module2"] = {
-                "parallel_mode": resolved_mode,
-                "workers": resolved_workers,
-                "n_shards": result.n_shards_resolved,
+                "pool": pool_kind(workers, sharded),
+                "workers": workers,
+                "n_shards": n_shards,
             }
         return stages

@@ -53,7 +53,6 @@ def run_scheme(
     seed: RngLike = None,
     timer: Optional[ModuleTimer] = None,
     workers: Optional[int] = None,
-    parallel_mode: Optional[str] = None,
     n_shards: Optional[int] = None,
     shard_points: Optional[np.ndarray] = None,
 ) -> PartitioningResult:
@@ -84,11 +83,8 @@ def run_scheme(
     workers:
         Worker count for the parallel supergraph-mining loops;
         ``None`` defers to the ``REPRO_NUM_WORKERS`` environment
-        variable (serial when unset).
-    parallel_mode:
-        ``"serial"``/``"thread"``/``"process"``; ``None`` defers to
-        the ``REPRO_PARALLEL_MODE`` environment variable (thread when
-        unset).
+        variable (serial when unset). Unsharded mining runs them on
+        threads, sharded mining in processes.
     n_shards:
         When given, supergraph schemes mine the graph through
         :class:`repro.shard.ShardedSupergraphBuilder` — geographic
@@ -145,7 +141,6 @@ def run_scheme(
                     kmeans_method=kmeans_method,
                     seed=rng,
                     workers=workers,
-                    parallel_mode=parallel_mode,
                     timer=own_timer,
                 )
                 supergraph = sharded.build(road_graph, points=shard_points)
@@ -162,7 +157,6 @@ def run_scheme(
                     kmeans_method=kmeans_method,
                     seed=rng,
                     workers=workers,
-                    parallel_mode=parallel_mode,
                     timer=own_timer,
                 )
                 supergraph = builder.build(road_graph)

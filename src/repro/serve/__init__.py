@@ -7,8 +7,7 @@ rates while the incremental pipeline keeps repartitioning underneath:
   lookup structures (label take, kd-tree point lookup, boundary mask,
   cached quality metrics);
 * :class:`~repro.serve.snapshot.SnapshotStore` — the atomic epoch
-  pointer with pin/unpin reader protection and optional shared-memory
-  publication for cross-process readers;
+  pointer with pin/unpin reader protection;
 * :class:`~repro.serve.server.PartitionServer` — stdlib asyncio HTTP
   server exposing lookups, region queries, quality and ``/metrics``;
 * :func:`~repro.serve.loadgen.run_loadgen` — the matching pipelined
@@ -22,7 +21,6 @@ from repro.serve.snapshot import (
     Snapshot,
     SnapshotStore,
     attach_repartitioner,
-    attach_snapshot,
 )
 
 __all__ = [
@@ -30,7 +28,6 @@ __all__ = [
     "Snapshot",
     "SnapshotStore",
     "attach_repartitioner",
-    "attach_snapshot",
     "PartitionServer",
     "ServerHandle",
     "LoadReport",

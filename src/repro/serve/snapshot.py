@@ -15,16 +15,9 @@ model here is epoch-based read-copy-update:
 * in-flight requests **pin** the epoch they started on
   (:meth:`SnapshotStore.pinned`), so a batch that overlaps a publish
   still answers every element from one labelling — no torn reads;
-* retired epochs are released when their last pin drops, which is
+* retired epochs are dropped when their last pin drops, which is
   what bounds the store to ~one epoch of memory plus whatever the
   slowest in-flight request still holds.
-
-With ``share_memory=True`` each epoch's label array is materialised in
-a :class:`multiprocessing.shared_memory` block (via the PR-6
-:class:`~repro.util.shm.ShardContext` data plane), so reader
-*processes* can attach the current epoch zero-copy
-(:meth:`Snapshot.descriptor` / :func:`attach_snapshot`); the store
-unlinks each block exactly once, when the epoch retires unpinned.
 
 :func:`attach_repartitioner` is the epoch-publish hook: it subscribes
 to an :class:`~repro.pipeline.incremental.IncrementalRepartitioner`
@@ -49,7 +42,6 @@ from repro.serve.index import SegmentIndex
 __all__ = [
     "Snapshot",
     "SnapshotStore",
-    "attach_snapshot",
     "attach_repartitioner",
 ]
 
@@ -78,7 +70,6 @@ class Snapshot:
         "meta",
         "_pins",
         "_retired",
-        "_shard",
     )
 
     def __init__(
@@ -86,7 +77,6 @@ class Snapshot:
         epoch: int,
         index: SegmentIndex,
         meta: Optional[Dict[str, Any]] = None,
-        _shard=None,
     ) -> None:
         self.epoch = int(epoch)
         self.index = index
@@ -94,7 +84,6 @@ class Snapshot:
         self.meta = dict(meta or {})
         self._pins = 0
         self._retired = False
-        self._shard = _shard  # owner-side ShardContext when shm-backed
 
     @property
     def age_s(self) -> float:
@@ -106,49 +95,11 @@ class Snapshot:
         """Number of in-flight requests pinning this epoch."""
         return self._pins
 
-    def descriptor(self) -> Dict[str, Any]:
-        """Cross-process descriptor (shared-memory stores only)."""
-        if self._shard is None:
-            raise ServeError(
-                "snapshot is not shared-memory backed; publish through a "
-                "SnapshotStore(share_memory=True)"
-            )
-        return {
-            "epoch": self.epoch,
-            "meta": dict(self.meta),
-            "shard": self._shard.share(),
-        }
-
-    def _release(self) -> None:
-        """Free the epoch's OS resources (store-internal)."""
-        if self._shard is not None:
-            self._shard.close()
-            self._shard.unlink()
-            self._shard = None
-
     def __repr__(self) -> str:
         return (
             f"Snapshot(epoch={self.epoch}, n_segments={self.index.n_segments}, "
             f"k={self.index.k}, pins={self._pins})"
         )
-
-
-def attach_snapshot(descriptor: Dict[str, Any]) -> Snapshot:
-    """Worker side: rebuild a read-only snapshot from its descriptor.
-
-    The labels attach zero-copy to the owner's shared-memory block;
-    geometry/adjacency do not travel (point and boundary queries need
-    the full in-process store). The attached context is non-owner, so
-    releasing the snapshot closes the mapping but can never unlink the
-    owner's block.
-    """
-    from repro.util.shm import ShardContext
-
-    shard = ShardContext.attach(descriptor["shard"])
-    index = SegmentIndex(shard.get("labels"))
-    return Snapshot(
-        descriptor["epoch"], index, meta=descriptor.get("meta"), _shard=shard
-    )
 
 
 class SnapshotStore:
@@ -159,9 +110,8 @@ class SnapshotStore:
     * :meth:`current` — one attribute read, never blocks, never sees a
       half-published epoch;
     * :meth:`pinned` — context manager for multi-step reads (batch
-      lookups): the epoch it yields stays alive (and, for
-      shared-memory stores, mapped) until the block exits, even if
-      newer epochs are published meanwhile.
+      lookups): the epoch it yields stays alive until the block
+      exits, even if newer epochs are published meanwhile.
 
     Writers:
 
@@ -172,21 +122,14 @@ class SnapshotStore:
 
     Parameters
     ----------
-    share_memory:
-        Back each epoch's labels with a shared-memory block so reader
-        processes can attach (:func:`attach_snapshot`). Blocks are
-        unlinked exactly once, when the epoch retires with no pins.
     max_epochs:
         Safety valve: raise after this many publishes (None = unbounded).
     """
 
-    def __init__(
-        self, share_memory: bool = False, max_epochs: Optional[int] = None
-    ) -> None:
+    def __init__(self, max_epochs: Optional[int] = None) -> None:
         self._lock = threading.Lock()
         self._current: Optional[Snapshot] = None
         self._last_epoch = 0
-        self._share_memory = bool(share_memory)
         self._max_epochs = max_epochs
         self._listeners: List[Callable[[Snapshot], None]] = []
         self._retired_pinned: List[Snapshot] = []
@@ -204,31 +147,18 @@ class SnapshotStore:
             raise ServeError(
                 f"publish() takes a SegmentIndex, got {type(index).__name__}"
             )
-        shard = None
-        if self._share_memory:
-            from repro.util.shm import ShardContext
-
-            shard = ShardContext()
-            shard.put("labels", index.labels)
-            shard.share()
         with self._lock:
             if self._closed:
-                if shard is not None:
-                    shard.close()
-                    shard.unlink()
                 raise ServeError("snapshot store is closed")
             if self._max_epochs is not None and self._last_epoch >= self._max_epochs:
-                if shard is not None:
-                    shard.close()
-                    shard.unlink()
                 raise ServeError(f"epoch limit {self._max_epochs} reached")
             self._last_epoch += 1
-            snap = Snapshot(self._last_epoch, index, meta=meta, _shard=shard)
+            snap = Snapshot(self._last_epoch, index, meta=meta)
             old = self._current
             self._current = snap
             if old is not None:
                 old._retired = True
-                self._maybe_release(old)
+                self._track_retired(old)
             listeners = list(self._listeners)
         incr("serve.epochs_published")
         set_gauge("serve.epoch", float(snap.epoch))
@@ -281,7 +211,7 @@ class SnapshotStore:
             if snap._pins <= 0:
                 raise ServeError(f"epoch {snap.epoch} is not pinned")
             snap._pins -= 1
-            self._maybe_release(snap)
+            self._track_retired(snap)
 
     @contextmanager
     def pinned(self) -> Iterator[Snapshot]:
@@ -310,25 +240,22 @@ class SnapshotStore:
 
     # ------------------------------------------------------------------
     # lifecycle
-    def _maybe_release(self, snap: Snapshot) -> None:
+    def _track_retired(self, snap: Snapshot) -> None:
         # caller holds the lock
         if not snap._retired:
             return
         if snap._pins == 0:
-            snap._release()
             if snap in self._retired_pinned:
                 self._retired_pinned.remove(snap)
         elif snap not in self._retired_pinned:
-            # retired with readers still on it: keep a handle so close()
-            # can release it even if a pinner never returns
+            # retired with readers still on it: keep a handle so
+            # pinned_epochs() reports it until the last pin drops
             self._retired_pinned.append(snap)
 
     def close(self) -> None:
-        """Retire and release every epoch (idempotent).
+        """Retire every epoch (idempotent).
 
         Outstanding pins are ignored — close is the end of service.
-        For shared-memory stores this unlinks every block the store
-        still owns, so a closed store can never leak ``/dev/shm``.
         """
         with self._lock:
             self._closed = True
@@ -336,9 +263,6 @@ class SnapshotStore:
             self._current = None
             if snap is not None:
                 snap._retired = True
-                snap._release()
-            for lingering in self._retired_pinned:
-                lingering._release()
             self._retired_pinned.clear()
 
     def __enter__(self) -> "SnapshotStore":
@@ -349,10 +273,7 @@ class SnapshotStore:
 
     def __repr__(self) -> str:
         snap = self._current
-        return (
-            f"SnapshotStore(epoch={snap.epoch if snap else None}, "
-            f"share_memory={self._share_memory})"
-        )
+        return f"SnapshotStore(epoch={snap.epoch if snap else None})"
 
 
 # ----------------------------------------------------------------------

@@ -30,8 +30,8 @@ With ``n_shards=1`` the builder delegates to the serial
 :class:`~repro.supergraph.SupergraphBuilder`, so output is
 bit-identical to the reference path. For ``n_shards > 1`` the result
 is deterministic in ``n_shards`` (and the seed) but independent of
-worker count and execution mode — fix the shard count to compare
-worker scalings on identical output.
+worker count and pool — fix the shard count to compare worker
+scalings on identical output.
 """
 
 from __future__ import annotations
@@ -111,7 +111,6 @@ def _mine_shard(
             kmeans_method=config["kmeans_method"],
             seed=None if seed is None else int(seed) + shard_id,
             workers=1,  # no nested pools inside a shard worker
-            parallel_mode="serial",
         )
         supergraph = builder.build(Graph.from_adjacency(sub_adj, features=features))
         return (
@@ -160,10 +159,9 @@ class ShardedSupergraphBuilder:
     """Algorithm 1 over geographic shards, stitched at the seams.
 
     Accepts the same mining knobs as
-    :class:`repro.supergraph.SupergraphBuilder` plus the sharding and
-    execution controls. The supergraph for a given ``(graph, points,
-    n_shards, seed)`` is identical for every ``workers`` count and
-    every ``parallel_mode``.
+    :class:`repro.supergraph.SupergraphBuilder` plus the shard and
+    worker counts. The supergraph for a given ``(graph, points,
+    n_shards, seed)`` is identical for every ``workers`` count.
 
     Parameters
     ----------
@@ -180,12 +178,10 @@ class ShardedSupergraphBuilder:
         per shard (``kappa_max`` is additionally clamped to each
         shard's size - 1).
     workers:
-        Worker count for the per-shard mining; ``None`` defers to
+        Worker count for the per-shard mining, which runs in a process
+        pool when it resolves above 1 (shard mining is pure-Python
+        heavy, so processes escape the GIL); ``None`` defers to
         ``REPRO_NUM_WORKERS``.
-    parallel_mode:
-        ``"serial"``/``"thread"``/``"process"``; ``None`` defers to
-        ``REPRO_PARALLEL_MODE``. Process mode is the point of this
-        class — shard mining is pure-Python-heavy and escapes the GIL.
     timer:
         Optional :class:`ModuleTimer` receiving ``module2.*`` spans
         (``shard_mining``, ``stitch``, ``superlinks``).
@@ -203,7 +199,6 @@ class ShardedSupergraphBuilder:
         kmeans_method: str = "lloyd",
         seed: RngLike = None,
         workers: Optional[int] = None,
-        parallel_mode: Optional[str] = None,
         timer: Optional[ModuleTimer] = None,
     ) -> None:
         if n_shards is not None and n_shards < 1:
@@ -218,7 +213,6 @@ class ShardedSupergraphBuilder:
         self._kmeans_method = kmeans_method
         self._seed = seed
         self._workers = workers
-        self._parallel_mode = parallel_mode
         self._timer = timer
         self.report: Optional[ShardedBuildReport] = None
 
@@ -286,7 +280,6 @@ class ShardedSupergraphBuilder:
                     functools.partial(_mine_shard, config),
                     range(n_shards),
                     workers=self._workers,
-                    mode=self._parallel_mode,
                     shard=shard,
                 )
 
@@ -381,7 +374,6 @@ class ShardedSupergraphBuilder:
             kmeans_method=self._kmeans_method,
             seed=self._seed,
             workers=self._workers,
-            parallel_mode=self._parallel_mode,
             timer=timer,
         )
         supergraph = builder.build(road_graph)

@@ -36,45 +36,64 @@ from repro.supergraph.superlink import superlink_weights
 from repro.supergraph.supernode import create_supernodes
 from repro.util.parallel import map_parallel
 from repro.util.rng import RngLike
-from repro.util.shm import ShardContext, active_shard
 from repro.util.timer import ModuleTimer
 
 logger = get_logger("supergraph.builder")
 
 
-def _count_scanned(kappa: int) -> int:
-    """One shortlist candidate the scan already fitted: supernode count.
-
-    Reads the upper triangle of the adjacency and this kappa's labels
-    from the ambient :class:`repro.util.shm.ShardContext`.
-    """
-    ctx = active_shard()
-    return count_constrained_components(
-        ctx.get_csr("builder.upper"), ctx.get(f"builder.labels.{kappa}")
-    )
-
-
-def _fit_and_count(kmeans_method: str, kappa: int) -> Tuple[KMeansResult, int]:
+def _fit_and_count(
+    upper, features: np.ndarray, presorted: Optional[np.ndarray], kappa: int
+) -> Tuple[KMeansResult, int]:
     """One shortlist candidate: full-data fit + supernode count.
 
-    The density vector, its shared sort and the upper triangle of the
-    CSR adjacency arrive through the ambient
-    :class:`repro.util.shm.ShardContext` — shared memory in process
-    mode, the caller's own arrays otherwise — so a city-scale
-    adjacency is never pickled per task. The shared-sort fast path only
-    applies to the seeded-Lloyd ``kmeans_1d`` (the exact-DP variant
-    sorts internally). Module-level so it stays picklable.
+    ``upper`` is the upper triangle of the CSR adjacency. ``presorted``
+    is the shared sort of ``features`` for the seeded-Lloyd
+    ``kmeans_1d``; ``None`` selects the exact-DP variant, which sorts
+    internally.
     """
-    ctx = active_shard()
-    features = ctx.get("builder.features")
-    if kmeans_method == "optimal":
+    if presorted is None:
         from repro.clustering.optimal1d import kmeans_1d_optimal
 
         result = kmeans_1d_optimal(features, kappa)
     else:
-        result = kmeans_1d(features, kappa, presorted=ctx.get("builder.sorted"))
-    count = count_constrained_components(ctx.get_csr("builder.upper"), result.labels)
-    return result, count
+        result = kmeans_1d(features, kappa, presorted=presorted)
+    return result, count_constrained_components(upper, result.labels)
+
+
+def _shortlist_outcomes(
+    adjacency,
+    features: np.ndarray,
+    scan: KappaScan,
+    shortlisted: List[int],
+    kmeans_method: str,
+    workers: Optional[int],
+) -> List[Tuple[KMeansResult, int]]:
+    """(fit, supernode count) per shortlisted kappa, in shortlist order.
+
+    An unsampled Lloyd scan already fitted every shortlisted kappa on
+    these densities with this sort, so only the counts remain;
+    otherwise each candidate is refitted on the full set. Either way
+    the candidates run as one order-keeping map_parallel on threads.
+    The upper triangle and the sort built here are freed on return,
+    before the supernode and superlink steps reach the build's memory
+    peak.
+    """
+    upper = sp.triu(adjacency, k=1, format="csr")
+    if not scan.sampled and kmeans_method == "lloyd":
+        fits = dict(zip(scan.kappas, scan.results))
+        results = [fits[kappa] for kappa in shortlisted]
+        counts = map_parallel(
+            lambda result: count_constrained_components(upper, result.labels),
+            results,
+            workers=workers,
+        )
+        return list(zip(results, counts))
+    presorted = None if kmeans_method == "optimal" else np.sort(features, kind="stable")
+    return map_parallel(
+        functools.partial(_fit_and_count, upper, features, presorted),
+        shortlisted,
+        workers=workers,
+    )
 
 
 @dataclass
@@ -136,15 +155,10 @@ class SupergraphBuilder:
         Seed for the sampling step.
     workers:
         Worker count for the per-kappa scan fits and the shortlist
-        counts or refits (both embarrassingly parallel); ``None``
-        defers to the ``REPRO_NUM_WORKERS`` environment variable
-        (serial when unset). The build result is identical for every
-        worker count.
-    parallel_mode:
-        ``"serial"``/``"thread"``/``"process"``; ``None`` defers to the
-        ``REPRO_PARALLEL_MODE`` environment variable (thread when
-        unset). Process mode escapes the GIL; inputs travel through
-        shared memory, so the result is mode-independent too.
+        counts or refits (both embarrassingly parallel, run on
+        threads); ``None`` defers to the ``REPRO_NUM_WORKERS``
+        environment variable (serial when unset). The build result is
+        identical for every worker count.
     timer:
         Optional :class:`ModuleTimer` receiving fine-grained
         ``module2.*`` timings (scan, shortlist fits, supernodes,
@@ -162,7 +176,6 @@ class SupergraphBuilder:
         kmeans_method: str = "lloyd",
         seed: RngLike = None,
         workers: Optional[int] = None,
-        parallel_mode: Optional[str] = None,
         timer: Optional[ModuleTimer] = None,
     ) -> None:
         if not 0.0 <= epsilon_eta <= 1.0:
@@ -180,7 +193,6 @@ class SupergraphBuilder:
         self._kmeans_method = kmeans_method
         self._seed = seed
         self._workers = workers
-        self._parallel_mode = parallel_mode
         self._timer = timer
         self.report: Optional[SupergraphBuildReport] = None
 
@@ -202,40 +214,16 @@ class SupergraphBuilder:
             sample_size=self._sample_size,
             seed=self._seed,
             workers=self._workers,
-            parallel_mode=self._parallel_mode,
             timer=timer,
         )
 
-        # Step 2: pick the configuration with the fewest supernodes.
-        # An unsampled Lloyd scan already fitted every shortlisted kappa
-        # on these densities with this sort, so only the counts remain;
-        # otherwise each candidate is refitted on the full set. Either
-        # way the candidates run as one order-keeping map_parallel, so
-        # the strict-< selection below is deterministic.
-        reuse = not scan.sampled and self._kmeans_method == "lloyd"
+        # Step 2: pick the configuration with the fewest supernodes. The
+        # candidates come back in shortlist order, so the strict-<
+        # selection below is deterministic.
         with timer.time("module2.shortlist_fits"):
-            with ShardContext() as shard:
-                shard.put_csr("builder.upper", sp.triu(adjacency, k=1, format="csr"))
-                if reuse:
-                    fits = dict(zip(scan.kappas, scan.results))
-                    results = [fits[kappa] for kappa in shortlisted]
-                    for kappa, result in zip(shortlisted, results):
-                        shard.put(f"builder.labels.{kappa}", result.labels)
-                    task = _count_scanned
-                else:
-                    shard.put("builder.features", features)
-                    if self._kmeans_method != "optimal":
-                        shard.put("builder.sorted", np.sort(features, kind="stable"))
-                    task = functools.partial(_fit_and_count, self._kmeans_method)
-                outcomes = map_parallel(
-                    task,
-                    shortlisted,
-                    workers=self._workers,
-                    mode=self._parallel_mode,
-                    shard=shard,
-                )
-        if reuse:
-            outcomes = list(zip(results, outcomes))
+            outcomes = _shortlist_outcomes(
+                adjacency, features, scan, shortlisted, self._kmeans_method, self._workers
+            )
         incr("supergraph.shortlist_fits", len(shortlisted))
         best_kappa = -1
         best_count = None
@@ -310,7 +298,6 @@ def build_supergraph(
     sample_size: Optional[int] = None,
     seed: RngLike = None,
     workers: Optional[int] = None,
-    parallel_mode: Optional[str] = None,
 ) -> Supergraph:
     """One-shot convenience wrapper around :class:`SupergraphBuilder`."""
     builder = SupergraphBuilder(
@@ -321,6 +308,5 @@ def build_supergraph(
         sample_size=sample_size,
         seed=seed,
         workers=workers,
-        parallel_mode=parallel_mode,
     )
     return builder.build(road_graph)

@@ -1,14 +1,15 @@
 """Deterministic parallel mapping for independent work items.
 
-The partitioning pipeline has several embarrassingly parallel loops —
+The partitioning pipeline has a few embarrassingly parallel loops —
 the per-kappa k-means fits of Algorithm 1's scan, the shortlist
-refits in :class:`repro.supergraph.SupergraphBuilder`, the per-shard
-mining of :class:`repro.shard.ShardedSupergraphBuilder` — whose items
-are completely independent. :func:`map_parallel` runs such loops over
-a worker pool while guaranteeing **deterministic, input-ordered
-results**: the output list always satisfies ``out[i] == fn(items[i])``
-regardless of worker count or execution mode, so parallelism can never
-change what the pipeline computes (only how fast).
+counts or refits in :class:`repro.supergraph.SupergraphBuilder`, the
+per-shard mining of :class:`repro.shard.ShardedSupergraphBuilder` —
+whose items are completely independent. :func:`map_parallel` runs such
+loops over a worker pool while guaranteeing **deterministic,
+input-ordered results**: the output list always satisfies
+``out[i] == fn(items[i])`` regardless of worker count or pool, so
+parallelism can never change what the pipeline computes (only how
+fast).
 
 Worker-count resolution, in priority order:
 
@@ -17,42 +18,36 @@ Worker-count resolution, in priority order:
 3. serial execution (``1``).
 
 ``0`` (argument or environment) means "use every core" —
-``os.cpu_count()``. ``workers=1`` (the default when neither is set)
-takes a plain-loop fast path with no executor overhead, which keeps
-single-core environments and tests free of thread/process machinery.
+``os.cpu_count()``.
 
-Execution-mode resolution mirrors the worker count: the explicit
-``mode`` argument, then the ``REPRO_PARALLEL_MODE`` environment
-variable, then ``"thread"``. Modes:
+The work picks the pool; there is no user-set mode:
 
-* ``"serial"`` — plain loop in the calling thread, no pool at all;
-* ``"thread"`` — :class:`~concurrent.futures.ThreadPoolExecutor`;
-  zero pickling constraints, effective when ``fn`` releases the GIL
-  (BLAS, I/O), and the caller's ambient observability context
-  (tracer / metrics / log fields are contextvars) propagates into
-  every worker invocation;
-* ``"process"`` — :class:`~concurrent.futures.ProcessPoolExecutor`;
-  escapes the GIL for pure-Python CPU-bound work. Workers run a pool
-  initializer that re-establishes the observability context (stderr
-  logging, shared-array shard), then mirror whichever pillars the
-  caller had active: metrics land in a worker-side registry whose
-  per-item delta rides back with each result, spans open on a
-  worker-side :class:`~repro.obs.trace.Tracer` whose serialized tree
-  is grafted into the caller's trace (``pid``/``worker`` attributes,
-  own Chrome-trace process lane), and — when a profiler is active —
-  a worker-side sampler ships its stacks back for a single merged
-  flame graph. The caller's observability artifacts therefore look
-  the same as thread mode's, just annotated with the process
-  dimension.
+* **loop** — a resolved count of 1, or fewer than 2 items: a plain
+  loop in the calling thread, no executor at all;
+* **threads** — no ``shard`` given: a
+  :class:`~concurrent.futures.ThreadPoolExecutor`. The kappa fits and
+  shortlist counts spend their time in numpy and scipy, which release
+  the GIL, so threads win there with no pickling; the caller's ambient
+  observability context (tracer / metrics / log fields are
+  contextvars) propagates into every worker invocation;
+* **processes** — a :class:`repro.util.shm.ShardContext` given: a
+  :class:`~concurrent.futures.ProcessPoolExecutor`. Per-shard mining is
+  pure-Python heavy and escapes the GIL this way; its large read-only
+  inputs travel through the context's shared-memory blocks (attached
+  zero-copy by every worker, read through
+  :func:`repro.util.shm.active_shard`) instead of being pickled into
+  every task. Workers run a pool initializer that re-establishes the
+  observability context (stderr logging, the attached shard), then
+  mirror whichever pillars the caller had active: metrics land in a
+  worker-side registry whose per-item delta rides back with each
+  result, spans open on a worker-side :class:`~repro.obs.trace.Tracer`
+  whose serialized tree is grafted into the caller's trace
+  (``pid``/``worker`` attributes, own Chrome-trace process lane), and —
+  when a profiler is active — a worker-side sampler ships its stacks
+  back for a single merged flame graph.
 
-Large read-only inputs should travel through a
-:class:`repro.util.shm.ShardContext` (the ``shard`` argument) instead
-of being pickled into every task: the context's arrays are registered
-once, materialised into ``multiprocessing.shared_memory`` blocks on
-the first process-mode map, and attached zero-copy by every worker.
-In serial/thread mode the same :func:`repro.util.shm.active_shard`
-accessor hands back the original arrays, so one ``fn`` serves all
-modes.
+Process-pool workers must not open pools of their own: a function run
+under a shard passes ``workers=1`` to anything it calls.
 """
 
 from __future__ import annotations
@@ -60,11 +55,14 @@ from __future__ import annotations
 import contextvars
 import functools
 import logging
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import ExitStack
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
+
+import numpy as np
 
 from repro.exceptions import ReproError
 from repro.obs.metrics import MetricsRegistry, current_registry, use_registry
@@ -78,14 +76,6 @@ R = TypeVar("R")
 #: Environment variable consulted when no explicit worker count is given.
 WORKERS_ENV_VAR = "REPRO_NUM_WORKERS"
 
-#: Environment variable consulted when no explicit mode is given.
-PARALLEL_MODE_ENV_VAR = "REPRO_PARALLEL_MODE"
-
-#: Valid execution modes, least to most isolated.
-PARALLEL_MODES = ("serial", "thread", "process")
-
-_MODES = PARALLEL_MODES  # backwards-compatible alias
-
 
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Resolve an effective worker count (>= 1).
@@ -97,13 +87,18 @@ def resolve_workers(workers: Optional[int] = None) -> int:
         ``REPRO_NUM_WORKERS`` environment variable, and to ``1``
         (serial) when that is unset or empty. ``0`` — explicit or via
         the environment — means "one worker per core"
-        (``os.cpu_count()``).
+        (``os.cpu_count()``). Bools and non-integral numbers are
+        rejected rather than truncated.
     """
     if workers is None:
         env = os.environ.get(WORKERS_ENV_VAR, "").strip()
         if not env:
             return 1
         workers = env  # type: ignore[assignment]
+    if isinstance(workers, (bool, np.bool_)) or (
+        isinstance(workers, numbers.Real) and not float(workers).is_integer()
+    ):
+        raise ReproError(f"worker count must be an integer, got {workers!r}")
     try:
         count = int(workers)
     except (TypeError, ValueError):
@@ -115,27 +110,21 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return count
 
 
-def resolve_parallel_mode(mode: Optional[str] = None) -> str:
-    """Resolve the execution mode (one of :data:`PARALLEL_MODES`).
+def pool_kind(count: int, sharded: bool) -> str:
+    """The pool :func:`map_parallel` runs ``count`` resolved workers on.
 
-    ``None`` falls back to the ``REPRO_PARALLEL_MODE`` environment
-    variable, then to ``"thread"``.
+    ``"serial"`` (a plain loop) at one worker, otherwise ``"process"``
+    for a map given a shard and ``"thread"`` for one without.
     """
-    if mode is None:
-        mode = os.environ.get(PARALLEL_MODE_ENV_VAR, "").strip() or "thread"
-    mode = str(mode).lower()
-    if mode not in PARALLEL_MODES:
-        raise ReproError(
-            f"parallel mode must be one of {PARALLEL_MODES}, got {mode!r}"
-        )
-    return mode
+    if count <= 1:
+        return "serial"
+    return "process" if sharded else "thread"
 
 
 def map_parallel(
     fn: Callable[[T], R],
     items: Iterable[T],
     workers: Optional[int] = None,
-    mode: Optional[str] = None,
     shard: Optional[shm.ShardContext] = None,
 ) -> List[R]:
     """``[fn(item) for item in items]`` over a worker pool, order preserved.
@@ -143,74 +132,58 @@ def map_parallel(
     Parameters
     ----------
     fn:
-        The per-item function. Must be picklable (module-level) when
-        the resolved mode is ``"process"``; any callable works with
-        threads.
+        The per-item function. Must be picklable (module-level) when a
+        ``shard`` is given; any callable works otherwise.
     items:
         The work items; consumed eagerly so the item count is known.
     workers:
         Worker count; see :func:`resolve_workers`. With the resolved
-        count at 1 (or fewer than 2 items) the map runs serially in
+        count at 1 (or fewer than 2 items) the map is a plain loop in
         the calling thread.
-    mode:
-        Execution mode; see :func:`resolve_parallel_mode`. ``"serial"``
-        forces a plain loop regardless of the worker count.
     shard:
         Optional :class:`repro.util.shm.ShardContext` of named arrays
-        ``fn`` reads through :func:`repro.util.shm.active_shard`. In
-        process mode the arrays are shared zero-copy via
-        ``multiprocessing.shared_memory``; in serial/thread mode the
-        originals are handed through untouched. The caller owns the
-        context's lifecycle (use a ``with`` block so the blocks are
-        unlinked even on error).
+        ``fn`` reads through :func:`repro.util.shm.active_shard`.
+        Giving one selects the process pool, with the arrays shared
+        zero-copy via ``multiprocessing.shared_memory``; in the plain
+        loop the originals are handed through untouched. Without one
+        the map runs on threads. The caller owns the context's
+        lifecycle (use a ``with`` block so the blocks are unlinked
+        even on error).
 
     Returns
     -------
     list
         Results in input order — identical for every worker count and
-        mode. The first exception raised by ``fn`` propagates to the
+        pool. The first exception raised by ``fn`` propagates to the
         caller.
     """
-    mode = resolve_parallel_mode(mode)
     work = list(items)
     count = min(resolve_workers(workers), max(len(work), 1))
-    if mode == "serial":
-        count = 1
     registry = current_registry()
     if registry is not None:
         registry.inc("parallel.maps")
         registry.inc("parallel.items", len(work))
         registry.set_gauge("parallel.workers", count)
 
-    if count <= 1 or len(work) < 2:
+    pool = pool_kind(count, shard is not None)
+    if pool == "serial":
         if shard is not None:
             with shm.use_shard(shard):
                 return [fn(item) for item in work]
         return [fn(item) for item in work]
-
-    if mode == "thread":
-        return _map_threaded(fn, work, count, registry, shard)
+    if pool == "thread":
+        return _map_threaded(fn, work, count, registry)
     return _map_process(fn, work, count, registry, shard)
 
 
 def _map_threaded(
-    fn: Callable[[T], R],
-    work: List[T],
-    count: int,
-    registry,
-    shard: Optional[shm.ShardContext],
+    fn: Callable[[T], R], work: List[T], count: int, registry
 ) -> List[R]:
     """Thread-pool map with context propagation and utilization metrics."""
     # one context copy per item: each carries the caller's ambient
-    # tracer/metrics/log-context — and the shard, installed below —
-    # into the worker thread (a Context can only be entered once,
-    # hence per-item copies)
-    token = shm._ACTIVE_SHARD.set(shard) if shard is not None else None
-    try:
-        contexts = [contextvars.copy_context() for __ in work]
-    finally:
-        if token is not None:
-            shm._ACTIVE_SHARD.reset(token)
+    # tracer/metrics/log-context into the worker thread (a Context can
+    # only be entered once, hence per-item copies)
+    contexts = [contextvars.copy_context() for __ in work]
 
     if registry is None:
         run = lambda ctx, item: ctx.run(fn, item)  # noqa: E731
@@ -250,7 +223,7 @@ def _current_log_level() -> Optional[str]:
     return name.lower() if isinstance(name, str) and name.isalpha() else None
 
 
-def _worker_init(descriptor: Optional[Dict[str, Any]], log_level: Optional[str]) -> None:
+def _worker_init(descriptor: Dict[str, Any], log_level: Optional[str]) -> None:
     """Pool initializer: re-establish the observability context.
 
     Runs once per worker process. Installs a stderr logging handler
@@ -262,7 +235,7 @@ def _worker_init(descriptor: Optional[Dict[str, Any]], log_level: Optional[str])
     contextvars point at dead copies of the parent's registry, tracer,
     profiler and shard — writes to them never ride back, and the stale
     shard would shadow the attached one), and attaches the
-    shared-memory shard, if any, as the process-global ambient shard.
+    shared-memory shard as the process-global ambient shard.
     """
     from repro.obs.logs import LOG_LEVELS, configure_logging
     from repro.obs.metrics import _ACTIVE_REGISTRY
@@ -277,8 +250,7 @@ def _worker_init(descriptor: Optional[Dict[str, Any]], log_level: Optional[str])
         configure_logging(level=log_level)
     else:
         configure_logging(level="warning")
-    if descriptor is not None:
-        shm.set_worker_shard(shm.ShardContext.attach(descriptor))
+    shm.set_worker_shard(shm.ShardContext.attach(descriptor))
 
 
 def _task_label(fn: Callable) -> str:
@@ -362,7 +334,7 @@ def _map_process(
     work: List[T],
     count: int,
     registry,
-    shard: Optional[shm.ShardContext],
+    shard: shm.ShardContext,
 ) -> List[R]:
     """Process-pool map: shared-memory inputs, observability merged back.
 
@@ -374,7 +346,7 @@ def _map_process(
     recorded alongside.
     """
     serialize_t0 = time.perf_counter()
-    descriptor = shard.share() if shard is not None else None
+    descriptor = shard.share()
     serialize_s = time.perf_counter() - serialize_t0
     tracer = current_tracer()
     profiler = current_profiler()

@@ -10,19 +10,19 @@ matrices) once, :meth:`ShardContext.share` materialises them into
 processes attach **zero-copy views** of the same physical pages.
 
 Usage pattern (the one :func:`repro.util.parallel.map_parallel`
-implements)::
+implements; giving it a shard is what selects the process pool)::
 
     with ShardContext() as ctx:
         ctx.put("features", features)
         ctx.put_csr("adjacency", road_graph.adjacency)
-        results = map_parallel(fn, items, mode="process", shard=ctx)
+        results = map_parallel(fn, items, workers=2, shard=ctx)
     # blocks are unlinked here — on success, exception or Ctrl-C
 
-Inside ``fn`` (any mode — serial, thread or process)::
+Inside ``fn`` (in a pool worker or in the single-worker loop)::
 
     def fn(item):
         ctx = active_shard()
-        features = ctx.get("features")       # zero-copy in every mode
+        features = ctx.get("features")       # zero-copy either way
         adjacency = ctx.get_csr("adjacency")
         ...
 
@@ -34,9 +34,10 @@ Lifecycle rules:
 * **workers** only ever attach and close; attached blocks are
   unregistered from the ``resource_tracker`` so the owner's unlink
   stays the single point of truth (no double-unlink warnings);
-* in serial/thread mode ``get`` returns the registered array itself —
-  no shared-memory block is ever created unless :meth:`share` runs, so
-  the default single-process path pays nothing.
+* in the single-worker loop ``get`` returns the registered array
+  itself — no shared-memory block is ever created unless
+  :meth:`share` runs, so the default single-process path pays
+  nothing.
 
 Platform note: on Linux the blocks live in ``/dev/shm``; macOS and
 Windows use ``spawn`` as the default start method, where workers
@@ -121,9 +122,9 @@ class ShardContext:
     """A named set of arrays shareable with worker processes zero-copy.
 
     The context is cheap until :meth:`share` is called: ``put`` only
-    records a reference, and ``get`` returns the original array, so
-    serial and thread-mode maps use the exact same code path as
-    process-mode workers with no copies and no kernel objects.
+    records a reference, and ``get`` returns the original array, so a
+    single-worker loop uses the exact same code path as process-pool
+    workers with no copies and no kernel objects.
 
     Parameters
     ----------
@@ -329,12 +330,10 @@ class ShardContext:
 # ----------------------------------------------------------------------
 # ambient shard resolution
 #
-# In-process maps (serial / thread mode) install the context through a
-# contextvar, which thread workers inherit via the per-item context
-# copies map_parallel already makes. Process-pool workers get a
-# process-global set once by the pool initializer. ``active_shard``
-# checks the contextvar first so nested in-process maps shadow
-# correctly.
+# The single-worker loop installs the context through a contextvar.
+# Process-pool workers get a process-global set once by the pool
+# initializer. ``active_shard`` checks the contextvar first so a nested
+# in-process map shadows correctly.
 _ACTIVE_SHARD: ContextVar[Optional[ShardContext]] = ContextVar(
     "repro_active_shard", default=None
 )

@@ -54,6 +54,21 @@ class TestPartitionCommand:
         labels = np.loadtxt(out, dtype=int)
         assert labels.max() + 1 == 3
 
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_labels_identical_across_worker_counts(self, tmp_path, shards):
+        """``--workers 2`` (threads, or processes with ``--shards``)
+        writes the same labels as ``--workers 1``."""
+        labels = []
+        for workers in (1, 2):
+            out = tmp_path / f"labels-{workers}.csv"
+            argv = ["partition", "D1", "-k", "4", "--seed", "0",
+                    "--workers", str(workers), "--labels-out", str(out)]
+            if shards is not None:
+                argv += ["--shards", str(shards)]
+            assert main(argv) == 0
+            labels.append(np.loadtxt(out, dtype=int))
+        np.testing.assert_array_equal(labels[0], labels[1])
+
     def test_scheme_choice(self, capsys):
         assert main(["partition", "D1", "-k", "3", "--scheme", "NG"]) == 0
         assert "NG" in capsys.readouterr().out
@@ -150,8 +165,8 @@ class TestProcessModePipesClean:
 
     Runs the CLI as a real subprocess — pool workers inherit the
     process-level stdout fd, which in-process capsys capture cannot
-    see — and asserts ``--json`` output stays machine-parseable in
-    ``--parallel-mode process``.
+    see — and asserts ``--json`` output stays machine-parseable when
+    ``--workers 2 --shards 2`` mines the shards in worker processes.
     """
 
     def test_json_stdout_is_pure_json(self):
@@ -176,8 +191,6 @@ class TestProcessModePipesClean:
                 "--seed",
                 "0",
                 "--json",
-                "--parallel-mode",
-                "process",
                 "--workers",
                 "2",
                 "--shards",
@@ -192,11 +205,10 @@ class TestProcessModePipesClean:
         payload = json.loads(proc.stdout)  # raises if diagnostics leaked
         assert payload["k"] == 4
         manifest = payload["manifest"]
-        assert manifest["parallel_mode_requested"] == "process"
-        assert manifest["parallel_mode_resolved"] == "process"
+        assert manifest["workers_resolved"] == 2
         assert manifest["n_shards_requested"] == 2
-        assert manifest["n_shards_resolved"] >= 1
+        assert manifest["n_shards_resolved"] == 2
         stages = manifest["stages"]
-        assert stages["module1"]["parallel_mode"] == "serial"
-        assert stages["module2"]["parallel_mode"] == "process"
+        assert stages["module1"]["pool"] == "serial"
+        assert stages["module2"]["pool"] == "process"
         assert stages["module2"]["n_shards"] == manifest["n_shards_resolved"]

@@ -4,8 +4,9 @@ Covers the worker→parent wire formats (span trees and profile
 samples), grafting worker traces into the parent timeline, the
 pid-aware Chrome-trace export, merged flame graphs, the pool's
 data-plane metrics (queue wait, per-worker busy time, startup,
-serialization) and the Prometheus exposition of the ``parallel.*``
-and ``shm.*`` families under all three parallel modes.
+serialization), the Prometheus exposition of the ``parallel.*``
+and ``shm.*`` families under all three pools, and the rule that the
+work picks the pool: only sharded mining runs in processes.
 """
 
 import os
@@ -14,6 +15,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.clustering.optimality import scan_kappa
+from repro.datasets import small_network
+from repro.network.dual import build_road_graph
 from repro.obs.export import parse_prometheus, render_prometheus
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.profile import (
@@ -29,6 +33,9 @@ from repro.obs.trace import (
     span_from_wire,
     validate_chrome_trace,
 )
+from repro.shard.pipeline import ShardedSupergraphBuilder
+from repro.shard.spatial import segment_midpoints
+from repro.supergraph.builder import SupergraphBuilder
 from repro.util.parallel import map_parallel
 from repro.util.shm import ShardContext
 
@@ -63,6 +70,12 @@ def _read_shared(x):
 
     arr = active_shard().get("vec")
     return float(arr[x])
+
+
+def _in_processes(fn, items):
+    """``map_parallel`` on two worker processes (a shard selects them)."""
+    with ShardContext() as shard:
+        return map_parallel(fn, items, workers=2, shard=shard)
 
 
 # ------------------------------------------------------------- span wire
@@ -253,9 +266,7 @@ class TestProcessPoolObservability:
         tracer = Tracer()
         with use_registry(reg), activate_tracer(tracer):
             with tracer.span("run"):
-                out = map_parallel(
-                    _traced_square, range(4), workers=2, mode="process"
-                )
+                out = _in_processes(_traced_square, range(4))
         assert out == [0, 1, 4, 9]
         (run,) = tracer.roots
         workers = [c for c in run.children if c.name.startswith("worker:")]
@@ -275,7 +286,7 @@ class TestProcessPoolObservability:
     def test_pool_metrics_recorded(self):
         reg = MetricsRegistry()
         with use_registry(reg):
-            map_parallel(_square, range(6), workers=2, mode="process")
+            _in_processes(_square, range(6))
         snap = reg.to_dict()
         gauges, hists = snap["gauges"], snap["histograms"]
         assert gauges["parallel.workers_used"] >= 1
@@ -296,9 +307,7 @@ class TestProcessPoolObservability:
         with use_registry(reg):
             with ShardContext() as shard:
                 shard.put("vec", np.arange(8, dtype=np.float64))
-                out = map_parallel(
-                    _read_shared, range(4), workers=2, mode="process", shard=shard
-                )
+                out = map_parallel(_read_shared, range(4), workers=2, shard=shard)
         assert out == [0.0, 1.0, 2.0, 3.0]
         snap = reg.to_dict()
         assert snap["counters"]["shm.shares"] == 1
@@ -316,7 +325,7 @@ class TestProcessPoolObservability:
         prof = Profiler(ProfileConfig(hz=400), registry=reg, tracer=tracer)
         with use_registry(reg), activate_tracer(tracer), prof:
             with tracer.span("run"):
-                map_parallel(_busy, range(4), workers=2, mode="process")
+                _in_processes(_busy, range(4))
         assert len(prof.worker_pids) == 2
         doc = prof.speedscope()
         validate_speedscope(doc)
@@ -330,25 +339,27 @@ class TestProcessPoolObservability:
 
 # -------------------------------------------------- prometheus families
 class TestPrometheusAcrossModes:
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
-    def test_parallel_and_shm_families_expose(self, mode):
+    @pytest.mark.parametrize("pool", ["serial", "thread", "process"])
+    def test_parallel_and_shm_families_expose(self, pool):
         reg = MetricsRegistry()
         with use_registry(reg):
             with ShardContext() as shard:
                 shard.put("vec", np.arange(8, dtype=np.float64))
-                map_parallel(
-                    _read_shared, range(4), workers=2, mode=mode, shard=shard
-                )
+                if pool == "thread":  # a shard would select processes
+                    map_parallel(_square, range(4), workers=2)
+                else:
+                    workers = 1 if pool == "serial" else 2
+                    map_parallel(_read_shared, range(4), workers=workers, shard=shard)
         samples, types = parse_prometheus(render_prometheus(reg))
         names = {s.name for s in samples}
         assert "repro_shm_arrays_registered" in names
         assert "repro_shm_leak_checks_total" in names
         assert "repro_shm_leak_checks_clean_total" in names
         assert types["repro_parallel_maps_total"] == "counter"
-        if mode != "serial":
+        if pool != "serial":
             assert "repro_parallel_utilization" in names
             assert types["repro_parallel_item_seconds"] == "histogram"
-        if mode == "process":
+        if pool == "process":
             assert "repro_shm_attaches_total" in names
             assert types["repro_shm_attach_seconds"] == "histogram"
             assert types["repro_parallel_queue_wait_seconds"] == "histogram"
@@ -376,3 +387,56 @@ class TestPrometheusAcrossModes:
             if s.name == "repro_parallel_worker_busy_seconds_count"
         ]
         assert {s.labels["worker"] for s in counts} == {"0", "1"}
+
+
+# ------------------------------------------------- the work picks the pool
+@pytest.fixture(scope="module")
+def city():
+    """A small simulated city: (road_graph, segment midpoints)."""
+    network, densities = small_network(seed=7)
+    network.set_densities(densities)
+    return build_road_graph(network), segment_midpoints(network)
+
+
+def _traced(build):
+    """Run ``build()`` under a tracer and registry: (worker spans, gauges)."""
+    reg = MetricsRegistry()
+    tracer = Tracer()
+    with use_registry(reg), activate_tracer(tracer):
+        with tracer.span("run"):
+            build()
+    spans, workers = list(tracer.roots), []
+    while spans:
+        span = spans.pop()
+        spans.extend(span.children)
+        if span.name.startswith("worker:"):
+            workers.append(span)
+    return workers, reg.to_dict()["gauges"]
+
+
+class TestPoolFollowsTheWork:
+    def test_sharded_build_mines_in_processes(self, city):
+        graph, points = city
+        builder = ShardedSupergraphBuilder(n_shards=4, seed=11, workers=2)
+        workers, gauges = _traced(lambda: builder.build(graph, points=points))
+        assert len(workers) == 4
+        assert all(span.attrs["pid"] != os.getpid() for span in workers)
+        assert all("worker" in span.attrs for span in workers)
+        assert gauges["parallel.workers_used"] >= 1
+
+    def test_unsharded_build_stays_in_process(self, city):
+        graph, __ = city
+        builder = SupergraphBuilder(seed=11, workers=2)
+        workers, gauges = _traced(lambda: builder.build(graph))
+        assert workers == []
+        assert "parallel.workers_used" not in gauges
+        assert gauges["parallel.workers"] == 2  # the threads did run
+
+    def test_kappa_scan_stays_in_process(self, city):
+        graph, __ = city
+        workers, gauges = _traced(
+            lambda: scan_kappa(graph.features, kappa_max=12, workers=2)
+        )
+        assert workers == []
+        assert "parallel.workers_used" not in gauges
+        assert gauges["parallel.workers"] == 2

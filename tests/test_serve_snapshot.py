@@ -1,6 +1,6 @@
-"""SnapshotStore: epoch isolation, concurrency, and shm lifecycle.
+"""SnapshotStore: epoch isolation and concurrency.
 
-Three layers of evidence that readers can never observe a torn epoch:
+Two layers of evidence that readers can never observe a torn epoch:
 
 * **property tests** (hypothesis) drive the store through arbitrary
   interleavings of publishes, pins and staged batch reads and assert
@@ -9,10 +9,7 @@ Three layers of evidence that readers can never observe a torn epoch:
   land mid-batch;
 * a **threaded stress test** (the pool from ``repro.util.parallel``)
   runs N readers against a hot publisher for ~a second and asserts
-  zero exceptions and monotone epoch observations;
-* **shared-memory lifecycle tests** run publish/retire/close under the
-  ``shm_tracker`` leak fixture shared with ``test_util_shm.py``, so a
-  forgotten unlink anywhere in the epoch lifecycle fails the suite.
+  zero exceptions and monotone epoch observations.
 """
 
 import threading
@@ -25,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ServeError
 from repro.serve import SegmentIndex, SnapshotStore
-from repro.serve.snapshot import attach_snapshot
 from repro.util.parallel import map_parallel
 
 N_SEGMENTS = 60
@@ -236,59 +232,10 @@ class TestConcurrencyStress:
                 errors.append(exc)
             return n_reads
 
-        reads = map_parallel(reader, [0, 1, 2, 3], workers=4, mode="thread")
+        reads = map_parallel(reader, [0, 1, 2, 3], workers=4)
         stop.set()
         thread.join(timeout=10)
         store.close()
         assert not errors, f"concurrent readers/publisher failed: {errors!r}"
         assert all(n > 0 for n in reads), f"a reader made no progress: {reads}"
         assert store.last_epoch > 1, "publisher made no progress"
-
-
-# ----------------------------------------------------------------------
-# shared-memory lifecycle (under the leak-tracking fixture)
-class TestSharedMemoryLifecycle:
-    def test_publish_retire_close_leaks_nothing(self, shm_tracker):
-        store = SnapshotStore(share_memory=True)
-        for epoch in range(1, 6):
-            store.publish(_index(epoch))
-        store.close()
-        assert len(shm_tracker) >= 5  # each epoch really was shm-backed
-
-    def test_pinned_retired_epoch_released_on_unpin(self, shm_tracker):
-        store = SnapshotStore(share_memory=True)
-        store.publish(_index(1))
-        snap1 = store.pin()
-        store.publish(_index(2))  # retires epoch 1 while pinned
-        store.unpin(snap1)  # last pin drops -> block unlinked
-        store.close()
-
-    def test_close_releases_even_with_outstanding_pins(self, shm_tracker):
-        store = SnapshotStore(share_memory=True)
-        store.publish(_index(1))
-        store.pin()  # deliberately never unpinned
-        store.publish(_index(2))
-        store.close()  # must still unlink both epochs
-
-    def test_attach_snapshot_round_trip(self, shm_tracker):
-        store = SnapshotStore(share_memory=True)
-        snap = store.publish(_index(7), meta={"scheme": "ASG"})
-        descriptor = snap.descriptor()
-        attached = attach_snapshot(descriptor)
-        try:
-            assert attached.epoch == snap.epoch
-            assert attached.meta == {"scheme": "ASG"}
-            np.testing.assert_array_equal(
-                attached.index.labels, snap.index.labels
-            )
-        finally:
-            attached._release()  # non-owner: closes the mapping only
-            assert store.current() is snap  # owner unaffected
-            store.close()
-
-    def test_descriptor_requires_shared_memory_store(self):
-        store = SnapshotStore()  # in-process only
-        snap = store.publish(_index(1))
-        with pytest.raises(ServeError):
-            snap.descriptor()
-        store.close()

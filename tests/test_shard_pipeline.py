@@ -4,8 +4,9 @@ The contract under test:
 
 * ``n_shards=1`` → **bit-identical** to the serial
   :class:`~repro.supergraph.SupergraphBuilder`;
-* fixed ``n_shards > 1`` → identical output for every worker count and
-  every execution mode (parallelism changes speed, never results);
+* fixed ``n_shards > 1`` → identical output for every worker count,
+  whether the shards are mined in the calling thread or in a process
+  pool (parallelism changes speed, never results);
 * shard-stitched output is a valid partition of comparable quality to
   the single-process reference (stitching legitimately reorders ties,
   so quality metrics — not labels — carry the equivalence at >1
@@ -17,6 +18,7 @@ import pytest
 
 from repro.datasets import small_network
 from repro.exceptions import GraphError
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.graph.components import is_connected
 from repro.network.dual import build_road_graph
 from repro.pipeline.framework import SpatialPartitioningFramework
@@ -74,17 +76,29 @@ class TestDelegation:
 
 class TestWorkerInvariance:
     @pytest.mark.parametrize(
-        "workers,mode",
+        "workers,pool",
         [(1, "serial"), (2, "thread"), (4, "thread"), (2, "process")],
     )
-    def test_output_independent_of_execution(self, city, workers, mode):
+    def test_output_independent_of_execution(self, city, workers, pool):
+        """Four shards mine in the loop or in processes; one shard
+        delegates to the whole-graph builder, whose maps run on threads.
+        Either way the output matches the single-worker build."""
         graph, points, __ = city
+        n_shards = 1 if pool == "thread" else 4
         reference = ShardedSupergraphBuilder(
-            n_shards=4, seed=11, workers=1, parallel_mode="serial"
+            n_shards=n_shards, seed=11, workers=1
         ).build(graph, points=points)
-        sharded = ShardedSupergraphBuilder(
-            n_shards=4, seed=11, workers=workers, parallel_mode=mode
-        ).build(graph, points=points)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            sharded = ShardedSupergraphBuilder(
+                n_shards=n_shards, seed=11, workers=workers
+            ).build(graph, points=points)
+        # both pools report utilization; only processes report how many
+        # worker processes ran; the loop reports neither
+        utilization = registry.gauge("parallel.utilization")
+        assert (utilization is not None) == (pool != "serial")
+        used = registry.gauge("parallel.workers_used")
+        assert (used is not None) == (pool == "process")
         assert np.array_equal(reference.member_of, sharded.member_of)
         assert np.array_equal(reference.features(), sharded.features())
 
@@ -159,12 +173,8 @@ class TestSchemeEquivalence:
 
     def test_sharded_scheme_output_mode_invariant(self, city):
         graph, __, ___ = city
-        a = run_scheme(
-            "ASG", graph, k=4, seed=9, n_shards=3, workers=1, parallel_mode="serial"
-        )
-        b = run_scheme(
-            "ASG", graph, k=4, seed=9, n_shards=3, workers=2, parallel_mode="process"
-        )
+        a = run_scheme("ASG", graph, k=4, seed=9, n_shards=3, workers=1)
+        b = run_scheme("ASG", graph, k=4, seed=9, n_shards=3, workers=2)
         assert np.array_equal(a.labels, b.labels)
 
     def test_one_shot_wrapper(self, city):
@@ -177,14 +187,18 @@ class TestFrameworkIntegration:
     def test_partition_with_shards(self, city):
         __, ___, network = city
         framework = SpatialPartitioningFramework(
-            k=4, scheme="ASG", seed=7, workers=2, parallel_mode="process", n_shards=3
+            k=4, scheme="ASG", seed=7, workers=2, n_shards=3
         )
         result = framework.partition(network)
         assert result.k == 4
         assert result.validate(framework.last_road_graph).is_valid
         manifest = result.manifest
         assert manifest["config"]["n_shards"] == 3
-        assert manifest["config"]["parallel_mode"] == "process"
+        assert manifest["stages"]["module2"] == {
+            "pool": "process",
+            "workers": 2,
+            "n_shards": 3,
+        }
         assert manifest["workers_requested"] == 2
         assert manifest["workers_resolved"] == 2
 

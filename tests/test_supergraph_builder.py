@@ -10,9 +10,9 @@ from repro.exceptions import GraphError
 from repro.graph.adjacency import Graph
 from repro.graph.components import is_connected
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.shard.pipeline import ShardedSupergraphBuilder
 from repro.supergraph.builder import SupergraphBuilder, _fit_and_count, build_supergraph
 from repro.supergraph.supernode import create_supernodes, membership_vector
-from repro.util.shm import ShardContext, use_shard
 
 
 def _stepped_path(n_groups=4, per=10, step=1.0, noise=0.02, seed=0):
@@ -134,12 +134,9 @@ def _grid(side: int, densities) -> Graph:
 def _refit(graph: Graph, kappas):
     """The refit path, run by hand: ``_fit_and_count`` per kappa."""
     features = np.asarray(graph.features, dtype=float)
-    with ShardContext() as shard:
-        shard.put("builder.features", features)
-        shard.put("builder.sorted", np.sort(features, kind="stable"))
-        shard.put_csr("builder.upper", sp.triu(graph.adjacency, k=1, format="csr"))
-        with use_shard(shard):
-            return [_fit_and_count("lloyd", kappa) for kappa in kappas]
+    upper = sp.triu(graph.adjacency, k=1, format="csr")
+    presorted = np.sort(features, kind="stable")
+    return [_fit_and_count(upper, features, presorted, kappa) for kappa in kappas]
 
 
 def _counted_build(graph: Graph, **kwargs):
@@ -196,17 +193,26 @@ class TestShortlistReusesScan:
 
     @pytest.mark.parametrize("sample_size", [None, 80])
     def test_every_mode_gives_the_same_build(self, sample_size):
-        """Reused and refitted shortlists alike: the counts travel through
-        shared memory in process mode and come out in kappa order."""
+        """Reused and refitted shortlists alike come out in kappa order in
+        every pool: the loop or threads unsharded, the loop or processes
+        over two shards."""
         graph = _stepped_path(per=50, noise=0.1)
-        outcomes = []
-        for mode, workers in (("serial", 1), ("thread", 2), ("process", 2)):
-            builder = SupergraphBuilder(
-                seed=0, sample_size=sample_size, workers=workers, parallel_mode=mode
-            )
-            supergraph = builder.build(graph)
-            outcomes.append(
-                (builder.report.component_counts, builder.report.chosen_kappa,
-                 supergraph.member_of.tolist())
-            )
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        for n_shards in (None, 2):
+            outcomes = []
+            for workers in (1, 2):
+                if n_shards is None:
+                    builder = SupergraphBuilder(
+                        seed=0, sample_size=sample_size, workers=workers
+                    )
+                    supergraph = builder.build(graph)
+                    report = builder.report
+                    outcome = (report.component_counts, report.chosen_kappa)
+                else:
+                    builder = ShardedSupergraphBuilder(
+                        n_shards=n_shards, seed=0, sample_size=sample_size, workers=workers
+                    )
+                    supergraph = builder.build(graph)
+                    report = builder.report
+                    outcome = (report.shard_kappas, report.shard_supernodes)
+                outcomes.append((outcome, supergraph.member_of.tolist()))
+            assert outcomes[0] == outcomes[1]

@@ -1,6 +1,7 @@
-"""map_parallel: worker/mode resolution, ordering, determinism, metrics."""
+"""map_parallel: worker resolution, pool choice, ordering, determinism, metrics."""
 
 import os
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -8,14 +9,19 @@ import pytest
 from repro.clustering.optimality import scan_kappa
 from repro.exceptions import ReproError
 from repro.obs.metrics import MetricsRegistry, incr, observe, use_registry
-from repro.util.parallel import (
-    PARALLEL_MODE_ENV_VAR,
-    PARALLEL_MODES,
-    WORKERS_ENV_VAR,
-    map_parallel,
-    resolve_parallel_mode,
-    resolve_workers,
-)
+from repro.util.parallel import WORKERS_ENV_VAR, map_parallel, resolve_workers
+from repro.util.shm import ShardContext
+
+#: pool -> (workers, sharded): a loop at one worker, threads without a
+#: shard, processes with one
+POOLS = {"serial": (1, False), "thread": (2, False), "process": (2, True)}
+
+
+def _pool_map(fn, items, pool):
+    """``map_parallel`` arranged so that it picks ``pool``."""
+    workers, sharded = POOLS[pool]
+    with ShardContext() if sharded else nullcontext() as shard:
+        return map_parallel(fn, items, workers=workers, shard=shard)
 
 
 class TestResolveWorkers:
@@ -43,7 +49,7 @@ class TestResolveWorkers:
         monkeypatch.setenv(WORKERS_ENV_VAR, "0")
         assert resolve_workers(None) == (os.cpu_count() or 1)
 
-    @pytest.mark.parametrize("bad", [-1, -2, "three"])
+    @pytest.mark.parametrize("bad", [-1, -2, "three", 0.5, 2.7, True])
     def test_invalid_counts_rejected(self, bad, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
         with pytest.raises(ReproError):
@@ -53,41 +59,6 @@ class TestResolveWorkers:
         monkeypatch.setenv(WORKERS_ENV_VAR, "lots")
         with pytest.raises(ReproError):
             resolve_workers(None)
-
-
-class TestResolveParallelMode:
-    def test_thread_default(self, monkeypatch):
-        monkeypatch.delenv(PARALLEL_MODE_ENV_VAR, raising=False)
-        assert resolve_parallel_mode(None) == "thread"
-
-    @pytest.mark.parametrize("mode", PARALLEL_MODES)
-    def test_explicit_modes(self, mode):
-        assert resolve_parallel_mode(mode) == mode
-
-    def test_case_insensitive(self):
-        assert resolve_parallel_mode("Process") == "process"
-
-    def test_env_var_fallback(self, monkeypatch):
-        monkeypatch.setenv(PARALLEL_MODE_ENV_VAR, "process")
-        assert resolve_parallel_mode(None) == "process"
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(PARALLEL_MODE_ENV_VAR, "process")
-        assert resolve_parallel_mode("serial") == "serial"
-
-    def test_empty_env_is_thread(self, monkeypatch):
-        monkeypatch.setenv(PARALLEL_MODE_ENV_VAR, "  ")
-        assert resolve_parallel_mode(None) == "thread"
-
-    @pytest.mark.parametrize("bad", ["fiber", "greenlet", ""])
-    def test_invalid_modes_rejected(self, bad):
-        with pytest.raises(ReproError):
-            resolve_parallel_mode(bad)
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(PARALLEL_MODE_ENV_VAR, "fiber")
-        with pytest.raises(ReproError):
-            resolve_parallel_mode(None)
 
 
 class TestMapParallel:
@@ -119,26 +90,9 @@ class TestMapParallel:
         with pytest.raises(ValueError, match="item 3 failed"):
             map_parallel(boom, range(6), workers=4)
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ReproError):
-            map_parallel(lambda x: x, [1, 2], workers=2, mode="fiber")
-
-    def test_serial_mode_ignores_worker_count(self):
-        assert map_parallel(lambda x: x + 1, range(6), workers=8, mode="serial") == [
-            x + 1 for x in range(6)
-        ]
-
     def test_process_mode(self):
-        assert map_parallel(abs, [-2, -1, 0, 1], workers=2, mode="process") == [
-            2,
-            1,
-            0,
-            1,
-        ]
-
-    def test_env_var_drives_mode(self, monkeypatch):
-        monkeypatch.setenv(PARALLEL_MODE_ENV_VAR, "serial")
-        assert map_parallel(abs, [-3, 4], workers=4) == [3, 4]
+        """A shard selects the process pool; order is still preserved."""
+        assert _pool_map(abs, [-2, -1, 0, 1], "process") == [2, 1, 0, 1]
 
 
 def _record_and_square(x):
@@ -151,11 +105,11 @@ def _record_and_square(x):
 class TestProcessMetricsMergeBack:
     """Process workers must not drop metrics (the observability hole)."""
 
-    @pytest.mark.parametrize("mode", PARALLEL_MODES)
-    def test_worker_metrics_reach_caller(self, mode):
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    def test_worker_metrics_reach_caller(self, pool):
         registry = MetricsRegistry()
         with use_registry(registry):
-            out = map_parallel(_record_and_square, range(6), workers=2, mode=mode)
+            out = _pool_map(_record_and_square, range(6), pool)
         assert out == [x * x for x in range(6)]
         assert registry.counter("work.items") == 6
         assert registry.counter("work.total") == sum(range(6))
@@ -168,7 +122,7 @@ class TestProcessMetricsMergeBack:
     def test_pool_bookkeeping_metrics(self):
         registry = MetricsRegistry()
         with use_registry(registry):
-            map_parallel(_record_and_square, range(5), workers=2, mode="process")
+            _pool_map(_record_and_square, range(5), "process")
         assert registry.counter("parallel.maps") == 1
         assert registry.counter("parallel.items") == 5
         assert registry.gauge("parallel.workers") == 2
@@ -177,12 +131,7 @@ class TestProcessMetricsMergeBack:
         assert utilization is not None and 0.0 <= utilization <= 1.0
 
     def test_no_registry_is_fine(self):
-        assert map_parallel(_record_and_square, range(4), workers=2, mode="process") == [
-            0,
-            1,
-            4,
-            9,
-        ]
+        assert _pool_map(_record_and_square, range(4), "process") == [0, 1, 4, 9]
 
 
 class TestKappaScanDeterminism:
@@ -201,20 +150,6 @@ class TestKappaScanDeterminism:
             assert np.array_equal(a.labels, b.labels)
             assert np.array_equal(a.centers, b.centers)
             assert a.inertia == b.inertia
-
-    def test_mode_does_not_change_the_scan(self):
-        """Thread and process execution must give identical scans."""
-        rng = np.random.default_rng(7)
-        values = rng.gamma(2.0, 0.02, size=180)
-
-        threaded = scan_kappa(values, kappa_max=10, workers=2, parallel_mode="thread")
-        processed = scan_kappa(values, kappa_max=10, workers=2, parallel_mode="process")
-
-        assert threaded.kappas == processed.kappas
-        assert threaded.mcg == processed.mcg
-        for a, b in zip(threaded.results, processed.results):
-            assert np.array_equal(a.labels, b.labels)
-            assert np.array_equal(a.centers, b.centers)
 
     def test_env_var_drives_scan_workers(self, monkeypatch):
         rng = np.random.default_rng(3)

@@ -132,7 +132,7 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="item 2"):
             with ShardContext() as ctx:
                 ctx.put("data", np.arange(10.0))
-                map_parallel(_maybe_boom, range(5), workers=2, mode="process", shard=ctx)
+                map_parallel(_maybe_boom, range(5), workers=2, shard=ctx)
 
     def test_close_is_idempotent(self, shm_tracker):
         ctx = ShardContext()
@@ -176,9 +176,11 @@ class TestAmbientShard:
         with pytest.raises(ReproError):
             active_shard()
 
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
-    def test_same_fn_in_every_mode(self, mode, shm_tracker):
+    @pytest.mark.parametrize("pool", ["serial", "process"])
+    def test_same_fn_in_every_mode(self, pool, shm_tracker):
+        """One ``fn`` reads the shard in the loop and in the process pool."""
+        workers = 1 if pool == "serial" else 2
         with ShardContext() as ctx:
             ctx.put("data", np.arange(6.0))
-            out = map_parallel(_read_item, range(6), workers=2, mode=mode, shard=ctx)
+            out = map_parallel(_read_item, range(6), workers=workers, shard=ctx)
         assert out == [i * 3.0 for i in range(6)]
