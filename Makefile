@@ -20,7 +20,7 @@ bench-hotpaths:
 bench-obs:
 	pytest benchmarks/test_bench_obs_overhead.py -s
 
-# Multiprocess scaling curve (1/2/4/8 workers, shared-memory shards);
+# Multiprocess scaling curve (1/2/4/8 workers, 8 shards mined in processes);
 # the full-scale variant runs the ~1M-segment metropolis.
 bench-scaling:
 	pytest benchmarks/test_bench_scaling.py -s

@@ -31,21 +31,18 @@ import pytest
 
 from benchmarks.conftest import print_table, save_results
 from repro.obs.manifest import run_manifest
-from repro.clustering.kmeans import (
-    assign_to_centers,
-    kmeans_1d,
-    kmeans_1d_reference,
-    pairwise_sq_dists_reference,
-)
-from repro.clustering.optimality import (
-    moderated_clustering_gain,
-    moderated_clustering_gain_reference,
-    scan_kappa,
-)
+from repro.clustering.kmeans import assign_to_centers, kmeans_1d
+from repro.clustering.optimality import moderated_clustering_gain, scan_kappa
 from repro.core.alpha_cut import _partition_weights, _prepare, partition_weight_summary
 from repro.graph.adjacency import Graph
-from repro.network.dual import build_road_graph, segment_adjacency_reference
+from repro.network.dual import build_road_graph
 from repro.network.generators import grid_network
+from tests.oracles import (
+    kmeans_1d_reference,
+    moderated_clustering_gain_reference,
+    pairwise_sq_dists_reference,
+    segment_adjacency_reference,
+)
 
 ROOT_RESULTS = Path(__file__).parent.parent / "BENCH_hotpaths.json"
 

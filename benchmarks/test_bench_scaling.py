@@ -9,8 +9,9 @@ pool its work picks (see :func:`repro.util.parallel.map_parallel`):
   since the fits spend their time in numpy;
 * the sharded supergraph build (``ShardedSupergraphBuilder``), where
   each geographic shard is mined — per-shard kappa scan, k-means,
-  constrained components — in its own process (shared-memory data
-  plane) and the boundary is stitched globally.
+  constrained components — in its own process, which receives the
+  shard's induced subgraph by value, and the boundary is stitched
+  globally.
 
 By default the grid is ~100k directed segments so the whole curve
 finishes in about a minute; ``REPRO_FULL_SCALE=1`` switches to the

@@ -18,8 +18,6 @@ from repro.clustering.kmeans import (
     assign_to_centers,
     kmeans,
     kmeans_1d,
-    kmeans_1d_reference,
-    pairwise_sq_dists_reference,
 )
 from repro.clustering.optimal1d import kmeans_1d_optimal
 from repro.clustering.optimality import (
@@ -27,7 +25,6 @@ from repro.clustering.optimality import (
     clustering_balance,
     clustering_gain,
     moderated_clustering_gain,
-    moderated_clustering_gain_reference,
     scan_kappa,
     shortlist_kappa,
 )
@@ -36,14 +33,11 @@ __all__ = [
     "KMeansResult",
     "kmeans",
     "kmeans_1d",
-    "kmeans_1d_reference",
     "kmeans_1d_optimal",
     "assign_to_centers",
-    "pairwise_sq_dists_reference",
     "clustering_gain",
     "clustering_balance",
     "moderated_clustering_gain",
-    "moderated_clustering_gain_reference",
     "KappaScan",
     "scan_kappa",
     "shortlist_kappa",

@@ -19,7 +19,7 @@ Both hot paths are engineered for city-scale inputs:
   O(kappa log n) per iteration instead of O(n log kappa). The sort
   itself can be shared across many calls on the same data (the
   Algorithm-1 kappa scan) via the ``presorted`` argument.
-  :func:`kmeans_1d_reference` keeps the original O(n)-per-iteration
+  ``tests/oracles.py`` keeps the original O(n)-per-iteration
   formulation for equivalence testing.
 * ``kmeans`` avoids materialising the O(n * kappa * d) broadcast
   distance tensor: assignment uses the expansion
@@ -189,62 +189,6 @@ def kmeans_1d(
     return KMeansResult(labels=labels, centers=centers, inertia=inertia, n_iter=n_iter)
 
 
-def kmeans_1d_reference(
-    values: Sequence[float],
-    kappa: int,
-    max_iter: int = 100,
-    tol: float = 1e-9,
-) -> KMeansResult:
-    """Reference 1-D k-means (full O(n) assignment per iteration).
-
-    The original formulation kept for equivalence tests: assignment
-    runs ``searchsorted`` over every value and means come from
-    ``bincount``. :func:`kmeans_1d` is the production path.
-    """
-    data = np.asarray(values, dtype=float).ravel()
-    n = data.size
-    _validate_kappa(n, kappa)
-    if not np.isfinite(data).all():
-        raise ClusteringError("values must be finite")
-
-    order = np.argsort(data, kind="stable")
-    sorted_vals = data[order]
-
-    positions = (np.arange(kappa) + 0.5) * n / kappa
-    centers = sorted_vals[np.clip(positions.astype(int), 0, n - 1)].astype(float)
-
-    labels = np.zeros(n, dtype=int)
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        centers = np.sort(centers)
-        bounds = (centers[:-1] + centers[1:]) / 2.0
-        labels = np.searchsorted(bounds, data, side="left")
-
-        new_centers = centers.copy()
-        counts = np.bincount(labels, minlength=kappa)
-        sums = np.bincount(labels, weights=data, minlength=kappa)
-        nonempty = counts > 0
-        new_centers[nonempty] = sums[nonempty] / counts[nonempty]
-
-        if not nonempty.all():
-            residuals = np.abs(data - new_centers[labels])
-            for q in np.flatnonzero(~nonempty):
-                far = int(np.argmax(residuals))
-                new_centers[q] = data[far]
-                residuals[far] = -1.0
-
-        shift = float(np.abs(new_centers - centers).sum())
-        centers = new_centers
-        if shift <= tol:
-            break
-
-    centers = np.sort(centers)
-    bounds = (centers[:-1] + centers[1:]) / 2.0
-    labels = np.searchsorted(bounds, data, side="left")
-    inertia = float(((data - centers[labels]) ** 2).sum())
-    return KMeansResult(labels=labels, centers=centers, inertia=inertia, n_iter=n_iter)
-
-
 def _kmeanspp_init(
     data: np.ndarray, kappa: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -270,15 +214,6 @@ def _kmeanspp_init(
 #: OpenBLAS's 2**19 threading cutoff, where a thin product's woken
 #: worker costs more than it saves and spins on after the call returns.
 _ASSIGN_CHUNK_CELLS = 1 << 18
-
-
-def pairwise_sq_dists_reference(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Full (n, kappa) squared-distance matrix via broadcasting.
-
-    The original O(n * kappa * d)-memory formulation, kept as the
-    equivalence-test reference for :func:`assign_to_centers`.
-    """
-    return ((data[:, np.newaxis, :] - centers[np.newaxis, :, :]) ** 2).sum(axis=2)
 
 
 def assign_to_centers(

@@ -134,28 +134,6 @@ def moderated_clustering_gain(data, labels) -> float:
     return float(theta)
 
 
-def moderated_clustering_gain_reference(data, labels) -> float:
-    """Reference per-cluster-loop MCG, kept for equivalence tests.
-
-    :func:`moderated_clustering_gain` vectorises the same computation
-    and must return bit-identical values; tests assert exactly that.
-    """
-    arr, lab, kappa = _prepare(data, labels)
-    sizes, means, intra, mu0 = _cluster_stats(arr, lab, kappa)
-    sep = ((means - mu0) ** 2).sum(axis=1)
-
-    theta = 0.0
-    for q in range(kappa):
-        if sizes[q] <= 0 or sep[q] <= 0:
-            continue
-        theta1 = (sizes[q] - 1.0) * sep[q]
-        ratio = intra[q] / (sizes[q] * sep[q])
-        theta2 = 1.0 - np.log2(1.0 + ratio)
-        theta2 = min(max(theta2, 0.0), 1.0)
-        theta += theta1 * theta2
-    return float(theta)
-
-
 @dataclass
 class KappaScan:
     """MCG curve over a range of cluster counts.

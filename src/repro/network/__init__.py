@@ -7,11 +7,7 @@ a traffic density. Provides the dual transform into the *road graph*
 paper's San Francisco / Melbourne extracts, and (de)serialisation.
 """
 
-from repro.network.dual import (
-    build_road_graph,
-    segment_adjacency,
-    segment_adjacency_reference,
-)
+from repro.network.dual import build_road_graph, segment_adjacency
 from repro.network.generators import (
     grid_network,
     ring_radial_network,
@@ -29,7 +25,6 @@ __all__ = [
     "RoadNetwork",
     "build_road_graph",
     "segment_adjacency",
-    "segment_adjacency_reference",
     "grid_network",
     "ring_radial_network",
     "urban_network",

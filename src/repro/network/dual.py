@@ -13,13 +13,13 @@ fully vectorized: with B the |I| x |R| intersection/segment incidence
 matrix, the Gram product ``B.T @ B`` has a non-zero at (j, k) exactly
 when segments j and k share an intersection, which yields every
 adjacent pair in one sparse matrix product instead of per-junction
-Python clique loops. :func:`segment_adjacency_reference` keeps the
-original set-based formulation for equivalence testing.
+Python clique loops. The original set-based formulation lives on in
+``tests/oracles.py`` for equivalence testing.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,31 +71,11 @@ def segment_adjacency(network: RoadNetwork) -> List[Tuple[int, int]]:
     a two-way street share both endpoints and are hence adjacent.
 
     Vectorized via a sparse incidence-matrix product; returns exactly
-    the same sorted pair list as
-    :func:`segment_adjacency_reference`.
+    the same sorted pair list as the set-based loop in
+    ``tests/oracles.py``.
     """
     u, v = _segment_adjacency_arrays(network)
     return list(zip(u.tolist(), v.tolist()))
-
-
-def segment_adjacency_reference(network: RoadNetwork) -> List[Tuple[int, int]]:
-    """Reference (pure-Python) dual transform, kept for equivalence tests.
-
-    Quadratic in junction degree and interpreter-bound; use
-    :func:`segment_adjacency` everywhere outside tests/benchmarks.
-    """
-    incident: List[Set[int]] = [set() for _ in range(network.n_intersections)]
-    for seg in network.segments:
-        incident[seg.source].add(seg.id)
-        incident[seg.target].add(seg.id)
-
-    pairs: Set[Tuple[int, int]] = set()
-    for segs in incident:
-        ordered = sorted(segs)
-        for i, u in enumerate(ordered):
-            for v in ordered[i + 1 :]:
-                pairs.add((u, v))
-    return sorted(pairs)
 
 
 def build_road_graph(

@@ -7,10 +7,12 @@ segment count. That is exactly the data a power law ``t ≈ a·n^b``
 wants: :func:`collect_points` groups time-like leaves with the size
 key of their dataset, :func:`fit_power_law` fits the exponent per
 stage in log-log space, and :func:`fit_scaling` flags superlinear
-stages (``b >`` :data:`SUPERLINEAR_EXPONENT`) and forecasts each
-stage's cost at a target size — by default 100k segments, the paper's
-M3 Melbourne network — so "module 3 will dominate at city scale" is a
-number, not a hunch.
+stages (``b >`` :data:`SUPERLINEAR_EXPONENT` on a fit with ``r2 >=``
+:data:`FLAG_MIN_R2` over at least :data:`FLAG_MIN_SIZES` distinct
+sizes; a steep fit on thinner data is reported as withheld) and
+forecasts each stage's cost at a target size — by default 100k
+segments, the paper's M3 Melbourne network — so "module 3 will
+dominate at city scale" is a number, not a hunch.
 
 CLI surface: ``repro-partition obs scaling`` (exit 2 when the history
 holds no multi-size stage to fit).
@@ -28,6 +30,8 @@ from repro.obs.bench import DEFAULT_HISTORY, load_history, value_direction
 __all__ = [
     "SCALING_SCHEMA_VERSION",
     "SUPERLINEAR_EXPONENT",
+    "FLAG_MIN_R2",
+    "FLAG_MIN_SIZES",
     "DEFAULT_FORECAST_N",
     "SIZE_KEYS",
     "fit_power_law",
@@ -45,6 +49,14 @@ SCALING_SCHEMA_VERSION = 1
 #: at city scale. (1.1 rather than 1.0 leaves room for fit noise and
 #: the n·log n of sorting-bound stages.)
 SUPERLINEAR_EXPONENT = 1.1
+
+#: A steep exponent only becomes a ``superlinear`` flag when the fit
+#: explains at least this share of the log-log variance ...
+FLAG_MIN_R2 = 0.9
+
+#: ... and saw at least this many distinct sizes; two or three sizes
+#: say little about the shape of a curve.
+FLAG_MIN_SIZES = 4
 
 #: Default forecast size: the paper's M3 Melbourne network (~100k
 #: road segments), the scale the framework is meant to reach.
@@ -165,10 +177,11 @@ def fit_scaling(
     """Fit a power law per stage and forecast each at ``forecast_n``.
 
     Returns the scaling report document: per-stage ``a``/``b``/``r2``,
-    the size range the fit saw, a ``superlinear`` flag and the
-    forecast seconds at ``forecast_n``. Stages without measurements at
-    two distinct sizes are listed under ``skipped`` rather than
-    silently dropped.
+    the size range and count of distinct sizes the fit saw, a
+    ``superlinear`` flag (withheld below :data:`FLAG_MIN_R2` or
+    :data:`FLAG_MIN_SIZES`) and the forecast seconds at
+    ``forecast_n``. Stages without measurements at two distinct sizes
+    are listed under ``skipped`` rather than silently dropped.
     """
     if forecast_n < 2:
         raise DataError(f"forecast_n must be >= 2, got {forecast_n}")
@@ -191,12 +204,15 @@ def fit_scaling(
             {
                 "stage": stage,
                 "n_points": len(stage_points),
+                "distinct_sizes": distinct,
                 "n_min": min(ns),
                 "n_max": max(ns),
                 "a": a,
                 "b": b,
                 "r2": r2,
-                "superlinear": b > SUPERLINEAR_EXPONENT,
+                "superlinear": b > SUPERLINEAR_EXPONENT
+                and r2 >= FLAG_MIN_R2
+                and distinct >= FLAG_MIN_SIZES,
                 "forecast_s": a * float(forecast_n) ** b,
             }
         )
@@ -235,7 +251,14 @@ def render_scaling(report: Dict[str, Any]) -> str:
         f"{'t(n={:,})'.format(forecast_n):>14}",
     ]
     for stage in stages:
-        flag = "  SUPERLINEAR" if stage["superlinear"] else ""
+        flag = ""
+        if stage["superlinear"]:
+            flag = "  SUPERLINEAR"
+        elif stage["b"] > SUPERLINEAR_EXPONENT:
+            flag = (
+                f"  superlinear withheld (r2 {stage['r2']:.2f}, "
+                f"{stage['distinct_sizes']} sizes)"
+            )
         lines.append(
             f"{stage['stage']:<24} {stage['b']:>9.3f} {stage['r2']:>6.3f} "
             f"{int(stage['n_min']):>7,}-{int(stage['n_max']):<8,} "

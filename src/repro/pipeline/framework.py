@@ -282,7 +282,7 @@ class SpatialPartitioningFramework:
         Modules 1 and 3 always run serially in the calling process;
         module 2 (supergraph mining) is the stage the worker and shard
         counts drive, so its entry records the pool the run used: only
-        mining over more than one shard hands its map a shard context.
+        mining over more than one shard asks its map for processes.
         """
         from repro.util.parallel import pool_kind, resolve_workers
 

@@ -5,9 +5,9 @@ networks by mining geographically compact shards in separate processes
 and repairing the seams afterwards:
 
 1. **Shard** — :func:`repro.shard.spatial.graph_shards` labels every
-   road-graph node (segment) with a shard; the full density vector,
-   the CSR adjacency and the shard index travel to workers through one
-   :class:`repro.util.shm.ShardContext` (zero-copy shared memory).
+   road-graph node (segment) with a shard; the parent slices each
+   shard's induced subgraph (CSR adjacency plus densities) and hands
+   it to its worker by value as one picklable job.
 2. **Mine** — each worker runs the ordinary
    :class:`repro.supergraph.SupergraphBuilder` on its shard's induced
    subgraph (Algorithm 1 unchanged, ``workers=1`` to avoid nested
@@ -58,7 +58,6 @@ from repro.supergraph.superlink import superlink_weights
 from repro.supergraph.supernode import Supernode
 from repro.util.parallel import map_parallel, resolve_workers
 from repro.util.rng import RngLike, ensure_rng
-from repro.util.shm import ShardContext, active_shard
 from repro.util.timer import ModuleTimer
 
 logger = get_logger("shard.pipeline")
@@ -69,35 +68,26 @@ MIN_SHARD_NODES = 8
 
 
 def _mine_shard(
-    config: Dict[str, Any], shard_id: int
+    config: Dict[str, Any], job: Tuple[int, sp.csr_matrix, np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Mine one shard: returns (membership, supernode features, kappa).
 
-    Reads the full graph plus the shard index out of the ambient
-    :class:`~repro.util.shm.ShardContext` and slices the shard's
-    induced subgraph locally — nothing graph-sized is ever pickled.
+    ``job`` is ``(shard_id, sub_adjacency, sub_features)``: the shard's
+    induced subgraph, sliced by the parent and shipped by value.
     Module-level so it stays picklable for process pools. Under an
     ambient tracer (process-pool workers run one per task) the whole
     mine is wrapped in a ``shard.mine`` span carrying the ``shard``
     attribute, so grafted worker trees identify their shard.
     """
-    ctx = active_shard()
-    order = ctx.get("shards.order")
-    offsets = ctx.get("shards.offsets")
-    idx = order[offsets[shard_id] : offsets[shard_id + 1]]
-
+    shard_id, sub_adj, features = job
+    n_local = int(features.size)
     tracer = current_tracer()
     span_cm = (
-        tracer.span("shard.mine", shard=int(shard_id), n_nodes=int(idx.size))
+        tracer.span("shard.mine", shard=int(shard_id), n_nodes=n_local)
         if tracer is not None
         else nullcontext()
     )
     with span_cm:
-        adjacency = ctx.get_csr("graph.adjacency")
-        sub_adj = adjacency[idx][:, idx]
-        features = ctx.get("graph.features")[idx]
-        n_local = int(idx.size)
-
         kappa_max = config["kappa_max"]
         if kappa_max is not None:
             kappa_max = min(int(kappa_max), n_local - 1)
@@ -271,17 +261,16 @@ class ShardedSupergraphBuilder:
             "seed": None if seed is None else int(seed),
         }
         with timer.time("module2.shard_mining"):
-            with ShardContext() as shard:
-                shard.put("graph.features", features)
-                shard.put_csr("graph.adjacency", adjacency)
-                shard.put("shards.order", order)
-                shard.put("shards.offsets", offsets)
-                mined = map_parallel(
-                    functools.partial(_mine_shard, config),
-                    range(n_shards),
-                    workers=self._workers,
-                    shard=shard,
-                )
+            shard_nodes = np.split(order, offsets[1:-1])
+            mined = map_parallel(
+                functools.partial(_mine_shard, config),
+                [
+                    (s, adjacency[idx][:, idx], features[idx])
+                    for s, idx in enumerate(shard_nodes)
+                ],
+                workers=self._workers,
+                processes=True,
+            )
 
         # global supernode set: per-shard memberships shifted by offset
         member_global = np.empty(n, dtype=np.int64)
@@ -289,8 +278,7 @@ class ShardedSupergraphBuilder:
         shard_kappas: List[int] = []
         shard_counts: List[int] = []
         base = 0
-        for s, (membership, feats_s, kappa_s) in enumerate(mined):
-            idx = order[offsets[s] : offsets[s + 1]]
+        for idx, (membership, feats_s, kappa_s) in zip(shard_nodes, mined):
             member_global[idx] = membership + base
             base += feats_s.size
             super_feats_parts.append(feats_s)

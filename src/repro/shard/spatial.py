@@ -166,8 +166,8 @@ def shard_order(labels: np.ndarray, n_shards: int) -> Tuple[np.ndarray, np.ndarr
     """Group node ids by shard: ``(order, offsets)``.
 
     ``order[offsets[s]:offsets[s+1]]`` are the (ascending) node ids of
-    shard ``s`` — the compact form workers slice out of shared memory
-    instead of receiving a pickled index list per task.
+    shard ``s`` — the index the parent slices each shard's induced
+    subgraph with.
     """
     labels = np.asarray(labels, dtype=np.int64)
     order = np.argsort(labels, kind="stable")

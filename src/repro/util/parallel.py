@@ -20,34 +20,34 @@ Worker-count resolution, in priority order:
 ``0`` (argument or environment) means "use every core" —
 ``os.cpu_count()``.
 
-The work picks the pool; there is no user-set mode:
+The caller names the pool by the kind of work; there is no user-set
+mode:
 
 * **loop** — a resolved count of 1, or fewer than 2 items: a plain
   loop in the calling thread, no executor at all;
-* **threads** — no ``shard`` given: a
+* **threads** — the default: a
   :class:`~concurrent.futures.ThreadPoolExecutor`. The kappa fits and
   shortlist counts spend their time in numpy and scipy, which release
   the GIL, so threads win there with no pickling; the caller's ambient
   observability context (tracer / metrics / log fields are
   contextvars) propagates into every worker invocation;
-* **processes** — a :class:`repro.util.shm.ShardContext` given: a
+* **processes** — ``processes=True``: a
   :class:`~concurrent.futures.ProcessPoolExecutor`. Per-shard mining is
-  pure-Python heavy and escapes the GIL this way; its large read-only
-  inputs travel through the context's shared-memory blocks (attached
-  zero-copy by every worker, read through
-  :func:`repro.util.shm.active_shard`) instead of being pickled into
-  every task. Workers run a pool initializer that re-establishes the
-  observability context (stderr logging, the attached shard), then
-  mirror whichever pillars the caller had active: metrics land in a
-  worker-side registry whose per-item delta rides back with each
-  result, spans open on a worker-side :class:`~repro.obs.trace.Tracer`
-  whose serialized tree is grafted into the caller's trace
-  (``pid``/``worker`` attributes, own Chrome-trace process lane), and —
-  when a profiler is active — a worker-side sampler ships its stacks
-  back for a single merged flame graph.
+  pure-Python heavy and escapes the GIL this way; each item is pickled
+  to its worker by value, so ``fn`` and the items must be picklable
+  (the shard jobs are plain arrays, which also keeps them spawn-safe).
+  Workers run a pool initializer that re-establishes stderr logging,
+  then mirror whichever observability pillars the caller had active:
+  metrics land in a worker-side registry whose per-item delta rides
+  back with each result, spans open on a worker-side
+  :class:`~repro.obs.trace.Tracer` whose serialized tree is grafted
+  into the caller's trace (``pid``/``worker`` attributes, own
+  Chrome-trace process lane), and — when a profiler is active — a
+  worker-side sampler ships its stacks back for a single merged flame
+  graph.
 
 Process-pool workers must not open pools of their own: a function run
-under a shard passes ``workers=1`` to anything it calls.
+in a process pool passes ``workers=1`` to anything it calls.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ from repro.exceptions import ReproError
 from repro.obs.metrics import MetricsRegistry, current_registry, use_registry
 from repro.obs.profile import ProfileConfig, Profiler, current_profiler
 from repro.obs.trace import Tracer, activate_tracer, current_tracer
-from repro.util import shm
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -110,45 +109,43 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return count
 
 
-def pool_kind(count: int, sharded: bool) -> str:
+def pool_kind(count: int, processes: bool) -> str:
     """The pool :func:`map_parallel` runs ``count`` resolved workers on.
 
     ``"serial"`` (a plain loop) at one worker, otherwise ``"process"``
-    for a map given a shard and ``"thread"`` for one without.
+    for a map that asks for processes and ``"thread"`` for one that
+    does not.
     """
     if count <= 1:
         return "serial"
-    return "process" if sharded else "thread"
+    return "process" if processes else "thread"
 
 
 def map_parallel(
     fn: Callable[[T], R],
     items: Iterable[T],
     workers: Optional[int] = None,
-    shard: Optional[shm.ShardContext] = None,
+    processes: bool = False,
 ) -> List[R]:
     """``[fn(item) for item in items]`` over a worker pool, order preserved.
 
     Parameters
     ----------
     fn:
-        The per-item function. Must be picklable (module-level) when a
-        ``shard`` is given; any callable works otherwise.
+        The per-item function. Must be picklable (module-level, or a
+        ``functools.partial`` of one) when ``processes`` is set; any
+        callable works otherwise.
     items:
         The work items; consumed eagerly so the item count is known.
+        With ``processes`` set each item is pickled to its worker.
     workers:
         Worker count; see :func:`resolve_workers`. With the resolved
         count at 1 (or fewer than 2 items) the map is a plain loop in
         the calling thread.
-    shard:
-        Optional :class:`repro.util.shm.ShardContext` of named arrays
-        ``fn`` reads through :func:`repro.util.shm.active_shard`.
-        Giving one selects the process pool, with the arrays shared
-        zero-copy via ``multiprocessing.shared_memory``; in the plain
-        loop the originals are handed through untouched. Without one
-        the map runs on threads. The caller owns the context's
-        lifecycle (use a ``with`` block so the blocks are unlinked
-        even on error).
+    processes:
+        Run the map on a process pool instead of threads (when the
+        count resolves above 1). Meant for pure-Python heavy items
+        that the GIL would serialize on threads.
 
     Returns
     -------
@@ -165,15 +162,12 @@ def map_parallel(
         registry.inc("parallel.items", len(work))
         registry.set_gauge("parallel.workers", count)
 
-    pool = pool_kind(count, shard is not None)
+    pool = pool_kind(count, processes)
     if pool == "serial":
-        if shard is not None:
-            with shm.use_shard(shard):
-                return [fn(item) for item in work]
         return [fn(item) for item in work]
     if pool == "thread":
         return _map_threaded(fn, work, count, registry)
-    return _map_process(fn, work, count, registry, shard)
+    return _map_process(fn, work, count, registry)
 
 
 def _map_threaded(
@@ -223,19 +217,17 @@ def _current_log_level() -> Optional[str]:
     return name.lower() if isinstance(name, str) and name.isalpha() else None
 
 
-def _worker_init(descriptor: Dict[str, Any], log_level: Optional[str]) -> None:
+def _worker_init(log_level: Optional[str]) -> None:
     """Pool initializer: re-establish the observability context.
 
     Runs once per worker process. Installs a stderr logging handler
     unconditionally — worker diagnostics must never land on stdout,
     which the CLI reserves for ``--json`` payloads — re-applying the
     parent's log level when it is a standard one (inherited under
-    ``fork`` but lost under ``spawn``), clears any ambient
+    ``fork`` but lost under ``spawn``), and clears any ambient
     observability state inherited through ``fork`` (a forked worker's
-    contextvars point at dead copies of the parent's registry, tracer,
-    profiler and shard — writes to them never ride back, and the stale
-    shard would shadow the attached one), and attaches the
-    shared-memory shard as the process-global ambient shard.
+    contextvars point at dead copies of the parent's registry, tracer
+    and profiler — writes to them would never ride back).
     """
     from repro.obs.logs import LOG_LEVELS, configure_logging
     from repro.obs.metrics import _ACTIVE_REGISTRY
@@ -245,12 +237,10 @@ def _worker_init(descriptor: Dict[str, Any], log_level: Optional[str]) -> None:
     _ACTIVE_REGISTRY.set(None)
     _ACTIVE_TRACER.set(None)
     _ACTIVE_PROFILER.set(None)
-    shm._ACTIVE_SHARD.set(None)
     if log_level is not None and log_level in LOG_LEVELS:
         configure_logging(level=log_level)
     else:
         configure_logging(level="warning")
-    shm.set_worker_shard(shm.ShardContext.attach(descriptor))
 
 
 def _task_label(fn: Callable) -> str:
@@ -304,7 +294,6 @@ def _process_task(
     with ExitStack() as stack:
         if registry is not None:
             stack.enter_context(use_registry(registry))
-            shm.flush_pending_metrics(registry)
         if tracer is not None:
             stack.enter_context(activate_tracer(tracer))
         if profiler is not None:
@@ -334,9 +323,8 @@ def _map_process(
     work: List[T],
     count: int,
     registry,
-    shard: shm.ShardContext,
 ) -> List[R]:
-    """Process-pool map: shared-memory inputs, observability merged back.
+    """Process-pool map: items pickled by value, observability merged back.
 
     Worker payloads are merged in input order: metric deltas into the
     caller's registry, span trees grafted into the ambient tracer
@@ -345,9 +333,6 @@ def _map_process(
     (queue wait, startup, per-worker busy time, utilization) are
     recorded alongside.
     """
-    serialize_t0 = time.perf_counter()
-    descriptor = shard.share()
-    serialize_s = time.perf_counter() - serialize_t0
     tracer = current_tracer()
     profiler = current_profiler()
     spec: Dict[str, Any] = {
@@ -375,7 +360,7 @@ def _map_process(
     with ProcessPoolExecutor(
         max_workers=count,
         initializer=_worker_init,
-        initargs=(descriptor, _current_log_level()),
+        initargs=(_current_log_level(),),
     ) as pool:
         outcomes = list(pool.map(task, range(len(work)), work))
     results: List[R] = []
@@ -407,7 +392,6 @@ def _map_process(
         utilization = min(1.0, busy / (wall * count)) if wall > 0 else 1.0
         registry.set_gauge("parallel.utilization", utilization)
         registry.set_gauge("parallel.workers_used", float(len(worker_of)))
-        registry.observe("parallel.serialize_seconds", serialize_s)
         if queue_waits:
             registry.set_gauge("parallel.pool_startup_seconds", min(queue_waits))
         for pid in sorted(busy_by_pid, key=worker_of.__getitem__):

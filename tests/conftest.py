@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from multiprocessing import shared_memory
-
 import numpy as np
 import pytest
 
@@ -52,35 +50,3 @@ def small_grid_graph(small_grid):
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
-
-
-@pytest.fixture
-def shm_tracker(monkeypatch):
-    """Track created SharedMemory block names; fail the test on leaks.
-
-    A leaked block outlives the interpreter (it lives in /dev/shm), so
-    both the ShardContext lifecycle tests (``test_util_shm.py``) and
-    the shared-memory SnapshotStore tests (``test_serve_snapshot.py``)
-    run their scenarios under this fixture to prove the no-leak
-    guarantee end to end.
-    """
-    created = []
-    original = shared_memory.SharedMemory
-
-    class TrackingSharedMemory(original):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            if kwargs.get("create") or (args and args[0] is None):
-                created.append(self.name)
-
-    monkeypatch.setattr(shared_memory, "SharedMemory", TrackingSharedMemory)
-    yield created
-    leaked = []
-    for name in created:
-        try:
-            block = original(name=name)
-        except FileNotFoundError:
-            continue  # unlinked, as it should be
-        block.close()
-        leaked.append(name)
-    assert not leaked, f"leaked shared-memory blocks: {leaked}"

@@ -9,15 +9,126 @@ that the fast versions return exactly the same arrays.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import strategies as st
 
-from repro.exceptions import GraphError
+from repro.clustering.kmeans import KMeansResult, _validate_kappa
+from repro.clustering.optimality import _cluster_stats, _prepare
+from repro.exceptions import ClusteringError, GraphError
 from repro.graph.components import constrained_components
+from repro.network.model import RoadNetwork
 from repro.supergraph.supernode import Supernode
+
+
+def segment_adjacency_reference(network: RoadNetwork) -> List[Tuple[int, int]]:
+    """Pure-Python dual transform: per-junction clique loops.
+
+    Quadratic in junction degree and interpreter-bound; the oracle for
+    :func:`repro.network.dual.segment_adjacency`.
+    """
+    incident: List[Set[int]] = [set() for _ in range(network.n_intersections)]
+    for seg in network.segments:
+        incident[seg.source].add(seg.id)
+        incident[seg.target].add(seg.id)
+
+    pairs: Set[Tuple[int, int]] = set()
+    for segs in incident:
+        ordered = sorted(segs)
+        for i, u in enumerate(ordered):
+            for v in ordered[i + 1 :]:
+                pairs.add((u, v))
+    return sorted(pairs)
+
+
+def kmeans_1d_reference(
+    values: Sequence[float],
+    kappa: int,
+    max_iter: int = 100,
+    tol: float = 1e-9,
+) -> KMeansResult:
+    """Reference 1-D k-means (full O(n) assignment per iteration).
+
+    The original formulation: assignment runs ``searchsorted`` over
+    every value and means come from ``bincount``. The oracle for
+    :func:`repro.clustering.kmeans.kmeans_1d`.
+    """
+    data = np.asarray(values, dtype=float).ravel()
+    n = data.size
+    _validate_kappa(n, kappa)
+    if not np.isfinite(data).all():
+        raise ClusteringError("values must be finite")
+
+    order = np.argsort(data, kind="stable")
+    sorted_vals = data[order]
+
+    positions = (np.arange(kappa) + 0.5) * n / kappa
+    centers = sorted_vals[np.clip(positions.astype(int), 0, n - 1)].astype(float)
+
+    labels = np.zeros(n, dtype=int)
+    n_iter = 0
+    for n_iter in range(1, max_iter + 1):
+        centers = np.sort(centers)
+        bounds = (centers[:-1] + centers[1:]) / 2.0
+        labels = np.searchsorted(bounds, data, side="left")
+
+        new_centers = centers.copy()
+        counts = np.bincount(labels, minlength=kappa)
+        sums = np.bincount(labels, weights=data, minlength=kappa)
+        nonempty = counts > 0
+        new_centers[nonempty] = sums[nonempty] / counts[nonempty]
+
+        if not nonempty.all():
+            residuals = np.abs(data - new_centers[labels])
+            for q in np.flatnonzero(~nonempty):
+                far = int(np.argmax(residuals))
+                new_centers[q] = data[far]
+                residuals[far] = -1.0
+
+        shift = float(np.abs(new_centers - centers).sum())
+        centers = new_centers
+        if shift <= tol:
+            break
+
+    centers = np.sort(centers)
+    bounds = (centers[:-1] + centers[1:]) / 2.0
+    labels = np.searchsorted(bounds, data, side="left")
+    inertia = float(((data - centers[labels]) ** 2).sum())
+    return KMeansResult(labels=labels, centers=centers, inertia=inertia, n_iter=n_iter)
+
+
+def pairwise_sq_dists_reference(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Full (n, kappa) squared-distance matrix via broadcasting.
+
+    The original O(n * kappa * d)-memory formulation; the oracle for
+    :func:`repro.clustering.kmeans.assign_to_centers`.
+    """
+    return ((data[:, np.newaxis, :] - centers[np.newaxis, :, :]) ** 2).sum(axis=2)
+
+
+def moderated_clustering_gain_reference(data, labels) -> float:
+    """Per-cluster-loop MCG.
+
+    :func:`repro.clustering.optimality.moderated_clustering_gain`
+    vectorises the same computation and must return bit-identical
+    values; tests assert exactly that.
+    """
+    arr, lab, kappa = _prepare(data, labels)
+    sizes, means, intra, mu0 = _cluster_stats(arr, lab, kappa)
+    sep = ((means - mu0) ** 2).sum(axis=1)
+
+    theta = 0.0
+    for q in range(kappa):
+        if sizes[q] <= 0 or sep[q] <= 0:
+            continue
+        theta1 = (sizes[q] - 1.0) * sep[q]
+        ratio = intra[q] / (sizes[q] * sep[q])
+        theta2 = 1.0 - np.log2(1.0 + ratio)
+        theta2 = min(max(theta2, 0.0), 1.0)
+        theta += theta1 * theta2
+    return float(theta)
 
 
 def connected_components_bfs(adjacency, labels: Optional[Sequence[int]] = None) -> np.ndarray:

@@ -3,12 +3,13 @@
 Covers the worker→parent wire formats (span trees and profile
 samples), grafting worker traces into the parent timeline, the
 pid-aware Chrome-trace export, merged flame graphs, the pool's
-data-plane metrics (queue wait, per-worker busy time, startup,
-serialization), the Prometheus exposition of the ``parallel.*``
-and ``shm.*`` families under all three pools, and the rule that the
-work picks the pool: only sharded mining runs in processes.
+bookkeeping metrics (queue wait, per-worker busy time, startup), the
+Prometheus exposition of the ``parallel.*`` family under all three
+pools, and the rule that the work picks the pool: only sharded mining
+runs in processes, and its shard jobs travel by value.
 """
 
+import multiprocessing.shared_memory
 import os
 import time
 
@@ -37,7 +38,6 @@ from repro.shard.pipeline import ShardedSupergraphBuilder
 from repro.shard.spatial import segment_midpoints
 from repro.supergraph.builder import SupergraphBuilder
 from repro.util.parallel import map_parallel
-from repro.util.shm import ShardContext
 
 
 # ---------------------------------------------------------------- helpers
@@ -65,17 +65,9 @@ def _traced_square(x):
         return x * x
 
 
-def _read_shared(x):
-    from repro.util.shm import active_shard
-
-    arr = active_shard().get("vec")
-    return float(arr[x])
-
-
 def _in_processes(fn, items):
-    """``map_parallel`` on two worker processes (a shard selects them)."""
-    with ShardContext() as shard:
-        return map_parallel(fn, items, workers=2, shard=shard)
+    """``map_parallel`` on two worker processes."""
+    return map_parallel(fn, items, workers=2, processes=True)
 
 
 # ------------------------------------------------------------- span wire
@@ -302,23 +294,6 @@ class TestProcessPoolObservability:
         assert len(busy) == int(gauges["parallel.workers_used"])
         assert all(h["count"] == 1 for h in busy.values())
 
-    def test_shard_data_plane_metrics(self):
-        reg = MetricsRegistry()
-        with use_registry(reg):
-            with ShardContext() as shard:
-                shard.put("vec", np.arange(8, dtype=np.float64))
-                out = map_parallel(_read_shared, range(4), workers=2, shard=shard)
-        assert out == [0.0, 1.0, 2.0, 3.0]
-        snap = reg.to_dict()
-        assert snap["counters"]["shm.shares"] == 1
-        assert snap["counters"]["shm.attaches"] >= 1
-        assert snap["counters"]["shm.leak_checks"] == 1
-        assert snap["counters"]["shm.leak_checks_clean"] == 1
-        assert snap["gauges"]["shm.arrays_registered"] == 1
-        assert snap["gauges"]["shm.bytes_registered"] == 64
-        assert snap["gauges"]["shm.bytes_shared"] >= 64
-        assert snap["histograms"]["shm.share_seconds"]["count"] == 1
-
     def test_merged_flame_graph_spans_processes(self):
         reg = MetricsRegistry()
         tracer = Tracer()
@@ -342,26 +317,16 @@ class TestPrometheusAcrossModes:
     @pytest.mark.parametrize("pool", ["serial", "thread", "process"])
     def test_parallel_and_shm_families_expose(self, pool):
         reg = MetricsRegistry()
+        workers = 1 if pool == "serial" else 2
         with use_registry(reg):
-            with ShardContext() as shard:
-                shard.put("vec", np.arange(8, dtype=np.float64))
-                if pool == "thread":  # a shard would select processes
-                    map_parallel(_square, range(4), workers=2)
-                else:
-                    workers = 1 if pool == "serial" else 2
-                    map_parallel(_read_shared, range(4), workers=workers, shard=shard)
+            map_parallel(_square, range(4), workers=workers, processes=pool == "process")
         samples, types = parse_prometheus(render_prometheus(reg))
         names = {s.name for s in samples}
-        assert "repro_shm_arrays_registered" in names
-        assert "repro_shm_leak_checks_total" in names
-        assert "repro_shm_leak_checks_clean_total" in names
         assert types["repro_parallel_maps_total"] == "counter"
         if pool != "serial":
             assert "repro_parallel_utilization" in names
             assert types["repro_parallel_item_seconds"] == "histogram"
         if pool == "process":
-            assert "repro_shm_attaches_total" in names
-            assert types["repro_shm_attach_seconds"] == "histogram"
             assert types["repro_parallel_queue_wait_seconds"] == "histogram"
             assert types["repro_parallel_worker_busy_seconds"] == "histogram"
             workers = {
@@ -423,6 +388,28 @@ class TestPoolFollowsTheWork:
         assert all(span.attrs["pid"] != os.getpid() for span in workers)
         assert all("worker" in span.attrs for span in workers)
         assert gauges["parallel.workers_used"] >= 1
+
+    def test_sharded_build_uses_no_shared_memory(self, city, monkeypatch):
+        """Shard jobs travel by value: mining works with shared memory gone."""
+
+        def no_shared_memory(*args, **kwargs):
+            raise AssertionError("shard mining must not use shared memory")
+
+        monkeypatch.setattr(
+            multiprocessing.shared_memory, "SharedMemory", no_shared_memory
+        )
+        graph, points = city
+        serial = ShardedSupergraphBuilder(n_shards=3, seed=11, workers=1).build(
+            graph, points=points
+        )
+        builder = ShardedSupergraphBuilder(n_shards=3, seed=11, workers=2)
+        built = []
+        workers, __ = _traced(lambda: built.append(builder.build(graph, points=points)))
+        assert len(workers) == 3
+        assert all(span.attrs["pid"] != os.getpid() for span in workers)
+        (process,) = built
+        assert np.array_equal(process.member_of, serial.member_of)
+        assert np.array_equal(process.features(), serial.features())
 
     def test_unsharded_build_stays_in_process(self, city):
         graph, __ = city

@@ -21,6 +21,8 @@ from repro.exceptions import DataError
 from repro.obs.bench import history_record
 from repro.obs.scaling import (
     DEFAULT_FORECAST_N,
+    FLAG_MIN_R2,
+    FLAG_MIN_SIZES,
     SCALING_SCHEMA_VERSION,
     SUPERLINEAR_EXPONENT,
     collect_points,
@@ -142,7 +144,20 @@ class TestFitScaling:
                     f"{name}.module1": 1e-5 * n,
                 }
             )
-            for name, n in [("D1", 100), ("M1", 1_000), ("M2", 10_000)]
+            for name, n in [
+                ("D1", 100),
+                ("M1", 1_000),
+                ("M2", 10_000),
+                ("M3", 100_000),
+            ]
+        ]
+
+    @staticmethod
+    def _steep_records(sizes, noise):
+        """``total ~ n^1.5`` at ``sizes``, each time scaled by ``noise``."""
+        return [
+            _record({"n_segments": n, "total": 1e-5 * n**1.5 * f})
+            for n, f in zip(sizes, noise)
         ]
 
     def test_superlinear_flag_and_forecast(self):
@@ -158,6 +173,28 @@ class TestFitScaling:
         assert by_stage["module1"]["b"] == pytest.approx(1.0, rel=1e-6)
         # superlinear stage dominates the forecast -> sorted first
         assert report["stages"][0]["stage"] == "module2"
+
+    def test_steep_fit_with_low_r2_is_not_flagged(self):
+        sizes = [100, 300, 1_000, 3_000, 10_000]
+        report = fit_scaling(self._steep_records(sizes, [1, 12, 0.15, 8, 1]))
+        (total,) = report["stages"]
+        assert total["b"] > SUPERLINEAR_EXPONENT
+        assert total["r2"] < FLAG_MIN_R2
+        assert total["distinct_sizes"] == 5
+        assert total["superlinear"] is False
+        text = render_scaling(report)
+        assert "SUPERLINEAR" not in text
+        assert "superlinear withheld" in text
+
+    def test_steep_fit_over_three_sizes_is_not_flagged(self):
+        sizes = [100, 1_000, 10_000]
+        report = fit_scaling(self._steep_records(sizes, [1, 1, 1]))
+        (total,) = report["stages"]
+        assert total["b"] == pytest.approx(1.5, rel=1e-6)
+        assert total["r2"] == pytest.approx(1.0)
+        assert total["distinct_sizes"] == 3 < FLAG_MIN_SIZES
+        assert total["superlinear"] is False
+        assert "superlinear withheld" in render_scaling(report)
 
     def test_single_size_stage_lands_in_skipped(self):
         records = self._multi_size_records() + [

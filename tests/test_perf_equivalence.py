@@ -3,7 +3,7 @@
 The perf layer (sparse-incidence dual transform, prefix-sum 1-D
 k-means, vectorized MCG, chunked n-D assignment) must not change any
 result. These property-style tests pin the vectorized implementations
-to the retained reference implementations across random networks and
+to the loop-based oracles in ``tests/oracles.py`` across random networks and
 datasets, including the structural edge cases called out in the paper:
 star junctions (dual cliques), two-way streets (segment pairs sharing
 both endpoints), and empty-cluster re-seeding.
@@ -11,24 +11,17 @@ both endpoints), and empty-cluster re-seeding.
 
 import numpy as np
 import pytest
-
-from repro.clustering.kmeans import (
-    assign_to_centers,
-    kmeans,
-    kmeans_1d,
+from oracles import (
     kmeans_1d_reference,
-    pairwise_sq_dists_reference,
-)
-from repro.clustering.optimality import (
-    moderated_clustering_gain,
     moderated_clustering_gain_reference,
-)
-from repro.graph.adjacency import Graph
-from repro.network.dual import (
-    build_road_graph,
-    segment_adjacency,
+    pairwise_sq_dists_reference,
     segment_adjacency_reference,
 )
+
+from repro.clustering.kmeans import assign_to_centers, kmeans, kmeans_1d
+from repro.clustering.optimality import moderated_clustering_gain
+from repro.graph.adjacency import Graph
+from repro.network.dual import build_road_graph, segment_adjacency
 from repro.network.generators import (
     grid_network,
     ring_radial_network,

@@ -1,7 +1,6 @@
 """map_parallel: worker resolution, pool choice, ordering, determinism, metrics."""
 
 import os
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -10,18 +9,16 @@ from repro.clustering.optimality import scan_kappa
 from repro.exceptions import ReproError
 from repro.obs.metrics import MetricsRegistry, incr, observe, use_registry
 from repro.util.parallel import WORKERS_ENV_VAR, map_parallel, resolve_workers
-from repro.util.shm import ShardContext
 
-#: pool -> (workers, sharded): a loop at one worker, threads without a
-#: shard, processes with one
+#: pool -> (workers, processes): a loop at one worker, threads by
+#: default, processes when asked for
 POOLS = {"serial": (1, False), "thread": (2, False), "process": (2, True)}
 
 
 def _pool_map(fn, items, pool):
     """``map_parallel`` arranged so that it picks ``pool``."""
-    workers, sharded = POOLS[pool]
-    with ShardContext() if sharded else nullcontext() as shard:
-        return map_parallel(fn, items, workers=workers, shard=shard)
+    workers, processes = POOLS[pool]
+    return map_parallel(fn, items, workers=workers, processes=processes)
 
 
 class TestResolveWorkers:
@@ -91,7 +88,7 @@ class TestMapParallel:
             map_parallel(boom, range(6), workers=4)
 
     def test_process_mode(self):
-        """A shard selects the process pool; order is still preserved."""
+        """``processes=True`` selects the process pool; order is still preserved."""
         assert _pool_map(abs, [-2, -1, 0, 1], "process") == [2, 1, 0, 1]
 
 
