@@ -262,12 +262,13 @@ class ShardedSupergraphBuilder:
         }
         with timer.time("module2.shard_mining"):
             shard_nodes = np.split(order, offsets[1:-1])
+            # a generator, so a serial build slices one shard at a time
             mined = map_parallel(
                 functools.partial(_mine_shard, config),
-                [
+                (
                     (s, adjacency[idx][:, idx], features[idx])
                     for s, idx in enumerate(shard_nodes)
-                ],
+                ),
                 workers=self._workers,
                 processes=True,
             )

@@ -136,8 +136,10 @@ def map_parallel(
         ``functools.partial`` of one) when ``processes`` is set; any
         callable works otherwise.
     items:
-        The work items; consumed eagerly so the item count is known.
-        With ``processes`` set each item is pickled to its worker.
+        The work items. The plain loop takes them one at a time, so a
+        generator of large items holds only the current one; a pool
+        consumes them all up front. With ``processes`` set each item
+        is pickled to its worker.
     workers:
         Worker count; see :func:`resolve_workers`. With the resolved
         count at 1 (or fewer than 2 items) the map is a plain loop in
@@ -154,20 +156,27 @@ def map_parallel(
         pool. The first exception raised by ``fn`` propagates to the
         caller.
     """
-    work = list(items)
-    count = min(resolve_workers(workers), max(len(work), 1))
+    count = resolve_workers(workers)
+    if count > 1:
+        items = list(items)
+        count = min(count, max(len(items), 1))
     registry = current_registry()
     if registry is not None:
         registry.inc("parallel.maps")
-        registry.inc("parallel.items", len(work))
         registry.set_gauge("parallel.workers", count)
 
     pool = pool_kind(count, processes)
     if pool == "serial":
-        return [fn(item) for item in work]
+        results = [fn(item) for item in items]
+        if registry is not None:
+            registry.inc("parallel.items", len(results))
+        return results
+    # a pool runs only at count > 1, where items is already a list
+    if registry is not None:
+        registry.inc("parallel.items", len(items))
     if pool == "thread":
-        return _map_threaded(fn, work, count, registry)
-    return _map_process(fn, work, count, registry)
+        return _map_threaded(fn, items, count, registry)
+    return _map_process(fn, items, count, registry)
 
 
 def _map_threaded(

@@ -1,0 +1,30 @@
+"""Hypothesis strategies shared by the property tests."""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+from hypothesis import strategies as st
+
+
+@st.composite
+def graphs_with_labels(draw, max_nodes: int = 40, max_labels: int = 4):
+    """A symmetric weighted CSR adjacency (possibly disconnected, possibly
+    edgeless) and a label per node in ``0..max_labels-1``."""
+    n = draw(st.integers(1, max_nodes))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
+    )
+    pairs = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    weights = draw(
+        st.lists(
+            st.floats(min_value=0.01, max_value=10.0, allow_nan=False),
+            min_size=len(pairs),
+            max_size=len(pairs),
+        )
+    )
+    rows = [u for u, v in pairs] + [v for u, v in pairs]
+    cols = [v for u, v in pairs] + [u for u, v in pairs]
+    adj = sp.csr_matrix((weights + weights, (rows, cols)), shape=(n, n), dtype=float)
+    labels = np.array(draw(st.lists(st.integers(0, max_labels - 1), min_size=n, max_size=n)))
+    return adj, labels

@@ -4,7 +4,8 @@ and greedy pruning (Algorithm 3, lines 12-24)."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from oracles import graphs_with_labels, partition_connectivity_matrix_loop
+from oracles import partition_connectivity_matrix_loop
+from strategies import graphs_with_labels
 
 from repro.core.refine import (
     greedy_prune,

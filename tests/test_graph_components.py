@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import connected_components_bfs, graphs_with_labels
+from oracles import connected_components_bfs
+from strategies import graphs_with_labels
 
 from repro.exceptions import GraphError
 from repro.graph.adjacency import Graph

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import graphs_with_labels
+from strategies import graphs_with_labels
 
 from repro.exceptions import GraphError
 from repro.graph.adjacency import Graph

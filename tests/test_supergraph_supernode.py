@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import create_supernodes_loop, graphs_with_labels, membership_vector_loop
+from oracles import create_supernodes_loop, membership_vector_loop
+from strategies import graphs_with_labels
 
 from repro.exceptions import GraphError
 from repro.graph.adjacency import Graph

@@ -78,6 +78,26 @@ class TestMapParallel:
             -4,
         ]
 
+    def test_serial_loop_takes_generator_items_one_at_a_time(self):
+        """At one worker each item is drawn only after the previous one
+        is done, so a generator of large items never holds them all."""
+        events = []
+
+        def produce():
+            for i in range(3):
+                events.append(f"make {i}")
+                yield i
+
+        def consume(x):
+            events.append(f"run {x}")
+            return x
+
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            assert map_parallel(consume, produce(), workers=1) == [0, 1, 2]
+        assert events == ["make 0", "run 0", "make 1", "run 1", "make 2", "run 2"]
+        assert registry.counter("parallel.items") == 3
+
     def test_exception_propagates(self):
         def boom(x):
             if x == 3:
