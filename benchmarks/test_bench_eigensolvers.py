@@ -9,6 +9,14 @@ this bench runs the production alpha-Cut solve, checks its k smallest
 eigenvalues against dense `numpy.linalg.eigh` of the alpha-Cut matrix
 to 1e-6, and reports which regime served each solve and how long the
 two took.
+
+A second bench records the size sweep behind ``DENSE_CUTOFF``: on
+BFS-connected subgraphs of the M2x0.25 supergraph, from 24 to 1,300
+nodes, it times the two paths the entry point chooses between, dense
+``numpy.linalg.eigh`` and ARPACK ``which="SA"`` on the matrix-free
+alpha-Cut operator (median of five solves each), and checks that they
+agree to 1e-6 at every size. It asserts no timing; the crossover it
+reports is what the cutoff is set from.
 """
 
 from __future__ import annotations
@@ -16,13 +24,19 @@ from __future__ import annotations
 import time
 
 import numpy as np
+from scipy.sparse.csgraph import breadth_first_order
 
 from benchmarks.conftest import LARGE_NAMES, print_table, save_results
 from repro.core.spectral import last_eigensolver_outcome, smallest_eigenvectors
-from repro.graph.laplacian import alpha_cut_matrix
+from repro.datasets.large import melbourne_like
+from repro.graph.eigen import DENSE_CUTOFF, _arpack
+from repro.graph.laplacian import AlphaCutOperator, alpha_cut_matrix
+from repro.network.dual import build_road_graph
 from repro.supergraph.builder import build_supergraph
 
 K = 8
+SWEEP_SIZES = (24, 40, 96, 160, 200, 256, 325, 650, 1300)
+SWEEP_REPEATS = 5
 
 
 def test_eigensolver_entry_point(benchmark, large_graphs):
@@ -74,3 +88,68 @@ def test_eigensolver_entry_point(benchmark, large_graphs):
 
     for rec in results.values():
         np.testing.assert_allclose(rec["values"], rec["reference"], atol=1e-6)
+
+
+def _median_solve(solve, repeats: int = SWEEP_REPEATS):
+    """(median seconds, values of the last solve) over ``repeats`` solves."""
+    seconds = []
+    for __ in range(repeats):
+        start = time.perf_counter()
+        values = solve()
+        seconds.append(time.perf_counter() - start)
+    return float(np.median(seconds)), np.sort(values)[:K]
+
+
+def test_dense_arpack_crossover(benchmark):
+    network, densities = melbourne_like("M2", size_factor=0.25, seed=0)
+    graph = build_road_graph(network).with_features(densities)
+    adjacency = build_supergraph(graph, seed=0).adjacency.tocsr()
+    order = breadth_first_order(adjacency, 0, directed=False, return_predecessors=False)
+    sizes = [m for m in SWEEP_SIZES if m <= order.size]
+    assert sizes[-1] >= 1000, "the sweep must reach the large end"
+
+    def run():
+        out = {}
+        for m in sizes:
+            idx = np.sort(order[:m])
+            op = AlphaCutOperator(adjacency[idx][:, idx])
+            dense_s, dense_values = _median_solve(lambda: np.linalg.eigh(op.toarray())[0])
+            arpack_s, arpack_values = _median_solve(lambda: _arpack(op, K)[0])
+            out[m] = {
+                "dense_ms": 1e3 * dense_s,
+                "arpack_ms": 1e3 * arpack_s,
+                "dense_values": dense_values,
+                "arpack_values": arpack_values,
+            }
+        return out
+
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    # the smallest size from which ARPACK is faster at every larger size
+    crossover = next(
+        (m for m in sizes if all(results[n]["arpack_ms"] < results[n]["dense_ms"]
+                                 for n in sizes if n >= m)),
+        None,
+    )
+
+    print_table(
+        f"Dense eigh vs ARPACK SA on M2x0.25 supergraph BFS subgraphs (k={K}, "
+        f"median of {SWEEP_REPEATS}; DENSE_CUTOFF={DENSE_CUTOFF}, crossover {crossover})",
+        ["nodes", "eigh ms", "ARPACK ms"],
+        [[m, round(rec["dense_ms"], 2), round(rec["arpack_ms"], 2)] for m, rec in results.items()],
+    )
+    save_results(
+        "bench_eigensolvers_crossover",
+        {
+            "k": K,
+            "repeats": SWEEP_REPEATS,
+            "dense_cutoff": DENSE_CUTOFF,
+            "measured_crossover": crossover,
+            "sweep": [
+                {"n": m, "dense_ms": rec["dense_ms"], "arpack_ms": rec["arpack_ms"]}
+                for m, rec in results.items()
+            ],
+        },
+    )
+
+    for rec in results.values():
+        np.testing.assert_allclose(rec["arpack_values"], rec["dense_values"], atol=1e-6)

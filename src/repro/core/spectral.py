@@ -8,7 +8,8 @@ connected (yielding k' >= k partitions).
 
 The eigenpairs come from :func:`repro.graph.eigen.smallest_eigenpairs`
 on the matrix-free :class:`repro.graph.laplacian.AlphaCutOperator`:
-dense LAPACK up to its ``DENSE_CUTOFF`` nodes, ARPACK above.
+dense LAPACK up to its ``DENSE_CUTOFF`` (200 nodes, the measured
+crossover), ARPACK above.
 """
 
 from __future__ import annotations

@@ -8,14 +8,23 @@ Laplacians). It stands in for the paper's high-performance Matlab
 eigensolver, with one policy:
 
 * dense LAPACK ``numpy.linalg.eigh`` of ``op.toarray()`` at or below
-  :data:`DENSE_CUTOFF` nodes, or when ``k >= n - 1`` (exact, fast at
-  small n, and outside ARPACK's ``k < n`` range);
+  :data:`DENSE_CUTOFF` (200) nodes, or when ``k >= n - 1`` (exact, and
+  outside ARPACK's ``k < n`` range);
 * above it ARPACK ``eigsh`` from a fixed, seeded start vector:
   shift-invert at ``sigma=0`` for a sparse matrix, ``which="SA"`` for a
   matrix-free operator (which cannot be factorised);
 * a failed shift-invert factorisation retries with ``which="SA"``; an
   ARPACK run that does not converge serves its partial pairs when it
-  has at least k of them, else the dense path.
+  has at least k of them, else the dense path; any other ARPACK error
+  (e.g. -9, a start vector the operator maps to zero) takes the dense
+  path.
+
+The cutoff is the measured crossover (k=8, BFS-connected subgraphs of
+an M2x0.25 supergraph, median ms, dense ``eigh`` / ARPACK SA): 1.9/4.3
+at 96 nodes, 6.4/5.0 at 200, 15.8/5.5 at 325, 411/17.7 at 1,300;
+``benchmarks/test_bench_eigensolvers.py`` records the sweep. Below it,
+the few-node meta-graph bipartitions stay on the dense path, where
+ARPACK is slower and can fail on degenerate (edgeless) inputs.
 """
 
 from __future__ import annotations
@@ -24,12 +33,12 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 from repro.exceptions import PartitioningError
 from repro.obs.metrics import incr
 
-DENSE_CUTOFF = 1500
+DENSE_CUTOFF = 200
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -77,8 +86,11 @@ def smallest_eigenpairs(op, k: int) -> Tuple[np.ndarray, np.ndarray, Dict[str, A
         columns, shape (n, k); ``outcome`` a JSON-serialisable record:
         ``solver`` (``dense``, ``arpack`` or ``arpack_partial``, the
         path that produced the pairs), ``n``/``k``, ``residual`` (max
-        column norm of ``op v - lambda v``), ``converged`` and
-        ``fallback_reason`` (None unless ARPACK fell back).
+        column norm of ``op v - lambda v``), ``converged`` (False when
+        ARPACK stopped short of convergence) and ``fallback_reason``
+        (None unless ARPACK fell back: ``arpack_no_convergence_partial_pairs``,
+        ``arpack_no_convergence_dense_fallback`` or
+        ``arpack_error_dense_fallback``).
     """
     n = op.shape[0]
     if not 1 <= k <= n:
@@ -100,6 +112,10 @@ def smallest_eigenpairs(op, k: int) -> Tuple[np.ndarray, np.ndarray, Dict[str, A
             else:
                 solver = "dense"
                 fallback_reason = "arpack_no_convergence_dense_fallback"
+        except ArpackError:
+            incr("eigensolver.arpack_error")
+            solver = "dense"
+            fallback_reason = "arpack_error_dense_fallback"
         if values is not None:
             order = np.argsort(values)[:k]
             values, vectors = values[order], vectors[:, order]

@@ -26,8 +26,18 @@ GOLDEN = {
     ("M1x0.08", "NSG", 0.0): "7b3a964e819e7dcb7e5d5866c81b46d69b02dafd",
     ("M1x0.08", "AG", 0.0): "f9d6c880fca946389008f42966f0f40cdc78348f",
     ("M1x0.08", "ASG", 0.5): "565338e2263e22b37f8636568c8d08a3f989a79f",
-    # ARPACK regime: a supergraph of 3,004 nodes (ASG/NSG) and a road
-    # graph of 6,771 nodes (NG), all above the dense cutoff
+    # Above the 200-node dense cutoff, solved with ARPACK: supergraphs of
+    # 264 (M1x0.25), 1,328 (M2x0.25) and 3,004 nodes (M3x0.3 ASG/NSG),
+    # and a road graph of 6,771 nodes (M3x0.3 NG). The M1x0.25 and
+    # M2x0.25 pins were recorded with dense eigh, so they also pin that
+    # both solvers give the same labels there. D1 AG (436-node road
+    # graph) is on ARPACK too; the other D1 and M1x0.08 cases are dense.
+    ("M1x0.25", "ASG", 0.0): "ca41bd8571806fd3008abdbb01df11fce0b2b911",
+    ("M1x0.25", "NSG", 0.0): "879de3792ac3af291bff2dfb9b8c7b435d3e8a7f",
+    ("M1x0.25", "ASG", 0.5): "6c91ce75741ea01190722841970eddc84036b965",
+    ("M2x0.25", "ASG", 0.0): "25f9558f4265ec5ba02fb53688983e3a40c66739",
+    ("M2x0.25", "NSG", 0.0): "3ba9aaeea3fb4dc0f149096e31abd38fc4323675",
+    ("M2x0.25", "ASG", 0.5): "3fcc1b89a230c583f63d7bab0c53081eabcef0b4",
     ("M3x0.3", "ASG", 0.0): "cae4fc5ca702d69a83f3f95d6d203bc7f840c026",
     ("M3x0.3", "NSG", 0.0): "90825564de55855608ebdfeab662c59d56d6bf77",
     ("M3x0.3", "NG", 0.0): "c09784a682ad880a10d194fd5592a052cc94fa45",

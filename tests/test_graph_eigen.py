@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackError
 
 import repro.graph.eigen as eigen_mod
 from repro.baselines.ncut import ncut_embedding
@@ -10,6 +11,7 @@ from repro.core.spectral import smallest_eigenvectors
 from repro.exceptions import GraphError, PartitioningError
 from repro.graph.eigen import smallest_eigenpairs
 from repro.graph.laplacian import AlphaCutOperator, alpha_cut_matrix, normalized_laplacian
+from repro.obs.metrics import MetricsRegistry, use_registry
 
 
 def _chorded_ring(n: int, seed: int = 0) -> sp.csr_matrix:
@@ -57,6 +59,13 @@ class TestPolicy:
         smallest_eigenpairs(AlphaCutOperator(adj), 3)
         assert calls == [0.0, None]
 
+    @pytest.mark.parametrize("offset, solver", [(0, "dense"), (1, "arpack")])
+    def test_rule_at_the_real_cutoff(self, offset, solver):
+        op = AlphaCutOperator(_chorded_ring(eigen_mod.DENSE_CUTOFF + offset))
+        values, __, outcome = smallest_eigenpairs(op, 8)
+        assert outcome["solver"] == solver
+        np.testing.assert_allclose(values, np.linalg.eigvalsh(op.toarray())[:8], atol=1e-8)
+
     def test_k_near_n_is_dense(self, arpack_regime):
         __, __, outcome = smallest_eigenpairs(normalized_laplacian(_chorded_ring(30)), 29)
         assert outcome["solver"] == "dense"
@@ -66,6 +75,41 @@ class TestPolicy:
         for k in (0, 21):
             with pytest.raises(PartitioningError):
                 smallest_eigenpairs(op, k)
+
+
+class TestArpackErrorFallback:
+    """ARPACK errors other than no-convergence take the dense path."""
+
+    @staticmethod
+    def _check_dense_fallback(op, k):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            values, vectors, outcome = smallest_eigenpairs(op, k)
+        expected = np.linalg.eigh(op.toarray())
+        np.testing.assert_array_equal(values, expected[0][:k])
+        np.testing.assert_array_equal(vectors, expected[1][:, :k])
+        assert outcome["solver"] == "dense"
+        assert outcome["fallback_reason"] == "arpack_error_dense_fallback"
+        assert registry.counter("eigensolver.arpack_error") == 1.0
+
+    def test_zero_start_vector_error(self, monkeypatch):
+        # an edgeless meta-graph: the alpha-Cut operator maps ARPACK's
+        # start vector to zero, and ARPACK stops with error -9
+        monkeypatch.setattr(eigen_mod, "DENSE_CUTOFF", 0)
+        op = AlphaCutOperator(sp.csr_matrix((4, 4)))
+        with pytest.raises(ArpackError, match="-9"):
+            eigen_mod.eigsh(op, k=2, which="SA", v0=eigen_mod._start_vector(4))
+        self._check_dense_fallback(op, 2)
+
+    def test_injected_error(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ArpackError(-9)
+
+        monkeypatch.setattr(eigen_mod, "DENSE_CUTOFF", 0)
+        monkeypatch.setattr(eigen_mod, "eigsh", failing)
+        rng = np.random.default_rng(316)
+        adj = np.triu(rng.random((4, 4)) * (rng.random((4, 4)) < 0.4), 1)
+        self._check_dense_fallback(AlphaCutOperator(sp.csr_matrix(adj + adj.T)), 2)
 
 
 class TestDeterministicStart:

@@ -1,9 +1,9 @@
 """Labels must not depend on how many threads the BLAS library uses.
 
-The ARPACK eigensolve runs on supergraphs above ``DENSE_CUTOFF``
-supernodes. Each case partitions such an input in a fresh child process
-whose environment alone sets the OpenBLAS thread count, and compares
-the labels.
+The ARPACK eigensolve runs on supergraphs above ``DENSE_CUTOFF`` (200)
+supernodes; the M3x0.3 input below mines about 3,000. Each case
+partitions such an input in a fresh child process whose environment
+alone sets the OpenBLAS thread count, and compares the labels.
 """
 
 import json
