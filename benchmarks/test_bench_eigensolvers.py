@@ -13,10 +13,13 @@ two took.
 A second bench records the size sweep behind ``DENSE_CUTOFF``: on
 BFS-connected subgraphs of the M2x0.25 supergraph, from 24 to 1,300
 nodes, it times the two paths the entry point chooses between, dense
-``numpy.linalg.eigh`` and ARPACK ``which="SA"`` on the matrix-free
-alpha-Cut operator (median of five solves each), and checks that they
-agree to 1e-6 at every size. It asserts no timing; the crossover it
-reports is what the cutoff is set from.
+``numpy.linalg.eigh`` and ARPACK (median of five solves each), on both
+kinds of input the cutoff switches: the matrix-free alpha-Cut operator
+(ARPACK ``which="SA"``) and the sparse normalized Laplacian of the
+Ncut baseline, multilevel bisection and the eigengap heuristic (ARPACK
+shift-invert at ``sigma=0``). It checks that the two paths agree to
+1e-6 at every size and on both inputs. It asserts no timing; the
+crossovers it reports are what the cutoff is set from.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from benchmarks.conftest import LARGE_NAMES, print_table, save_results
 from repro.core.spectral import last_eigensolver_outcome, smallest_eigenvectors
 from repro.datasets.large import melbourne_like
 from repro.graph.eigen import DENSE_CUTOFF, _arpack
-from repro.graph.laplacian import AlphaCutOperator, alpha_cut_matrix
+from repro.graph.laplacian import AlphaCutOperator, alpha_cut_matrix, normalized_laplacian
 from repro.network.dual import build_road_graph
 from repro.supergraph.builder import build_supergraph
 
@@ -112,30 +115,41 @@ def test_dense_arpack_crossover(benchmark):
         out = {}
         for m in sizes:
             idx = np.sort(order[:m])
-            op = AlphaCutOperator(adjacency[idx][:, idx])
-            dense_s, dense_values = _median_solve(lambda: np.linalg.eigh(op.toarray())[0])
-            arpack_s, arpack_values = _median_solve(lambda: _arpack(op, K)[0])
-            out[m] = {
-                "dense_ms": 1e3 * dense_s,
-                "arpack_ms": 1e3 * arpack_s,
-                "dense_values": dense_values,
-                "arpack_values": arpack_values,
-            }
+            sub = adjacency[idx][:, idx]
+            for kind, op in (("alpha_cut", AlphaCutOperator(sub)),
+                             ("laplacian", normalized_laplacian(sub))):
+                dense_s, dense_values = _median_solve(lambda: np.linalg.eigh(op.toarray())[0])
+                arpack_s, arpack_values = _median_solve(lambda: _arpack(op, K)[0])
+                out[kind, m] = {
+                    "dense_ms": 1e3 * dense_s,
+                    "arpack_ms": 1e3 * arpack_s,
+                    "dense_values": dense_values,
+                    "arpack_values": arpack_values,
+                }
         return out
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
-    # the smallest size from which ARPACK is faster at every larger size
-    crossover = next(
-        (m for m in sizes if all(results[n]["arpack_ms"] < results[n]["dense_ms"]
-                                 for n in sizes if n >= m)),
-        None,
-    )
+    kinds = ("alpha_cut", "laplacian")
+    # per input, the smallest size from which ARPACK is faster at every larger size
+    crossover = {
+        kind: next(
+            (m for m in sizes if all(results[kind, n]["arpack_ms"] < results[kind, n]["dense_ms"]
+                                     for n in sizes if n >= m)),
+            None,
+        )
+        for kind in kinds
+    }
 
     print_table(
-        f"Dense eigh vs ARPACK SA on M2x0.25 supergraph BFS subgraphs (k={K}, "
+        f"Dense eigh vs ARPACK on M2x0.25 supergraph BFS subgraphs (k={K}, "
         f"median of {SWEEP_REPEATS}; DENSE_CUTOFF={DENSE_CUTOFF}, crossover {crossover})",
-        ["nodes", "eigh ms", "ARPACK ms"],
-        [[m, round(rec["dense_ms"], 2), round(rec["arpack_ms"], 2)] for m, rec in results.items()],
+        ["nodes", "alpha-Cut eigh ms", "alpha-Cut ARPACK SA ms",
+         "L_sym eigh ms", "L_sym ARPACK shift-invert ms"],
+        [
+            [m] + [round(results[kind, m][key], 2) for kind in kinds
+                   for key in ("dense_ms", "arpack_ms")]
+            for m in sizes
+        ],
     )
     save_results(
         "bench_eigensolvers_crossover",
@@ -144,10 +158,14 @@ def test_dense_arpack_crossover(benchmark):
             "repeats": SWEEP_REPEATS,
             "dense_cutoff": DENSE_CUTOFF,
             "measured_crossover": crossover,
-            "sweep": [
-                {"n": m, "dense_ms": rec["dense_ms"], "arpack_ms": rec["arpack_ms"]}
-                for m, rec in results.items()
-            ],
+            "sweep": {
+                kind: [
+                    {"n": m, "dense_ms": results[kind, m]["dense_ms"],
+                     "arpack_ms": results[kind, m]["arpack_ms"]}
+                    for m in sizes
+                ]
+                for kind in kinds
+            },
         },
     )
 

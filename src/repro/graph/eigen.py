@@ -19,9 +19,12 @@ eigensolver, with one policy:
   (e.g. -9, a start vector the operator maps to zero) takes the dense
   path.
 
-The cutoff is the measured crossover (k=8, BFS-connected subgraphs of
-an M2x0.25 supergraph, median ms, dense ``eigh`` / ARPACK SA): 1.9/4.3
-at 96 nodes, 6.4/5.0 at 200, 15.8/5.5 at 325, 411/17.7 at 1,300;
+The cutoff is the measured crossover, on both kinds of input it
+switches (k=8, BFS-connected subgraphs of an M2x0.25 supergraph,
+median ms, dense ``eigh`` / ARPACK). On the alpha-Cut operator with
+``which="SA"``: 1.9/4.3 at 96 nodes, 6.4/5.0 at 200, 15.8/5.5 at 325,
+411/17.7 at 1,300. On the sparse normalized Laplacian with shift-invert:
+2.4/3.8 at 160, 3.7/2.4 at 200, 11.1/3.1 at 325, 343/24 at 1,300.
 ``benchmarks/test_bench_eigensolvers.py`` records the sweep. Below it,
 the few-node meta-graph bipartitions stay on the dense path, where
 ARPACK is slower and can fail on degenerate (edgeless) inputs.
