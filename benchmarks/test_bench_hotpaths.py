@@ -6,8 +6,10 @@ of the paper's M1/M2 networks):
 * module 1 — dual transform + road-graph assembly (reference
   pure-Python set/clique loops vs the sparse incidence product);
 * the full Algorithm-1 kappa scan (reference per-kappa re-sorting
-  k-means + per-cluster-loop MCG vs the shared-sort prefix-sum fast
-  path);
+  k-means + per-cluster-loop MCG vs the batched prefix-sum fits);
+* the same scan, batched (every kappa in one Lloyd loop) vs the
+  per-kappa prefix-sum loop it replaced, both scored by the library
+  MCG — the MCG lists must be equal;
 * the MCG scoring function alone;
 * the n-D k-means assignment (broadcast tensor vs chunked
   ``||x||^2 - 2 x.c + ||c||^2``);
@@ -17,7 +19,8 @@ of the paper's M1/M2 networks):
 Writes ``BENCH_hotpaths.json`` at the repo root (plus the usual
 ``benchmarks/results`` copy) so the perf trajectory is tracked from
 this PR onward. The module-1 and kappa-scan speedups are asserted
-(>= 5x and >= 2x) — they are the paper's scalability story.
+(>= 5x and >= 2x) — they are the paper's scalability story — and so is
+the batched scan's (>= 2x over the per-kappa loop).
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from repro.graph.adjacency import Graph
 from repro.network.dual import build_road_graph
 from repro.network.generators import grid_network
 from tests.oracles import (
+    kmeans_1d_prefix_reference,
     kmeans_1d_reference,
     moderated_clustering_gain_reference,
     pairwise_sq_dists_reference,
@@ -103,6 +107,29 @@ def test_bench_hotpaths(synthetic_city):
         "best_kappa": scan.best_kappa,
     }
 
+    # --- batched scan vs the per-kappa loop ---------------------------
+    def scan_per_kappa():
+        return [
+            moderated_clustering_gain(densities, kmeans_1d_prefix_reference(densities, k).labels)
+            for k in range(2, 31)
+        ]
+
+    reps_scan = 3
+    loop_s, loop_mcg = min(
+        (_timed(scan_per_kappa) for __ in range(reps_scan)), key=lambda t: t[0]
+    )
+    batched_s, batched_scan = min(
+        (_timed(scan_kappa, densities, 30) for __ in range(reps_scan)), key=lambda t: t[0]
+    )
+    assert batched_scan.mcg == loop_mcg
+    batch_speedup = loop_s / batched_s
+    payload["kappa_scan_batched"] = {
+        "per_kappa_loop_s": loop_s,
+        "batched_s": batched_s,
+        "speedup": batch_speedup,
+        "repeats": reps_scan,
+    }
+
     # --- MCG scoring alone -------------------------------------------
     labels = kmeans_1d(densities, 30).labels
     reps = 20
@@ -157,6 +184,7 @@ def test_bench_hotpaths(synthetic_city):
     rows = [
         ["module1 dual transform", ref_s, new_s, dual_speedup],
         ["kappa scan (2..30)", ref_scan_s, new_scan_s, scan_speedup],
+        ["kappa scan batched vs per-kappa loop", loop_s, batched_s, batch_speedup],
         ["MCG (per call)", ref_mcg_s / reps, new_mcg_s / reps, ref_mcg_s / new_mcg_s],
         ["n-D assignment", ref_nd_s, new_nd_s, ref_nd_s / new_nd_s],
         ["alpha-cut scoring (k calls)", ref_cut_s, new_cut_s, ref_cut_s / new_cut_s],
@@ -175,3 +203,4 @@ def test_bench_hotpaths(synthetic_city):
     # the acceptance floors of the perf layer
     assert dual_speedup >= 5.0, f"module-1 speedup {dual_speedup:.1f}x < 5x"
     assert scan_speedup >= 2.0, f"kappa-scan speedup {scan_speedup:.1f}x < 2x"
+    assert batch_speedup >= 2.0, f"batched-scan speedup {batch_speedup:.1f}x < 2x"

@@ -4,7 +4,8 @@ Implements the two clustering routines the framework needs from
 scratch:
 
 * 1-D k-means with the paper's deterministic initialisation (sorted
-  feature values, means seeded at equal intervals — Section 4.1);
+  feature values, means seeded at equal intervals — Section 4.1),
+  fitted for many cluster counts at once by the Algorithm-1 scan;
 * standard n-D k-means (Lloyd's algorithm with k-means++ seeding) for
   clustering row-normalised eigenvectors in the spectral stage;
 
@@ -18,6 +19,7 @@ from repro.clustering.kmeans import (
     assign_to_centers,
     kmeans,
     kmeans_1d,
+    kmeans_1d_batch,
 )
 from repro.clustering.optimal1d import kmeans_1d_optimal
 from repro.clustering.optimality import (
@@ -33,6 +35,7 @@ __all__ = [
     "KMeansResult",
     "kmeans",
     "kmeans_1d",
+    "kmeans_1d_batch",
     "kmeans_1d_optimal",
     "assign_to_centers",
     "clustering_gain",

@@ -2,25 +2,31 @@
 
 Two variants:
 
-* :func:`kmeans_1d` — the paper's variant for single-dimension feature
-  values (traffic densities): values are sorted and the j-th cluster
-  mean is initialised with the value at position ``n/kappa * j``,
-  removing the randomness of standard seeding (Section 4.1);
+* :func:`kmeans_1d_batch` / :func:`kmeans_1d` — the paper's variant
+  for single-dimension feature values (traffic densities): values are
+  sorted and the j-th cluster mean is initialised with the value at
+  position ``n/kappa * j``, removing the randomness of standard seeding
+  (Section 4.1);
 * :func:`kmeans` — standard Lloyd's algorithm with k-means++ seeding
   for multi-dimensional data (row-normalised eigenvectors).
 
 Both hot paths are engineered for city-scale inputs:
 
-* ``kmeans_1d`` exploits the one-dimensional structure end to end.
+* The 1-D fits exploit the one-dimensional structure end to end.
   Cluster boundaries are thresholds between sorted consecutive means,
   so once the data is sorted each Lloyd iteration only needs the
   kappa-1 boundary positions (``searchsorted`` of the bounds into the
-  sorted values) and prefix-sums to recompute every cluster mean —
-  O(kappa log n) per iteration instead of O(n log kappa). The sort
-  itself can be shared across many calls on the same data (the
-  Algorithm-1 kappa scan) via the ``presorted`` argument.
-  ``tests/oracles.py`` keeps the original O(n)-per-iteration
-  formulation for equivalence testing.
+  sorted values) and prefix sums to recompute every cluster mean —
+  O(kappa log n) per iteration instead of O(n log kappa). The
+  Algorithm-1 scan fits about thirty kappa on one density vector, and
+  per kappa that loop is interpreter-bound. :func:`kmeans_1d_batch`
+  therefore fits every kappa in one loop: one shared sort, all fits'
+  centers in one flat array, one ``searchsorted`` per iteration for
+  all of them. Each fit stops where its own loop would have, and every
+  result is bit-identical to the per-kappa fit; :func:`kmeans_1d` is
+  the one-kappa call. ``tests/oracles.py`` keeps the per-kappa
+  prefix-sum loop and the original O(n)-per-iteration formulation for
+  equivalence testing.
 * ``kmeans`` avoids materialising the O(n * kappa * d) broadcast
   distance tensor: assignment uses the expansion
   ``||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2`` evaluated in row chunks,
@@ -31,7 +37,7 @@ Both hot paths are engineered for city-scale inputs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +45,7 @@ from repro.exceptions import ClusteringError
 from repro.obs.convergence import (
     ConvergenceTrace,
     attach_convergence,
+    convergence_enabled,
     convergence_wanted,
 )
 from repro.obs.metrics import incr, metrics_enabled
@@ -79,12 +86,209 @@ def _validate_kappa(n: int, kappa: int) -> None:
         raise ClusteringError(f"kappa={kappa} exceeds number of items n={n}")
 
 
+#: Half-width, in units of ``kappa_max * eps`` relative to the shift,
+#: of the band around ``tol`` inside which a batched shift is re-summed
+#: the 1-D way: the segmented and the 1-D sums of at most kappa_max
+#: non-negative terms differ by rounding alone, far less than this.
+_SHIFT_GUARD = 64
+
+_NO_FITS = np.empty(0, dtype=np.int64)
+
+
+class _Segments:
+    """Flat layout of the fits still iterating, one segment per kappa.
+
+    Pair j of the flat centers is (j, j+1); it is a bound of one fit
+    unless it straddles two segments (``cross``). ``hi``/``lo`` are the
+    per-iteration buffers of every cluster's sorted-slice edges.
+    """
+
+    def __init__(self, kappas: np.ndarray) -> None:
+        self.ends = np.cumsum(kappas)
+        self.starts = self.ends - kappas
+        self.owner = np.repeat(np.arange(kappas.size), kappas)
+        self.cross = self.ends[:-1] - 1
+        self.hi = np.empty(int(self.ends[-1]), dtype=np.int64)
+        self.lo = np.empty_like(self.hi)
+
+    def pieces(self, flat: np.ndarray, which) -> List[np.ndarray]:
+        """Views of ``flat`` over the segments numbered ``which``."""
+        return [flat[self.starts[i] : self.ends[i]] for i in which]
+
+
+def _reseed_empty(sorted_vals: np.ndarray, centers: np.ndarray, counts) -> None:
+    """Move each empty cluster's center onto the worst-represented value."""
+    labels_sorted = np.repeat(np.arange(centers.size), counts)
+    residuals = np.abs(sorted_vals - centers[labels_sorted])
+    for q in np.flatnonzero(counts == 0):
+        far = int(np.argmax(residuals))
+        centers[q] = sorted_vals[far]
+        residuals[far] = -1.0
+
+
+def _lloyd_batch(
+    sorted_vals: np.ndarray, k_all: np.ndarray, max_iter: int, tol: float, keep_history: bool
+):
+    """The batched Lloyd loop of :func:`kmeans_1d_batch`.
+
+    Returns each fit's final (sorted) centers, its iteration count, its
+    converged flag and, with ``keep_history``, per iteration the
+    ``|new - old|`` means with the fits active then and their layout.
+    """
+    n = sorted_vals.size
+    prefix = np.concatenate(([0.0], np.cumsum(sorted_vals)))
+
+    # initialise means at equal intervals of the sorted values:
+    # mean_j = sorted[i], i = floor(n/kappa * j) centred in each chunk
+    seg = _Segments(k_all)
+    local = np.arange(seg.owner.size) - seg.starts[seg.owner]
+    positions = (local + 0.5) * n / k_all[seg.owner]
+    centers = sorted_vals[np.clip(positions.astype(int), 0, n - 1)].astype(float)
+
+    # a batched shift inside [near_lo, near_hi] is re-summed the 1-D way
+    band = _SHIFT_GUARD * int(k_all.max()) * np.finfo(float).eps
+    near_lo, near_hi = tol * (1.0 - band), tol / (1.0 - band)
+    active = np.arange(k_all.size)
+    final: Dict[int, np.ndarray] = {}
+    n_iters = np.full(k_all.size, max(max_iter, 0), dtype=np.int64)
+    converged = np.zeros(k_all.size, dtype=bool)
+    history: List[Tuple[np.ndarray, np.ndarray, _Segments]] = []
+
+    for n_iter in range(1, max_iter + 1):
+        # cluster q of a fit owns the sorted slice lo[q]:hi[q] (value x
+        # belongs to q iff bounds[q-1] < x <= bounds[q], matching
+        # searchsorted-left assignment of x against the bounds); the
+        # edges searched for the pairs that straddle fits are reset
+        bounds = centers[:-1] + centers[1:]
+        bounds /= 2.0
+        cut = np.searchsorted(sorted_vals, bounds, side="right")
+        hi, lo = seg.hi, seg.lo
+        hi[:-1] = cut
+        hi[seg.ends - 1] = n
+        lo[1:] = cut
+        lo[seg.starts] = 0
+        counts = hi - lo
+        sums = prefix[hi] - prefix[lo]
+
+        if counts.all():
+            reseeded = _NO_FITS
+            new_centers = sums / counts
+        else:
+            new_centers = centers.copy()
+            nonempty = counts > 0
+            new_centers[nonempty] = sums[nonempty] / counts[nonempty]
+            reseeded = np.unique(seg.owner[~nonempty])
+            for i in reseeded:
+                start, end = seg.starts[i], seg.ends[i]
+                _reseed_empty(sorted_vals, new_centers[start:end], counts[start:end])
+
+        moved = new_centers - centers
+        np.abs(moved, out=moved)
+        shifts = np.add.reduceat(moved, seg.starts)
+        near = np.flatnonzero((shifts >= near_lo) & (shifts <= near_hi))
+        for i, piece in zip(near, seg.pieces(moved, near)):
+            shifts[i] = piece.sum()
+        if keep_history:
+            history.append((moved, active, seg))
+        centers = new_centers
+
+        # means of consecutive sorted slices ascend, up to prefix-sum
+        # rounding between near-equal slices; re-seeds land anywhere
+        descending = centers[1:] < centers[:-1]
+        descending[seg.cross] = False
+        if reseeded.size or descending.any():
+            unsorted = np.union1d(seg.owner[np.flatnonzero(descending)], reseeded)
+            for piece in seg.pieces(centers, unsorted):
+                piece[:] = np.sort(piece)
+
+        done = shifts <= tol
+        if done.any():
+            stopped = np.flatnonzero(done)
+            for i, piece in zip(active[stopped], seg.pieces(centers, stopped)):
+                final[i] = piece.copy()
+            n_iters[active[stopped]] = n_iter
+            converged[active[stopped]] = True
+            active = active[~done]
+            if active.size == 0:
+                break
+            centers = centers[~done[seg.owner]]
+            seg = _Segments(k_all[active])
+
+    for i, piece in zip(active, seg.pieces(centers, range(active.size))):
+        final[i] = piece.copy()
+    return [final[i] for i in range(k_all.size)], n_iters, converged, history
+
+
+def kmeans_1d_batch(
+    values: Sequence[float],
+    kappas: Sequence[int],
+    max_iter: int = 100,
+    tol: float = 1e-9,
+) -> List[KMeansResult]:
+    """Fit 1-D k-means once per kappa in ``kappas``, in one Lloyd loop.
+
+    Every fit equals a separate :func:`kmeans_1d` call bit for bit
+    (labels, centers, inertia, ``n_iter``); the list keeps the order of
+    ``kappas``.
+
+    All fits share one stable argsort of ``values`` and its prefix
+    sums. The centers of every fit still iterating sit in one flat
+    array, one sorted segment per kappa, so each iteration is one
+    ``searchsorted`` of all midpoint bounds into the sorted values and
+    one prefix-sum gather for every cluster's count and sum. A fit
+    leaves the loop at the first iteration whose own shift (the summed
+    movement of its means) is at most ``tol``. Shifts are summed per
+    segment in one ``np.add.reduceat``, which can differ from the 1-D
+    sum by rounding; a shift that close to ``tol`` is re-summed the
+    1-D way, so every stop decision is the per-kappa one. Empty
+    clusters are re-seeded per fit, and a fit whose means come out of
+    order is re-sorted on its own. Labels are the final bounds'
+    positions in the sorted values, scattered back through the argsort.
+    """
+    data = np.asarray(values, dtype=float).ravel()
+    n = data.size
+    for kappa in kappas:
+        _validate_kappa(n, kappa)
+    if not np.isfinite(data).all():
+        raise ClusteringError("values must be finite")
+    k_all = np.asarray(kappas, dtype=np.int64)
+    if k_all.size == 0:
+        return []
+
+    order = np.argsort(data, kind="stable")
+    sorted_vals = data[order]
+    keep_history = convergence_enabled()
+    final, n_iters, converged, history = _lloyd_batch(
+        sorted_vals, k_all, max_iter, tol, keep_history
+    )
+
+    results: List[KMeansResult] = []
+    for i, (kappa, centers) in enumerate(zip(k_all.tolist(), final)):
+        cuts = np.searchsorted(sorted_vals, (centers[:-1] + centers[1:]) / 2.0, side="right")
+        labels = np.empty(n, dtype=np.intp)
+        labels[order] = np.repeat(np.arange(kappa), np.diff(cuts, prepend=0, append=n))
+        inertia = float(((data - centers[labels]) ** 2).sum())
+        n_iter = int(n_iters[i])
+        results.append(
+            KMeansResult(labels=labels, centers=centers, inertia=inertia, n_iter=n_iter)
+        )
+        if keep_history and convergence_wanted():
+            conv = ConvergenceTrace("kmeans_1d", meta={"n": n, "kappa": kappa, "tol": tol})
+            for moved, fits, layout in history[:n_iter]:
+                j = int(np.searchsorted(fits, i))
+                conv.record(shift=float(moved[layout.starts[j] : layout.ends[j]].sum()))
+            conv.finish(converged=bool(converged[i]), inertia=inertia)
+            attach_convergence(conv)
+    incr("kmeans1d.fits", len(results))
+    incr("kmeans1d.iterations", int(n_iters.sum()))
+    return results
+
+
 def kmeans_1d(
     values: Sequence[float],
     kappa: int,
     max_iter: int = 100,
     tol: float = 1e-9,
-    presorted: Optional[np.ndarray] = None,
 ) -> KMeansResult:
     """1-D k-means with deterministic sorted equal-interval seeding.
 
@@ -97,11 +301,6 @@ def kmeans_1d(
     max_iter, tol:
         Lloyd iteration cutoff and convergence tolerance on the total
         movement of cluster means.
-    presorted:
-        The same values already sorted ascending. Callers fitting many
-        kappa against one density vector (the Algorithm-1 scan) pass
-        ``np.sort(values)`` once to share the sort across all fits;
-        when omitted the sort happens internally.
 
     Notes
     -----
@@ -111,82 +310,10 @@ def kmeans_1d(
     values with :func:`numpy.searchsorted` and recomputes all cluster
     means from prefix sums — O(kappa log n) per iteration. Empty
     clusters are re-seeded with the value farthest from its mean.
-    Labels are returned in the order of ``values``.
+    Labels are returned in the order of ``values``. This is the
+    one-kappa call of :func:`kmeans_1d_batch`.
     """
-    data = np.asarray(values, dtype=float).ravel()
-    n = data.size
-    _validate_kappa(n, kappa)
-    if not np.isfinite(data).all():
-        raise ClusteringError("values must be finite")
-
-    if presorted is None:
-        sorted_vals = np.sort(data, kind="stable")
-    else:
-        sorted_vals = np.asarray(presorted, dtype=float).ravel()
-        if sorted_vals.shape != data.shape:
-            raise ClusteringError(
-                f"presorted must have shape {data.shape}, got {sorted_vals.shape}"
-            )
-
-    # initialise means at equal intervals of the sorted values:
-    # mean_j = sorted[i], i = floor(n/kappa * j) centred in each chunk
-    positions = (np.arange(kappa) + 0.5) * n / kappa
-    centers = sorted_vals[np.clip(positions.astype(int), 0, n - 1)].astype(float)
-
-    prefix = np.concatenate(([0.0], np.cumsum(sorted_vals)))
-    cluster_ids = np.arange(kappa)
-    edges = np.empty(kappa + 1, dtype=np.int64)
-    edges[0], edges[kappa] = 0, n
-
-    conv = (
-        ConvergenceTrace("kmeans_1d", meta={"n": n, "kappa": kappa, "tol": tol})
-        if convergence_wanted()
-        else None
-    )
-
-    n_iter = 0
-    shift = float("inf")
-    for n_iter in range(1, max_iter + 1):
-        centers = np.sort(centers)
-        # boundaries halfway between consecutive means; cluster q owns
-        # the sorted slice edges[q]:edges[q+1] (value x belongs to q
-        # iff bounds[q-1] < x <= bounds[q], matching searchsorted-left
-        # assignment of x against the bounds)
-        bounds = (centers[:-1] + centers[1:]) / 2.0
-        edges[1:kappa] = np.searchsorted(sorted_vals, bounds, side="right")
-        counts = np.diff(edges)
-        sums = prefix[edges[1:]] - prefix[edges[:-1]]
-
-        new_centers = centers.copy()
-        nonempty = counts > 0
-        new_centers[nonempty] = sums[nonempty] / counts[nonempty]
-
-        # re-seed empty clusters with the worst-represented value
-        if not nonempty.all():
-            labels_sorted = np.repeat(cluster_ids, counts)
-            residuals = np.abs(sorted_vals - new_centers[labels_sorted])
-            for q in np.flatnonzero(~nonempty):
-                far = int(np.argmax(residuals))
-                new_centers[q] = sorted_vals[far]
-                residuals[far] = -1.0
-
-        shift = float(np.abs(new_centers - centers).sum())
-        centers = new_centers
-        if conv is not None:
-            conv.record(shift=shift)
-        if shift <= tol:
-            break
-
-    centers = np.sort(centers)
-    bounds = (centers[:-1] + centers[1:]) / 2.0
-    labels = np.searchsorted(bounds, data, side="left")
-    inertia = float(((data - centers[labels]) ** 2).sum())
-    incr("kmeans1d.fits")
-    incr("kmeans1d.iterations", n_iter)
-    if conv is not None:
-        conv.finish(converged=shift <= tol, inertia=inertia)
-        attach_convergence(conv)
-    return KMeansResult(labels=labels, centers=centers, inertia=inertia, n_iter=n_iter)
+    return kmeans_1d_batch(values, [kappa], max_iter=max_iter, tol=tol)[0]
 
 
 def _kmeanspp_init(

@@ -33,13 +33,12 @@ returns every kappa whose MCG clears the optimality threshold
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.clustering.kmeans import KMeansResult, kmeans_1d
+from repro.clustering.kmeans import KMeansResult, kmeans_1d_batch
 from repro.exceptions import ClusteringError
 from repro.obs.metrics import incr, set_gauge
 from repro.util.parallel import map_parallel
@@ -185,14 +184,6 @@ class KappaScan:
         return self.shortlist(fraction * self.best_mcg)
 
 
-def _fit_and_score(
-    scan_data: np.ndarray, presorted: np.ndarray, kappa: int
-) -> Tuple[KMeansResult, float]:
-    """One kappa of the scan: fit (sharing the sort) and score MCG."""
-    result = kmeans_1d(scan_data, kappa, presorted=presorted)
-    return result, moderated_clustering_gain(scan_data, result.labels)
-
-
 def scan_kappa(
     values: Sequence[float],
     kappa_max: Optional[int] = None,
@@ -204,11 +195,12 @@ def scan_kappa(
 ) -> KappaScan:
     """Run 1-D k-means for each kappa and record the MCG curve.
 
-    The scan sorts the (sampled) density vector once and shares it
-    across every ``kmeans_1d`` fit; the per-kappa fits are independent
-    and run on threads through :func:`repro.util.parallel.map_parallel`
-    (numpy releases the GIL in the fits), so the curve is identical for
-    every worker count.
+    Every kappa is fitted in one :func:`kmeans_1d_batch` call, which
+    shares one sort of the (sampled) density vector and one Lloyd loop
+    across all fits. The per-kappa MCG scores are independent and run
+    on threads through :func:`repro.util.parallel.map_parallel` (numpy
+    releases the GIL in them), so the curve is identical for every
+    worker count.
 
     Parameters
     ----------
@@ -226,7 +218,7 @@ def scan_kappa(
     seed:
         Seed for the sampling step (k-means itself is deterministic).
     workers:
-        Worker count for the per-kappa fits; ``None`` defers to the
+        Worker count for the per-kappa MCG scores; ``None`` defers to the
         ``REPRO_NUM_WORKERS`` environment variable (serial when unset).
     timer:
         Optional :class:`ModuleTimer` receiving the ``module2.scan``
@@ -259,15 +251,13 @@ def scan_kappa(
     own_timer = timer if timer is not None else ModuleTimer()
     scan = KappaScan(sampled=sampled)
     with own_timer.time("module2.scan"):
-        kappas = list(range(kappa_min, kappa_max + 1))
-        fit = functools.partial(
-            _fit_and_score, scan_data, np.sort(scan_data, kind="stable")
+        scan.kappas = list(range(kappa_min, kappa_max + 1))
+        scan.results = kmeans_1d_batch(scan_data, scan.kappas)
+        scan.mcg = map_parallel(
+            lambda result: moderated_clustering_gain(scan_data, result.labels),
+            scan.results,
+            workers=workers,
         )
-        outcomes = map_parallel(fit, kappas, workers=workers)
-        for kappa, (result, mcg) in zip(kappas, outcomes):
-            scan.kappas.append(kappa)
-            scan.mcg.append(mcg)
-            scan.results.append(result)
     incr("kappa_scan.candidates", len(scan.kappas))
     set_gauge("kappa_scan.sampled", 1.0 if sampled else 0.0)
     set_gauge("kappa_scan.best_kappa", scan.best_kappa)

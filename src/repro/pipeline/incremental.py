@@ -277,6 +277,10 @@ class IncrementalRepartitioner:
                 f"densities must have shape ({self._graph.n_nodes},), "
                 f"got {arr.shape}"
             )
+        # a NaN would make its region's mean NaN, and no later change
+        # ever compares as material against NaN: the region would freeze
+        if not np.isfinite(arr).all():
+            raise PartitioningError("densities must be finite")
         return arr
 
     @staticmethod

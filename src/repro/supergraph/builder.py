@@ -16,14 +16,14 @@ Steps (paper Section 4):
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.clustering.kmeans import KMeansResult, kmeans_1d
+from repro.clustering.kmeans import KMeansResult, kmeans_1d_batch
+from repro.clustering.optimal1d import kmeans_1d_optimal
 from repro.clustering.optimality import KappaScan, shortlist_kappa
 from repro.exceptions import GraphError
 from repro.graph.adjacency import Graph
@@ -41,25 +41,6 @@ from repro.util.timer import ModuleTimer
 logger = get_logger("supergraph.builder")
 
 
-def _fit_and_count(
-    upper, features: np.ndarray, presorted: Optional[np.ndarray], kappa: int
-) -> Tuple[KMeansResult, int]:
-    """One shortlist candidate: full-data fit + supernode count.
-
-    ``upper`` is the upper triangle of the CSR adjacency. ``presorted``
-    is the shared sort of ``features`` for the seeded-Lloyd
-    ``kmeans_1d``; ``None`` selects the exact-DP variant, which sorts
-    internally.
-    """
-    if presorted is None:
-        from repro.clustering.optimal1d import kmeans_1d_optimal
-
-        result = kmeans_1d_optimal(features, kappa)
-    else:
-        result = kmeans_1d(features, kappa, presorted=presorted)
-    return result, count_constrained_components(upper, result.labels)
-
-
 def _shortlist_outcomes(
     adjacency,
     features: np.ndarray,
@@ -71,29 +52,30 @@ def _shortlist_outcomes(
     """(fit, supernode count) per shortlisted kappa, in shortlist order.
 
     An unsampled Lloyd scan already fitted every shortlisted kappa on
-    these densities with this sort, so only the counts remain;
-    otherwise each candidate is refitted on the full set. Either way
-    the candidates run as one order-keeping map_parallel on threads.
-    The upper triangle and the sort built here are freed on return,
-    before the supernode and superlink steps reach the build's memory
-    peak.
+    these densities, so only the counts remain. After a sampled scan
+    the Lloyd candidates are refitted on the full set in one
+    :func:`kmeans_1d_batch` call; the exact-DP variant fits each
+    candidate on its own. The counts (and the DP fits) run as one
+    order-keeping map_parallel on threads. The upper triangle built
+    here is freed on return, before the supernode and superlink steps
+    reach the build's memory peak.
     """
     upper = sp.triu(adjacency, k=1, format="csr")
-    if not scan.sampled and kmeans_method == "lloyd":
+    if kmeans_method == "optimal":
+        results = map_parallel(
+            lambda kappa: kmeans_1d_optimal(features, kappa), shortlisted, workers=workers
+        )
+    elif scan.sampled:
+        results = kmeans_1d_batch(features, shortlisted)
+    else:
         fits = dict(zip(scan.kappas, scan.results))
         results = [fits[kappa] for kappa in shortlisted]
-        counts = map_parallel(
-            lambda result: count_constrained_components(upper, result.labels),
-            results,
-            workers=workers,
-        )
-        return list(zip(results, counts))
-    presorted = None if kmeans_method == "optimal" else np.sort(features, kind="stable")
-    return map_parallel(
-        functools.partial(_fit_and_count, upper, features, presorted),
-        shortlisted,
+    counts = map_parallel(
+        lambda result: count_constrained_components(upper, result.labels),
+        results,
         workers=workers,
     )
+    return list(zip(results, counts))
 
 
 @dataclass
@@ -154,10 +136,10 @@ class SupergraphBuilder:
     seed:
         Seed for the sampling step.
     workers:
-        Worker count for the per-kappa scan fits and the shortlist
-        counts or refits (both embarrassingly parallel, run on
-        threads); ``None`` defers to the ``REPRO_NUM_WORKERS``
-        environment variable (serial when unset). The build result is
+        Worker count for the per-kappa scan MCG scores and the
+        shortlist counts or exact-DP refits (all embarrassingly
+        parallel, run on threads); ``None`` defers to the
+        ``REPRO_NUM_WORKERS`` environment variable (serial when unset). The build result is
         identical for every worker count.
     timer:
         Optional :class:`ModuleTimer` receiving fine-grained

@@ -1,7 +1,7 @@
 """Deterministic parallel mapping for independent work items.
 
 The partitioning pipeline has a few embarrassingly parallel loops —
-the per-kappa k-means fits of Algorithm 1's scan, the shortlist
+the per-kappa MCG scores of Algorithm 1's scan, the shortlist
 counts or refits in :class:`repro.supergraph.SupergraphBuilder`, the
 per-shard mining of :class:`repro.shard.ShardedSupergraphBuilder` —
 whose items are completely independent. :func:`map_parallel` runs such
@@ -26,7 +26,7 @@ mode:
 * **loop** — a resolved count of 1, or fewer than 2 items: a plain
   loop in the calling thread, no executor at all;
 * **threads** — the default: a
-  :class:`~concurrent.futures.ThreadPoolExecutor`. The kappa fits and
+  :class:`~concurrent.futures.ThreadPoolExecutor`. The MCG scores and
   shortlist counts spend their time in numpy and scipy, which release
   the GIL, so threads win there with no pickling; the caller's ambient
   observability context (tracer / metrics / log fields are

@@ -20,6 +20,11 @@ from repro.clustering.kmeans import KMeansResult, _validate_kappa
 from repro.clustering.optimality import _cluster_stats, _prepare
 from repro.exceptions import ClusteringError, GraphError
 from repro.graph.components import constrained_components
+from repro.obs.convergence import (
+    ConvergenceTrace,
+    attach_convergence,
+    convergence_wanted,
+)
 from repro.network.model import RoadNetwork
 from repro.supergraph.supernode import Supernode
 
@@ -97,6 +102,79 @@ def kmeans_1d_reference(
     bounds = (centers[:-1] + centers[1:]) / 2.0
     labels = np.searchsorted(bounds, data, side="left")
     inertia = float(((data - centers[labels]) ** 2).sum())
+    return KMeansResult(labels=labels, centers=centers, inertia=inertia, n_iter=n_iter)
+
+
+def kmeans_1d_prefix_reference(
+    values: Sequence[float],
+    kappa: int,
+    max_iter: int = 100,
+    tol: float = 1e-9,
+) -> KMeansResult:
+    """Per-kappa prefix-sum Lloyd loop, one fit per call.
+
+    Each iteration searches the kappa-1 midpoint bounds into the sorted
+    values and takes every cluster's count and sum from prefix sums.
+    It records a ``kmeans_1d`` convergence trace exactly as the library
+    does. The bit-for-bit oracle for
+    :func:`repro.clustering.kmeans.kmeans_1d_batch`.
+    """
+    data = np.asarray(values, dtype=float).ravel()
+    n = data.size
+    _validate_kappa(n, kappa)
+    if not np.isfinite(data).all():
+        raise ClusteringError("values must be finite")
+    sorted_vals = np.sort(data, kind="stable")
+
+    positions = (np.arange(kappa) + 0.5) * n / kappa
+    centers = sorted_vals[np.clip(positions.astype(int), 0, n - 1)].astype(float)
+
+    prefix = np.concatenate(([0.0], np.cumsum(sorted_vals)))
+    cluster_ids = np.arange(kappa)
+    edges = np.empty(kappa + 1, dtype=np.int64)
+    edges[0], edges[kappa] = 0, n
+
+    conv = (
+        ConvergenceTrace("kmeans_1d", meta={"n": n, "kappa": kappa, "tol": tol})
+        if convergence_wanted()
+        else None
+    )
+
+    n_iter = 0
+    shift = float("inf")
+    for n_iter in range(1, max_iter + 1):
+        centers = np.sort(centers)
+        bounds = (centers[:-1] + centers[1:]) / 2.0
+        edges[1:kappa] = np.searchsorted(sorted_vals, bounds, side="right")
+        counts = np.diff(edges)
+        sums = prefix[edges[1:]] - prefix[edges[:-1]]
+
+        new_centers = centers.copy()
+        nonempty = counts > 0
+        new_centers[nonempty] = sums[nonempty] / counts[nonempty]
+
+        if not nonempty.all():
+            labels_sorted = np.repeat(cluster_ids, counts)
+            residuals = np.abs(sorted_vals - new_centers[labels_sorted])
+            for q in np.flatnonzero(~nonempty):
+                far = int(np.argmax(residuals))
+                new_centers[q] = sorted_vals[far]
+                residuals[far] = -1.0
+
+        shift = float(np.abs(new_centers - centers).sum())
+        centers = new_centers
+        if conv is not None:
+            conv.record(shift=shift)
+        if shift <= tol:
+            break
+
+    centers = np.sort(centers)
+    bounds = (centers[:-1] + centers[1:]) / 2.0
+    labels = np.searchsorted(bounds, data, side="left")
+    inertia = float(((data - centers[labels]) ** 2).sum())
+    if conv is not None:
+        conv.finish(converged=shift <= tol, inertia=inertia)
+        attach_convergence(conv)
     return KMeansResult(labels=labels, centers=centers, inertia=inertia, n_iter=n_iter)
 
 

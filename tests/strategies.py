@@ -28,3 +28,26 @@ def graphs_with_labels(draw, max_nodes: int = 40, max_labels: int = 4):
     adj = sp.csr_matrix((weights + weights, (rows, cols)), shape=(n, n), dtype=float)
     labels = np.array(draw(st.lists(st.integers(0, max_labels - 1), min_size=n, max_size=n)))
     return adj, labels
+
+
+@st.composite
+def kmeans_1d_problems(draw, max_n: int = 40):
+    """1-D k-means inputs and a list of kappa in ``1..n``.
+
+    Values are continuous, tie-heavy (a few levels) or constant; ties
+    and constants leave clusters empty and force re-seeds.
+    """
+    n = draw(st.integers(2, max_n))
+    kind = draw(st.sampled_from(["continuous", "ties", "constant"]))
+    if kind == "continuous":
+        values = draw(
+            st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=n, max_size=n)
+        )
+    elif kind == "ties":
+        levels = draw(st.integers(1, 4))
+        steps = draw(st.lists(st.integers(0, levels), min_size=n, max_size=n))
+        values = [0.125 * step for step in steps]
+    else:
+        values = [draw(st.floats(min_value=0.0, max_value=5.0))] * n
+    kappas = draw(st.lists(st.integers(1, n), min_size=1, max_size=8))
+    return np.asarray(values, dtype=float), kappas

@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import kmeans_1d_prefix_reference
 
-from repro.clustering.kmeans import kmeans, kmeans_1d
+from repro.clustering.kmeans import kmeans, kmeans_1d, kmeans_1d_batch
+from repro.clustering.optimality import scan_kappa
 from repro.core.boundary_refine import boundary_refine
 from repro.core.spectral import (
     consume_eigensolver_outcome,
@@ -232,6 +234,47 @@ class TestInstrumentedSolvers:
                     kmeans_1d(values, 2)
         assert len(span.attrs["convergence"]) == MAX_TRACES_PER_SPAN
         assert span.attrs["convergence_dropped"] == 5
+
+    @staticmethod
+    def _attrs_after(fn, prefilled: int = 0):
+        """Attrs of a span holding ``prefilled`` traces once ``fn`` ran in it."""
+        tracer = Tracer()
+        with activate_tracer(tracer):
+            with tracer.span("module2.scan") as span:
+                for __ in range(prefilled):
+                    attach_convergence(ConvergenceTrace("other"))
+                fn()
+        return span.attrs
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scan_attaches_the_oracle_shift_series(self, workers):
+        # one batched fit per scan now; each kappa still files the
+        # trace its own loop would, in kappa order, up to the cap
+        values = np.random.default_rng(6).gamma(2.0, 0.02, size=300)
+        kappas = range(2, 21)
+        tracer = Tracer()
+        with activate_tracer(tracer):
+            with tracer.span("host") as host:
+                scan_kappa(values, kappa_max=20, workers=workers)
+        (scan_span,) = [c for c in host.children if c.name == "module2.scan"]
+        oracle = self._attrs_after(
+            lambda: [kmeans_1d_prefix_reference(values, k) for k in kappas]
+        )
+        assert scan_span.attrs["convergence"] == oracle["convergence"]
+        assert len(oracle["convergence"]) == MAX_TRACES_PER_SPAN
+        assert scan_span.attrs["convergence_dropped"] == oracle["convergence_dropped"]
+        assert oracle["convergence_dropped"] == len(kappas) - MAX_TRACES_PER_SPAN
+
+    @pytest.mark.parametrize("prefilled", [0, 5, MAX_TRACES_PER_SPAN])
+    def test_batched_fits_respect_the_span_cap(self, prefilled):
+        values = np.random.default_rng(7).normal(size=80)
+        kappas = [2, 3, 9, 4, 12]
+        batched = self._attrs_after(lambda: kmeans_1d_batch(values, kappas), prefilled)
+        oracle = self._attrs_after(
+            lambda: [kmeans_1d_prefix_reference(values, k) for k in kappas], prefilled
+        )
+        assert batched["convergence"] == oracle["convergence"]
+        assert batched.get("convergence_dropped") == oracle.get("convergence_dropped")
 
     def test_solvers_silent_without_obs(self):
         # no tracer, no registry: solvers run and attach nothing

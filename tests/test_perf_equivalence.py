@@ -12,14 +12,15 @@ both endpoints), and empty-cluster re-seeding.
 import numpy as np
 import pytest
 from oracles import (
+    kmeans_1d_prefix_reference,
     kmeans_1d_reference,
     moderated_clustering_gain_reference,
     pairwise_sq_dists_reference,
     segment_adjacency_reference,
 )
 
-from repro.clustering.kmeans import assign_to_centers, kmeans, kmeans_1d
-from repro.clustering.optimality import moderated_clustering_gain
+from repro.clustering.kmeans import assign_to_centers, kmeans, kmeans_1d, kmeans_1d_batch
+from repro.clustering.optimality import moderated_clustering_gain, scan_kappa
 from repro.graph.adjacency import Graph
 from repro.network.dual import build_road_graph, segment_adjacency
 from repro.network.generators import (
@@ -29,6 +30,8 @@ from repro.network.generators import (
 )
 from repro.network.geometry import Point
 from repro.network.model import Intersection, RoadNetwork, RoadSegment
+from repro.obs.convergence import traces_from_attrs
+from repro.obs.trace import Tracer, activate_tracer
 
 
 def star_network(n_arms: int) -> RoadNetwork:
@@ -134,6 +137,25 @@ class TestMCGEquivalence:
         assert moderated_clustering_gain_reference(data, labels) == 0.0
 
 
+def _assert_same_fit(fit, ref):
+    """Labels (and dtype), center bytes, inertia and n_iter all equal."""
+    assert fit.labels.dtype == ref.labels.dtype
+    assert np.array_equal(fit.labels, ref.labels)
+    assert fit.centers.tobytes() == ref.centers.tobytes()
+    assert fit.inertia == ref.inertia
+    assert fit.n_iter == ref.n_iter
+
+
+def _shift_series(data, kappa):
+    """The oracle's exact per-iteration shifts, read off its trace."""
+    tracer = Tracer()
+    with activate_tracer(tracer):
+        with tracer.span("fit") as span:
+            kmeans_1d_prefix_reference(data, kappa)
+    (trace,) = traces_from_attrs(span.attrs)
+    return trace.series["shift"]
+
+
 class TestKMeans1dEquivalence:
     @pytest.mark.parametrize("seed", range(10))
     def test_labels_match_reference_on_random_data(self, seed):
@@ -148,23 +170,59 @@ class TestKMeans1dEquivalence:
             assert fast.inertia == pytest.approx(ref.inertia, rel=1e-9, abs=1e-12)
             assert fast.n_iter == ref.n_iter
 
-    def test_presorted_fast_path_is_bit_identical(self):
+    def test_batched_fits_are_bit_identical_to_oracle(self):
         rng = np.random.default_rng(4)
         data = rng.gamma(2.0, 0.02, size=500)
-        sorted_vals = np.sort(data, kind="stable")
-        for kappa in (2, 5, 17):
-            plain = kmeans_1d(data, kappa)
-            shared = kmeans_1d(data, kappa, presorted=sorted_vals)
-            assert np.array_equal(plain.labels, shared.labels)
-            assert np.array_equal(plain.centers, shared.centers)
-            assert plain.inertia == shared.inertia
-            assert plain.n_iter == shared.n_iter
+        kappas = [2, 5, 17, 1, 30, 5]
+        for fit, kappa in zip(kmeans_1d_batch(data, kappas), kappas):
+            _assert_same_fit(fit, kmeans_1d_prefix_reference(data, kappa))
+        scan = scan_kappa(data)
+        for fit, kappa in zip(scan.results, scan.kappas):
+            _assert_same_fit(fit, kmeans_1d_prefix_reference(data, kappa))
 
-    def test_presorted_shape_mismatch_rejected(self):
-        from repro.exceptions import ClusteringError
+    def test_stop_decision_at_the_last_bit_of_tol(self):
+        """``tol`` set to a fit's exact shift at some iteration: the stop
+        falls on that iteration, one ulp lower it does not. On these
+        inputs the segmented sum of several of those shifts differs from
+        the 1-D sum in the last bit, so only the re-summed guard band
+        keeps every stop decision the per-kappa one."""
+        data = np.random.default_rng(1).gamma(2.0, 0.02, size=300)
+        kappas = [11, 16, 18, 20, 25, 28]
+        for kappa in kappas:
+            for exact in _shift_series(data, kappa)[:2]:
+                for tol in (exact, np.nextafter(exact, 0.0), np.nextafter(exact, np.inf)):
+                    fits = kmeans_1d_batch(data, kappas, tol=tol)
+                    for fit, k in zip(fits, kappas):
+                        _assert_same_fit(fit, kmeans_1d_prefix_reference(data, k, tol=tol))
 
-        with pytest.raises(ClusteringError):
-            kmeans_1d([1.0, 2.0, 3.0], 2, presorted=np.array([1.0, 2.0]))
+    def test_means_out_of_order_from_prefix_rounding(self):
+        """Clusters of values one ulp apart, high above a long prefix:
+        prefix-sum rounding can put two consecutive means out of order,
+        and the per-kappa loop sorts them back."""
+        rng = np.random.default_rng(0)
+        ulp = np.spacing(1e3)
+        data = rng.permutation(
+            np.r_[
+                rng.uniform(0.0, 1e3, size=200),
+                1e3 + np.arange(30) * ulp,
+                1e3 + rng.integers(0, 50, size=30) * ulp,
+            ]
+        )
+        kappas = list(range(2, 31))
+        for fit, kappa in zip(kmeans_1d_batch(data, kappas), kappas):
+            _assert_same_fit(fit, kmeans_1d_prefix_reference(data, kappa))
+
+    def test_max_iter_cuts_every_fit(self):
+        data = np.random.default_rng(5).gamma(2.0, 0.02, size=200)
+        for max_iter in (0, 1, 3):
+            fits = kmeans_1d_batch(data, [2, 9, 25], max_iter=max_iter)
+            for fit, kappa in zip(fits, [2, 9, 25]):
+                _assert_same_fit(
+                    fit, kmeans_1d_prefix_reference(data, kappa, max_iter=max_iter)
+                )
+
+    def test_empty_batch(self):
+        assert kmeans_1d_batch([1.0, 2.0], []) == []
 
     def test_empty_cluster_reseeding(self):
         """kappa above the distinct-value count forces re-seeding."""

@@ -193,3 +193,37 @@ class TestUpdate:
             labels = report.labels
             assert labels.shape == (graph.n_nodes,)
             assert labels.min() == 0
+
+
+class TestNonFiniteDensities:
+    """A NaN density would make its region's mean NaN, after which no
+    change ever compares as material and the region never refreshes."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_bootstrap_rejects_non_finite(self, setup, bad):
+        __, graph, base = setup
+        inc = IncrementalRepartitioner(graph, k=4, seed=0)
+        densities = base.copy()
+        densities[3] = bad
+        with pytest.raises(PartitioningError, match="finite"):
+            inc.bootstrap(densities)
+        assert inc.labels is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_update_rejects_non_finite_and_keeps_state(self, setup, bad):
+        __, graph, base = setup
+        inc = IncrementalRepartitioner(graph, k=4, seed=0)
+        before = inc.bootstrap(base)
+        published = []
+        inc.subscribe(lambda *event: published.append(event))
+        densities = base.copy()
+        densities[0] = bad
+        with pytest.raises(PartitioningError, match="finite"):
+            inc.update(densities)
+        assert published == []
+        np.testing.assert_array_equal(inc.labels, before)
+        # the region means are untouched: the old densities read as unchanged
+        assert inc.update(base).refreshed == []
+        # and a material jump still refreshes every region
+        report = inc.update(base * 5.0)
+        assert report.refreshed == list(range(int(before.max()) + 1))

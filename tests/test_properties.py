@@ -5,8 +5,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import kmeans_1d_prefix_reference
+from strategies import kmeans_1d_problems
 
-from repro.clustering.kmeans import kmeans_1d
+from repro.clustering.kmeans import kmeans_1d, kmeans_1d_batch
 from repro.clustering.optimality import (
     clustering_gain,
     moderated_clustering_gain,
@@ -84,6 +86,19 @@ class TestKmeansProperties:
         d = np.abs(np.asarray(values)[:, None] - result.centers[None, :])
         best = d[np.arange(len(values)), result.labels]
         assert (best <= d.min(axis=1) + 1e-12).all()
+
+
+    @given(problem=kmeans_1d_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_batched_fits_equal_the_per_kappa_oracle(self, problem):
+        values, kappas = problem
+        for fit, kappa in zip(kmeans_1d_batch(values, kappas), kappas):
+            ref = kmeans_1d_prefix_reference(values, kappa)
+            assert fit.labels.dtype == ref.labels.dtype
+            assert np.array_equal(fit.labels, ref.labels)
+            assert fit.centers.tobytes() == ref.centers.tobytes()
+            assert fit.inertia == ref.inertia
+            assert fit.n_iter == ref.n_iter
 
 
 class TestOptimalityProperties:

@@ -6,12 +6,13 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.clustering.kmeans import kmeans_1d
 from repro.exceptions import GraphError
 from repro.graph.adjacency import Graph
-from repro.graph.components import is_connected
+from repro.graph.components import count_constrained_components, is_connected
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.shard.pipeline import ShardedSupergraphBuilder
-from repro.supergraph.builder import SupergraphBuilder, _fit_and_count, build_supergraph
+from repro.supergraph.builder import SupergraphBuilder, build_supergraph
 from repro.supergraph.supernode import create_supernodes, membership_vector
 
 
@@ -132,11 +133,11 @@ def _grid(side: int, densities) -> Graph:
 
 
 def _refit(graph: Graph, kappas):
-    """The refit path, run by hand: ``_fit_and_count`` per kappa."""
+    """The refit path, run by hand: one ``kmeans_1d`` fit and count per kappa."""
     features = np.asarray(graph.features, dtype=float)
     upper = sp.triu(graph.adjacency, k=1, format="csr")
-    presorted = np.sort(features, kind="stable")
-    return [_fit_and_count(upper, features, presorted, kappa) for kappa in kappas]
+    fits = [kmeans_1d(features, kappa) for kappa in kappas]
+    return [(fit, count_constrained_components(upper, fit.labels)) for fit in fits]
 
 
 def _counted_build(graph: Graph, **kwargs):
