@@ -14,13 +14,16 @@ of the paper's M1/M2 networks):
 * the n-D k-means assignment (broadcast tensor vs chunked
   ``||x||^2 - 2 x.c + ||c||^2``);
 * alpha-Cut partition scoring (per-call weight passes vs the cached
-  summary).
+  summary);
+* publishing one serving epoch (a fresh ``SegmentIndex``, which builds
+  the kd-tree, vs ``relabel`` of the previous epoch, which shares it).
 
 Writes ``BENCH_hotpaths.json`` at the repo root (plus the usual
 ``benchmarks/results`` copy) so the perf trajectory is tracked from
 this PR onward. The module-1 and kappa-scan speedups are asserted
 (>= 5x and >= 2x) — they are the paper's scalability story — and so is
-the batched scan's (>= 2x over the per-kappa loop).
+the batched scan's (>= 2x over the per-kappa loop), and the derived
+epoch's (>= 5x over a fresh index, with identical lookups).
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ from repro.core.alpha_cut import _partition_weights, _prepare, partition_weight_
 from repro.graph.adjacency import Graph
 from repro.network.dual import build_road_graph
 from repro.network.generators import grid_network
+from repro.serve.index import SegmentIndex
+from repro.shard.spatial import segment_midpoints
 from tests.oracles import (
     kmeans_1d_prefix_reference,
     kmeans_1d_reference,
@@ -181,6 +186,39 @@ def test_bench_hotpaths(synthetic_city):
         "k": k,
     }
 
+    # --- epoch publish: fresh index vs relabel ------------------------
+    mids = segment_midpoints(network)
+    previous = SegmentIndex(part_labels, points=mids, adjacency=adjacency, features=densities)
+    epoch_labels = kmeans_1d(densities, 16).labels
+    epoch_densities = densities * rng.uniform(0.8, 1.25, size=densities.size)
+    reps_epoch = 5
+    fresh_s, fresh = min(
+        (
+            _timed(SegmentIndex, epoch_labels, points=mids, adjacency=adjacency,
+                   features=epoch_densities)
+            for __ in range(reps_epoch)
+        ),
+        key=lambda t: t[0],
+    )
+    derived_s, derived = min(
+        (_timed(previous.relabel, epoch_labels, epoch_densities) for __ in range(reps_epoch)),
+        key=lambda t: t[0],
+    )
+    ids = np.arange(network.n_segments)
+    assert np.array_equal(derived.regions_of(ids), fresh.regions_of(ids))
+    probes = rng.uniform(mids.min(axis=0), mids.max(axis=0), size=(200, 2))
+    assert [derived.lookup_point(x, y) for x, y in probes] == [
+        fresh.lookup_point(x, y) for x, y in probes
+    ]
+    assert np.array_equal(derived.boundary_mask(), fresh.boundary_mask())
+    epoch_speedup = fresh_s / derived_s
+    payload["epoch_publish"] = {
+        "fresh_index_s": fresh_s,
+        "relabel_s": derived_s,
+        "speedup": epoch_speedup,
+        "repeats": reps_epoch,
+    }
+
     rows = [
         ["module1 dual transform", ref_s, new_s, dual_speedup],
         ["kappa scan (2..30)", ref_scan_s, new_scan_s, scan_speedup],
@@ -188,6 +226,7 @@ def test_bench_hotpaths(synthetic_city):
         ["MCG (per call)", ref_mcg_s / reps, new_mcg_s / reps, ref_mcg_s / new_mcg_s],
         ["n-D assignment", ref_nd_s, new_nd_s, ref_nd_s / new_nd_s],
         ["alpha-cut scoring (k calls)", ref_cut_s, new_cut_s, ref_cut_s / new_cut_s],
+        ["epoch publish (fresh vs relabel)", fresh_s, derived_s, epoch_speedup],
     ]
     print_table(
         f"Hot paths on {network.n_segments}-segment grid",
@@ -204,3 +243,4 @@ def test_bench_hotpaths(synthetic_city):
     assert dual_speedup >= 5.0, f"module-1 speedup {dual_speedup:.1f}x < 5x"
     assert scan_speedup >= 2.0, f"kappa-scan speedup {scan_speedup:.1f}x < 2x"
     assert batch_speedup >= 2.0, f"batched-scan speedup {batch_speedup:.1f}x < 2x"
+    assert epoch_speedup >= 5.0, f"derived-epoch speedup {epoch_speedup:.1f}x < 5x"

@@ -76,15 +76,7 @@ class Graph:
         adj.sum_duplicates()
         self._adj = adj
 
-        if features is None:
-            self._features = np.zeros(self._n, dtype=float)
-        else:
-            feats = np.asarray(features, dtype=float)
-            if feats.shape != (self._n,):
-                raise GraphError(
-                    f"features must have shape ({self._n},), got {feats.shape}"
-                )
-            self._features = feats.copy()
+        self._features = _node_features(features, self._n)
 
     # ------------------------------------------------------------------
     # Alternate constructors
@@ -109,15 +101,7 @@ class Graph:
         graph._n = adj.shape[0]
         adj.eliminate_zeros()
         graph._adj = adj
-        if features is None:
-            graph._features = np.zeros(graph._n, dtype=float)
-        else:
-            feats = np.asarray(features, dtype=float)
-            if feats.shape != (graph._n,):
-                raise GraphError(
-                    f"features must have shape ({graph._n},), got {feats.shape}"
-                )
-            graph._features = feats.copy()
+        graph._features = _node_features(features, graph._n)
         return graph
 
     # ------------------------------------------------------------------
@@ -179,7 +163,7 @@ class Graph:
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
-    def subgraph(self, nodes: Sequence[int]) -> Tuple["Graph", np.ndarray]:
+    def subgraph(self, nodes: Iterable[int]) -> Tuple["Graph", np.ndarray]:
         """Induced subgraph on ``nodes``.
 
         Returns
@@ -188,7 +172,11 @@ class Graph:
             ``graph`` has nodes relabelled ``0..len(nodes)-1`` in the
             order given; ``index`` maps new ids back to original ids.
         """
-        idx = np.asarray(list(nodes), dtype=int)
+        # arrays go straight through; other iterables (generators, sets)
+        # are materialised first, since numpy cannot size them
+        idx = np.array(
+            nodes if isinstance(nodes, np.ndarray) else list(nodes), dtype=int
+        )
         if idx.size and (idx.min() < 0 or idx.max() >= self._n):
             raise GraphError("subgraph nodes out of range")
         if len(np.unique(idx)) != len(idx):
@@ -198,8 +186,27 @@ class Graph:
         return graph, idx
 
     def with_features(self, features: Sequence[float]) -> "Graph":
-        """Copy of this graph with replaced node features."""
-        return Graph.from_adjacency(self._adj, features=features)
+        """Copy of this graph with replaced node features.
+
+        The copy shares this graph's adjacency, which was validated
+        when this graph was built; only the feature vector is checked
+        (and copied).
+        """
+        graph = Graph.__new__(Graph)
+        graph._n = self._n
+        graph._adj = self._adj
+        graph._features = _node_features(features, self._n)
+        return graph
 
     def __repr__(self) -> str:
         return f"Graph(n_nodes={self._n}, n_edges={self.n_edges})"
+
+
+def _node_features(features: Optional[Sequence[float]], n: int) -> np.ndarray:
+    """A private float copy of ``features`` (zeros when None), shape-checked."""
+    if features is None:
+        return np.zeros(n, dtype=float)
+    feats = np.asarray(features, dtype=float)
+    if feats.shape != (n,):
+        raise GraphError(f"features must have shape ({n},), got {feats.shape}")
+    return feats.copy()

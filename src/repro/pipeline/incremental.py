@@ -192,18 +192,15 @@ class IncrementalRepartitioner:
         labels = self._labels
         n_regions = int(labels.max()) + 1
         new_means = self._means(densities, labels)
-
-        stale: List[int] = []
-        for region in range(n_regions):
-            old = self._region_means[region]
-            new = new_means[region]
-            denom = max(abs(old), 1e-9)
-            if abs(new - old) / denom > self._threshold:
-                stale.append(region)
+        old_means = self._region_means
+        drift = np.abs(new_means - old_means) / np.maximum(np.abs(old_means), 1e-9)
+        is_stale = drift > self._threshold
+        stale = np.flatnonzero(is_stale).tolist()
+        kept = np.flatnonzero(~is_stale).tolist()
 
         incr("incremental.updates")
         incr("incremental.regions_refreshed", len(stale))
-        incr("incremental.regions_kept", n_regions - len(stale))
+        incr("incremental.regions_kept", len(kept))
         logger.info(
             "incremental update: %d/%d regions stale", len(stale), n_regions
         )
@@ -214,45 +211,44 @@ class IncrementalRepartitioner:
             incr("incremental.segments_relabelled", 0)  # keep the series present
             report = UpdateReport(
                 refreshed=[],
-                kept=list(range(n_regions)),
+                kept=kept,
                 labels=labels.copy(),
                 duration_s=duration,
             )
             self._notify(densities, report)
             return report
 
+        # kept regions are renumbered 0..len(kept)-1 in region order by
+        # one table gather; stale regions then take the ids after them
+        lookup = np.zeros(n_regions, dtype=int)
+        lookup[kept] = np.arange(len(kept))
+        new_labels = lookup[labels]
+        next_id = len(kept)
+        # members of every region, ascending, from one stable sort
+        order = np.argsort(labels, kind="stable")
+        bounds = np.zeros(n_regions + 1, dtype=int)
+        np.cumsum(np.bincount(labels, minlength=n_regions), out=bounds[1:])
         # repartition each stale region locally; a stale region of
         # size share s gets max(1, round(k * s)) local parts, keeping
         # the total region count close to (though not exactly) k —
-        # the region count drifts with where congestion concentrates
-        new_labels = labels.copy()
-        next_id = 0
-        id_map: Dict[int, int] = {}
-        for region in range(n_regions):
-            if region in stale:
-                continue
-            id_map[region] = next_id
-            next_id += 1
+        # the region count drifts with where congestion concentrates.
+        # A region that stays one part needs no subgraph at all.
         n_relabelled = 0
         for region in stale:
-            members = np.flatnonzero(labels == region)
+            members = order[bounds[region] : bounds[region + 1]]
             share = members.size / labels.size
-            local_k = max(1, round(self._k * share))
-            local_k = min(local_k, members.size)
-            sub, __ = self._graph.subgraph(members)
-            sub = sub.with_features(densities[members])
-            if local_k == 1 or sub.n_nodes < 3:
-                local = np.zeros(members.size, dtype=int)
+            local_k = min(max(1, round(self._k * share)), members.size)
+            if local_k >= 2 and members.size >= 3:
+                sub, __ = self._graph.subgraph(members)
+                sub = sub.with_features(densities[members])
+                local = run_scheme(self._scheme, sub, local_k, seed=self._seed).labels
+                n_parts = int(local.max()) + 1
             else:
-                local = run_scheme(
-                    self._scheme, sub, local_k, seed=self._seed
-                ).labels
-            if int(local.max()) > 0:  # actually split: membership churned
+                local, n_parts = 0, 1
+            if n_parts > 1:  # actually split: membership churned
                 n_relabelled += int(members.size)
             new_labels[members] = next_id + local
-            next_id += int(local.max()) + 1
-        for region, mapped in id_map.items():
-            new_labels[labels == region] = mapped
+            next_id += n_parts
 
         self._labels = _dense(new_labels)
         self._region_means = self._means(densities, self._labels)
@@ -261,7 +257,7 @@ class IncrementalRepartitioner:
         incr("incremental.segments_relabelled", n_relabelled)
         report = UpdateReport(
             refreshed=stale,
-            kept=[r for r in range(n_regions) if r not in stale],
+            kept=kept,
             labels=self._labels.copy(),
             duration_s=duration,
             n_relabelled=n_relabelled,
@@ -292,5 +288,6 @@ class IncrementalRepartitioner:
 
 
 def _dense(labels: np.ndarray) -> np.ndarray:
-    __, out = np.unique(labels, return_inverse=True)
-    return out.astype(int)
+    """Renumber non-negative ids to 0..n-1, keeping their order."""
+    used = np.bincount(labels) > 0
+    return (np.cumsum(used) - 1)[labels]

@@ -14,6 +14,10 @@ answer queries about one labelling of the network:
 * **quality metrics** (inter/intra/GDBI/ANS, Section 6.2 of the paper)
   are computed once per epoch and cached.
 
+The midpoints, kd-tree and adjacency depend on the network alone, so
+later epochs of the same network come from :meth:`SegmentIndex.relabel`,
+which shares them and builds only the per-labelling arrays.
+
 Instances are immutable by construction — every array is marked
 non-writeable — which is what makes the snapshot-epoch concurrency
 model of :mod:`repro.serve.snapshot` safe: readers can use an index
@@ -67,14 +71,7 @@ class SegmentIndex:
         adjacency: Optional[sp.spmatrix] = None,
         features: Optional[Sequence[float]] = None,
     ) -> None:
-        labels = np.asarray(labels)
-        if labels.ndim != 1 or labels.size == 0:
-            raise ServeError(f"labels must be a non-empty vector, got shape {labels.shape}")
-        if labels.min() < 0:
-            raise ServeError("labels must be non-negative region ids")
-        self._labels = _frozen(labels.astype(np.int64, copy=False))
-        self.n_segments = int(self._labels.size)
-        self.k = int(self._labels.max()) + 1
+        self._set_labels(labels)
 
         self._points: Optional[np.ndarray] = None
         self._kdtree = None
@@ -101,6 +98,22 @@ class SegmentIndex:
                 )
             self._adjacency = adj
 
+        self._set_features(features)
+
+    def _set_labels(self, labels: Sequence[int]) -> None:
+        labels = np.asarray(labels)
+        if labels.ndim != 1 or labels.size == 0:
+            raise ServeError(f"labels must be a non-empty vector, got shape {labels.shape}")
+        if labels.min() < 0:
+            raise ServeError("labels must be non-negative region ids")
+        self._labels = _frozen(labels.astype(np.int64, copy=False))
+        self.n_segments = int(self._labels.size)
+        self.k = int(self._labels.max()) + 1
+        self._sizes = _frozen(np.bincount(self._labels, minlength=self.k))
+        self._boundary_mask: Optional[np.ndarray] = None
+        self._quality: Optional[Dict[str, float]] = None
+
+    def _set_features(self, features: Optional[Sequence[float]]) -> None:
         self._features: Optional[np.ndarray] = None
         if features is not None:
             feats = np.asarray(features, dtype=float)
@@ -110,12 +123,33 @@ class SegmentIndex:
                 )
             self._features = _frozen(feats)
 
-        self._sizes = _frozen(np.bincount(self._labels, minlength=self.k))
-        self._boundary_mask: Optional[np.ndarray] = None
-        self._quality: Optional[Dict[str, float]] = None
-
     # ------------------------------------------------------------------
     # construction helpers
+    def relabel(
+        self,
+        labels: Sequence[int],
+        features: Optional[Sequence[float]] = None,
+    ) -> "SegmentIndex":
+        """A new index over the same network with new labels/densities.
+
+        The midpoints, kd-tree and adjacency never change between
+        epochs of one network, so the new index shares them with this
+        one (they are read-only) instead of rebuilding the kd-tree.
+        Labels and features are checked exactly as by the constructor,
+        and ``labels`` must cover the same segments.
+        """
+        index = SegmentIndex.__new__(SegmentIndex)
+        index._set_labels(labels)
+        if index.n_segments != self.n_segments:
+            raise ServeError(
+                f"labels must have {self.n_segments} entries, got {index.n_segments}"
+            )
+        index._points = self._points
+        index._kdtree = self._kdtree
+        index._adjacency = self._adjacency
+        index._set_features(features)
+        return index
+
     @classmethod
     def from_result(
         cls,

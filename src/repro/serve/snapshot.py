@@ -293,7 +293,10 @@ def attach_repartitioner(
     :class:`~repro.serve.index.SegmentIndex` — labels from the step,
     adjacency from the repartitioner's graph, densities from the step's
     snapshot, midpoints from ``network``/``points`` — and publishes it.
-    Readers keep answering from the previous epoch until the swap.
+    Only the first epoch builds the kd-tree; every later one is a
+    :meth:`~repro.serve.index.SegmentIndex.relabel` of its predecessor
+    and shares the midpoints, kd-tree and adjacency. Readers keep
+    answering from the previous epoch until the swap.
 
     When ``bootstrap_densities`` is given and the repartitioner already
     has labels, an initial epoch is published immediately.
@@ -305,11 +308,17 @@ def attach_repartitioner(
 
         points = segment_midpoints(network)
     adjacency = repartitioner.graph.adjacency
+    last: Optional[SegmentIndex] = None
 
     def _publish(labels: np.ndarray, densities, report) -> None:
-        index = SegmentIndex(
-            labels, points=points, adjacency=adjacency, features=densities
-        )
+        nonlocal last
+        if last is None:
+            index = SegmentIndex(
+                labels, points=points, adjacency=adjacency, features=densities
+            )
+        else:
+            index = last.relabel(labels, features=densities)
+        last = index
         meta: Dict[str, Any] = {"scheme": getattr(repartitioner, "_scheme", None)}
         if report is not None:
             meta["refreshed"] = list(report.refreshed)

@@ -26,6 +26,7 @@ from repro.obs.convergence import (
     convergence_wanted,
 )
 from repro.network.model import RoadNetwork
+from repro.pipeline.schemes import run_scheme
 from repro.supergraph.supernode import Supernode
 
 
@@ -306,3 +307,63 @@ def partition_connectivity_matrix_loop(adjacency, labels) -> np.ndarray:
     mask = count > 0
     out[mask] = np.sqrt(sum_sq[mask] / count[mask])
     return out
+
+
+def incremental_update_loop(
+    graph,
+    labels: np.ndarray,
+    previous_densities: np.ndarray,
+    densities: np.ndarray,
+    k: int,
+    scheme: str,
+    threshold: float,
+    seed,
+) -> Tuple[np.ndarray, List[int], List[int], int]:
+    """One :meth:`IncrementalRepartitioner.update`, region by region.
+
+    Tests each region's staleness in a scalar loop, finds its members
+    with one ``labels == region`` scan, slices and re-features its
+    subgraph whether or not it will split, renumbers kept regions one
+    mask at a time and densifies with ``np.unique``. ``labels`` must be
+    the labels ``previous_densities`` were last scored on. Returns
+    ``(labels, refreshed, kept, n_relabelled)``.
+    """
+    n_regions = int(labels.max()) + 1
+
+    def means(values):
+        sizes = np.bincount(labels, minlength=n_regions)
+        sums = np.bincount(labels, weights=values, minlength=n_regions)
+        return sums / np.maximum(sizes, 1)
+
+    old_means, new_means = means(previous_densities), means(densities)
+    stale: List[int] = []
+    for region in range(n_regions):
+        old = old_means[region]
+        denom = max(abs(old), 1e-9)
+        if abs(new_means[region] - old) / denom > threshold:
+            stale.append(region)
+    kept = [r for r in range(n_regions) if r not in stale]
+    if not stale:
+        return labels.copy(), stale, kept, 0
+
+    new_labels = labels.copy()
+    next_id = len(kept)
+    n_relabelled = 0
+    for region in stale:
+        members = np.flatnonzero(labels == region)
+        share = members.size / labels.size
+        local_k = min(max(1, round(k * share)), members.size)
+        sub, __ = graph.subgraph(members)
+        sub = sub.with_features(densities[members])
+        if local_k == 1 or sub.n_nodes < 3:
+            local = np.zeros(members.size, dtype=int)
+        else:
+            local = run_scheme(scheme, sub, local_k, seed=seed).labels
+        if int(local.max()) > 0:
+            n_relabelled += int(members.size)
+        new_labels[members] = next_id + local
+        next_id += int(local.max()) + 1
+    for mapped, region in enumerate(kept):
+        new_labels[labels == region] = mapped
+    __, dense = np.unique(new_labels, return_inverse=True)
+    return dense.astype(int), stale, kept, n_relabelled

@@ -151,8 +151,54 @@ class TestSubgraph:
         with pytest.raises(GraphError):
             Graph(3).subgraph([5])
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda ids: np.asarray(ids),
+            lambda ids: np.asarray(ids, dtype=np.int32),
+            list,
+            tuple,
+            lambda ids: (i for i in ids),
+        ],
+        ids=["int64-array", "int32-array", "list", "tuple", "generator"],
+    )
+    def test_node_containers(self, make):
+        g = Graph(5, edges=[(0, 1), (1, 2), (2, 3), (3, 4)], features=[0, 1, 2, 3, 4])
+        sub, idx = g.subgraph(make([3, 1, 2]))
+        np.testing.assert_array_equal(idx, [3, 1, 2])
+        np.testing.assert_array_equal(sub.features, [3.0, 1.0, 2.0])
+        # order is preserved: 3-2 and 1-2 are edges, 3-1 is not
+        assert sub.has_edge(0, 2) and sub.has_edge(1, 2) and not sub.has_edge(0, 1)
+        with pytest.raises(GraphError, match="unique"):
+            g.subgraph(make([1, 2, 1]))
+        with pytest.raises(GraphError, match="out of range"):
+            g.subgraph(make([0, 5]))
+        with pytest.raises(GraphError, match="out of range"):
+            g.subgraph(make([-1, 2]))
+
+    def test_index_is_not_the_callers_array(self):
+        g = Graph(4, edges=[(0, 1), (1, 2), (2, 3)])
+        nodes = np.array([1, 2])
+        __, idx = g.subgraph(nodes)
+        nodes[0] = 3
+        np.testing.assert_array_equal(idx, [1, 2])
+
     def test_with_features(self):
         g = Graph(2, edges=[(0, 1)])
         g2 = g.with_features([3.0, 4.0])
         np.testing.assert_array_equal(g2.features, [3.0, 4.0])
         assert g2.n_edges == 1
+
+    def test_with_features_shares_adjacency_and_copies_features(self):
+        g = Graph(3, edges=[(0, 1), (1, 2)])
+        feats = np.array([1.0, 2.0, 3.0])
+        g2 = g.with_features(feats)
+        assert g2.adjacency is g.adjacency
+        feats[0] = 99.0
+        np.testing.assert_array_equal(g2.features, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(g.features, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]]])
+    def test_with_features_rejects_wrong_shape(self, bad):
+        with pytest.raises(GraphError, match="shape"):
+            Graph(3, edges=[(0, 1)]).with_features(bad)

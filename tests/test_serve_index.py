@@ -9,6 +9,8 @@ on the small fixture networks and compare exhaustively.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ServeError
 from repro.network.dual import build_road_graph
@@ -117,6 +119,89 @@ class TestRegionQueries:
             assert quality[name] == pytest.approx(expected[name])
 
 
+class TestDerivedEpochs:
+    """``relabel`` shares the geometry and answers like a fresh index."""
+
+    @staticmethod
+    def _base(network, graph):
+        return SegmentIndex(
+            np.zeros(graph.n_nodes, dtype=int),
+            points=segment_midpoints(network),
+            adjacency=graph.adjacency,
+            features=graph.features,
+        )
+
+    @given(seed=st.integers(0, 2**16), k=st.integers(1, 6))
+    @settings(max_examples=25, deadline=None)
+    def test_answers_equal_a_fresh_index(self, small_grid, small_grid_graph, seed, k):
+        rng = np.random.default_rng(seed)
+        n = small_grid_graph.n_nodes
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+        rng.shuffle(labels)
+        densities = rng.gamma(2.0, 0.02, size=n)
+        points = segment_midpoints(small_grid)
+        derived = self._base(small_grid, small_grid_graph).relabel(labels, densities)
+        fresh = SegmentIndex(
+            labels, points=points, adjacency=small_grid_graph.adjacency, features=densities
+        )
+        assert (derived.n_segments, derived.k) == (fresh.n_segments, fresh.k)
+        ids = rng.integers(0, n, 40)
+        np.testing.assert_array_equal(derived.regions_of(ids), fresh.regions_of(ids))
+        for x, y in rng.uniform(points.min(axis=0), points.max(axis=0), (10, 2)):
+            assert derived.lookup_point(x, y) == fresh.lookup_point(x, y)
+        np.testing.assert_array_equal(derived.boundary_mask(), fresh.boundary_mask())
+        np.testing.assert_array_equal(derived.region_sizes(), fresh.region_sizes())
+        for region in range(k):
+            assert derived.region_info(region) == fresh.region_info(region)
+        assert derived.quality() == fresh.quality()
+
+    def test_shares_geometry_and_stays_frozen(self, small_grid, small_grid_graph):
+        base = self._base(small_grid, small_grid_graph)
+        labels = np.arange(small_grid_graph.n_nodes) % 3
+        densities = np.ones(small_grid_graph.n_nodes)
+        derived = base.relabel(labels, densities)
+        assert derived._kdtree is base._kdtree
+        assert derived.points is base.points
+        assert derived._adjacency is base._adjacency
+        for array in (derived.labels, derived.region_sizes(), derived.boundary_mask(),
+                      derived._features, derived.points):
+            assert not array.flags.writeable
+        # the new epoch owns copies of its inputs
+        labels[0] = 2
+        densities[0] = 9.0
+        assert derived.region_of(0) == 0
+        assert derived._features[0] == 1.0
+        # and the source epoch is untouched
+        assert base.k == 1 and int(base.labels.max()) == 0
+
+    def test_without_features_has_no_quality(self, small_grid, small_grid_graph):
+        derived = self._base(small_grid, small_grid_graph).relabel(
+            np.zeros(small_grid_graph.n_nodes, dtype=int)
+        )
+        with pytest.raises(ServeError, match="quality"):
+            derived.quality()
+
+    @pytest.mark.parametrize(
+        "labels, match",
+        [
+            (np.array([], dtype=int), "non-empty"),
+            (np.zeros((2, 40), dtype=int), "non-empty vector"),
+            (np.zeros(79, dtype=int), "80 entries"),
+            (np.full(80, -1), "non-negative"),
+        ],
+        ids=["empty", "2-d", "wrong-length", "negative"],
+    )
+    def test_rejects_bad_labels(self, small_grid, small_grid_graph, labels, match):
+        base = self._base(small_grid, small_grid_graph)
+        with pytest.raises(ServeError, match=match):
+            base.relabel(labels)
+
+    def test_rejects_wrong_shaped_features(self, small_grid, small_grid_graph):
+        base = self._base(small_grid, small_grid_graph)
+        with pytest.raises(ServeError, match="features"):
+            base.relabel(np.zeros(small_grid_graph.n_nodes, dtype=int), np.ones(3))
+
+
 class TestIncrementalRoundTrip:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_served_labels_track_update(self, small_grid_graph, scheme):
@@ -158,4 +243,33 @@ class TestIncrementalRoundTrip:
         unsubscribe()
         repartitioner.update(densities * 100.0)
         assert store.last_epoch == 1  # no new epoch after unsubscribe
+        store.close()
+
+    def test_no_kd_tree_is_built_after_bootstrap(
+        self, small_grid, small_grid_graph, monkeypatch
+    ):
+        import scipy.spatial
+
+        built = []
+
+        class CountingTree(scipy.spatial.cKDTree):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+        store = SnapshotStore()
+        repartitioner = IncrementalRepartitioner(small_grid_graph, k=4, seed=0)
+        attach_repartitioner(store, repartitioner, network=small_grid)
+        densities = np.asarray(small_grid_graph.features, dtype=float)
+        repartitioner.bootstrap(densities)
+        assert len(built) == 1
+        tree = store.current().index._kdtree
+        for factor in (10.0, 0.1, 3.0, 3.0):
+            densities = densities.copy()
+            densities[: len(densities) // 3] *= factor
+            repartitioner.update(densities)
+        assert store.last_epoch == 5
+        assert len(built) == 1
+        assert store.current().index._kdtree is tree
         store.close()

@@ -21,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ServeError
+from repro.pipeline.incremental import IncrementalRepartitioner
 from repro.serve import SegmentIndex, SnapshotStore
+from repro.serve.snapshot import attach_repartitioner
 from repro.util.parallel import map_parallel
 
 N_SEGMENTS = 60
@@ -188,6 +190,38 @@ class TestStoreSemantics:
         store.subscribe(bad_listener)
         snap = store.publish(_index(1))  # must not raise
         assert store.current() is snap
+        store.close()
+
+
+# ----------------------------------------------------------------------
+# epochs derived by attach_repartitioner
+class TestAttachedEpochs:
+    def test_pinned_epoch_keeps_its_labels_across_derived_publishes(
+        self, small_grid, small_grid_graph
+    ):
+        store = SnapshotStore()
+        repartitioner = IncrementalRepartitioner(small_grid_graph, k=5, seed=0)
+        attach_repartitioner(store, repartitioner, network=small_grid)
+        densities = np.asarray(small_grid_graph.features, dtype=float)
+        first = repartitioner.bootstrap(densities)
+        with store.pinned() as snap:
+            changed = densities * 4.0
+            report = repartitioner.update(changed)
+            assert not np.array_equal(report.labels, first)
+            current = store.current()
+            assert current.epoch == snap.epoch + 1
+            # the new epoch shares the pinned one's kd-tree ...
+            assert current.index._kdtree is snap.index._kdtree
+            np.testing.assert_array_equal(current.index.labels, report.labels)
+            # ... while the pinned epoch answers from its own labels
+            np.testing.assert_array_equal(snap.index.labels, first)
+            ids = np.arange(small_grid_graph.n_nodes)
+            np.testing.assert_array_equal(snap.index.regions_of(ids), first)
+            points = snap.index.points
+            for segment in range(0, small_grid_graph.n_nodes, 9):
+                found = snap.index.lookup_point(*points[segment])
+                assert found["region"] == int(first[found["segment"]])
+            assert snap.index.quality()["k"] == float(first.max() + 1)
         store.close()
 
 
