@@ -391,6 +391,25 @@ def assign_to_centers(
     return labels, min_d2
 
 
+def _cluster_means(
+    arr: np.ndarray, labels: np.ndarray, centers: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Lloyd's update: each non-empty cluster's mean (empty clusters keep
+    their center). One weighted ``bincount`` per column sums every
+    cluster at once, row by row in input order, as
+    ``arr[labels == q].mean(axis=0)`` does for d >= 2, so the means are
+    bit-identical to that per-cluster loop (for d = 1 numpy sums
+    pairwise, and the last bit may differ)."""
+    sums = np.column_stack(
+        [np.bincount(labels, weights=arr[:, col], minlength=len(centers))
+         for col in range(arr.shape[1])]
+    )
+    new_centers = centers.copy()
+    filled = counts > 0
+    new_centers[filled] = sums[filled] / counts[filled, np.newaxis]
+    return new_centers
+
+
 def kmeans(
     data,
     kappa: int,
@@ -461,11 +480,8 @@ def kmeans(
                 conv.record(inertia=float(__dists.sum()))
 
             # update step
-            new_centers = centers.copy()
             counts = np.bincount(labels, minlength=kappa)
-            for q in range(kappa):
-                if counts[q] > 0:
-                    new_centers[q] = arr[labels == q].mean(axis=0)
+            new_centers = _cluster_means(arr, labels, centers, counts)
             # re-seed empty clusters at the farthest point
             if (counts == 0).any():
                 dist_own = ((arr - new_centers[labels]) ** 2).sum(axis=1)

@@ -41,8 +41,9 @@ def last_eigensolver_outcome() -> Optional[Dict[str, Any]]:
     The record :func:`repro.graph.eigen.smallest_eigenpairs` returns:
     ``solver`` (the path that produced the eigenpairs), ``n``/``k``,
     ``residual`` (max column norm of ``M v - lambda v`` at exit),
-    ``converged`` and ``fallback_reason`` (None unless the ARPACK path
-    fell back). Returns None before the first solve.
+    ``converged``, ``fallback_reason`` (None unless the ARPACK path
+    fell back) and ``blas_threads`` (1 when ARPACK ran on a pinned
+    OpenBLAS, else None). Returns None before the first solve.
     """
     return None if _LAST_OUTCOME is None else dict(_LAST_OUTCOME)
 
@@ -92,6 +93,8 @@ def smallest_eigenvectors(adjacency, k: int) -> Tuple[np.ndarray, np.ndarray]:
             )
             if outcome["fallback_reason"]:
                 span.attrs["fallback_reason"] = outcome["fallback_reason"]
+            if outcome["blas_threads"] is not None:
+                span.attrs["blas_threads"] = outcome["blas_threads"]
     return values, vectors
 
 

@@ -28,13 +28,35 @@ median ms, dense ``eigh`` / ARPACK). On the alpha-Cut operator with
 ``benchmarks/test_bench_eigensolvers.py`` records the sweep. Below it,
 the few-node meta-graph bipartitions stay on the dense path, where
 ARPACK is slower and can fail on degenerate (edgeless) inputs.
+
+Every ARPACK solve, the shift-invert retry included, runs with scipy's
+OpenBLAS on one thread, and the previous count is restored afterwards
+(:func:`_one_blas_thread`; a no-op when no OpenBLAS is found). ARPACK's
+kernels are too small to gain from a second thread, and an OpenBLAS
+worker keeps spinning after each call, so at the default two threads a
+solve bills about twice its wall time in CPU. On the alpha-Cut operator
+of the M1/M2/M3 supergraphs (k=8, median of 3, CPU counted through a
+0.4 s idle window after the solve), wall / CPU seconds at one thread
+against two: 0.009/0.009 vs 0.009/0.144 at 1,328 nodes, 0.053/0.054
+vs 0.053/0.188 at 7,201, 0.197/0.198 vs 0.200/0.513 at 25,222 and
+0.461/0.462 vs 0.390/0.895 at 37,512. The pin also makes a solve
+independent of the host: up to 7,201 nodes the eigenvectors are
+bit-identical at one and two threads, from 25,222 nodes their bytes
+differ. Dense ``eigh`` runs on numpy's own BLAS and is not pinned.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+import ctypes
+import ctypes.util
+import sys
+import threading
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
@@ -52,16 +74,82 @@ def _start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(0).uniform(-1.0, 1.0, n)
 
 
+def _blas_libraries() -> Iterator[Path]:
+    """Where scipy's OpenBLAS may live: the copy a wheel bundles in
+    ``scipy.libs``, then a system or conda ``libopenblas``."""
+    bundled = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
+    yield from sorted(bundled.glob("*openblas*"))
+    found = ctypes.util.find_library("openblas")
+    if found:
+        yield Path(found)
+    yield from sorted((Path(sys.prefix) / "lib").glob("libopenblas*.so*"))
+
+
+def _find_blas_controls() -> Optional[Tuple[Callable[[], int], Callable[[int], None]]]:
+    """``(get_num_threads, set_num_threads)`` of scipy's OpenBLAS, or None.
+
+    Opening a library the process has already loaded returns that same
+    library, so the setters act on the copy ARPACK calls."""
+    for path in _blas_libraries():
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            try:
+                get = getattr(lib, f"{prefix}_get_num_threads")
+                set_ = getattr(lib, f"{prefix}_set_num_threads")
+            except AttributeError:
+                continue
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
+    return None
+
+
+_BLAS_CONTROLS = _find_blas_controls()
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = 1
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the body with scipy's OpenBLAS on one thread (a no-op when
+    no OpenBLAS was found).
+
+    The count is process-wide, so concurrent solves share one pin: the
+    first to enter saves and sets it, the last to leave restores it."""
+    global _blas_depth, _blas_saved
+    if _BLAS_CONTROLS is None:
+        yield
+        return
+    get, set_ = _BLAS_CONTROLS
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                set_(_blas_saved)
+
+
 def _arpack(op, k: int) -> Tuple[np.ndarray, np.ndarray]:
     v0 = _start_vector(op.shape[0])
-    if sp.issparse(op):
-        try:
-            return eigsh(op, k=k, sigma=0.0, which="LM", v0=v0)
-        except ArpackNoConvergence:
-            raise
-        except RuntimeError:  # the sigma=0 factorisation failed
-            pass
-    return eigsh(op, k=k, which="SA", v0=v0)
+    with _one_blas_thread():
+        if sp.issparse(op):
+            try:
+                return eigsh(op, k=k, sigma=0.0, which="LM", v0=v0)
+            except ArpackNoConvergence:
+                raise
+            except RuntimeError:  # the sigma=0 factorisation failed
+                pass
+        return eigsh(op, k=k, which="SA", v0=v0)
 
 
 def _residual(op, values: np.ndarray, vectors: np.ndarray) -> float:
@@ -90,19 +178,23 @@ def smallest_eigenpairs(op, k: int) -> Tuple[np.ndarray, np.ndarray, Dict[str, A
         ``solver`` (``dense``, ``arpack`` or ``arpack_partial``, the
         path that produced the pairs), ``n``/``k``, ``residual`` (max
         column norm of ``op v - lambda v``), ``converged`` (False when
-        ARPACK stopped short of convergence) and ``fallback_reason``
+        ARPACK stopped short of convergence), ``fallback_reason``
         (None unless ARPACK fell back: ``arpack_no_convergence_partial_pairs``,
         ``arpack_no_convergence_dense_fallback`` or
-        ``arpack_error_dense_fallback``).
+        ``arpack_error_dense_fallback``) and ``blas_threads`` (1 when
+        the ARPACK attempt ran on scipy's OpenBLAS pinned to one thread;
+        None for a dense-only solve, or when no OpenBLAS was found and
+        ARPACK ran at the host's count).
     """
     n = op.shape[0]
     if not 1 <= k <= n:
         raise PartitioningError(f"need 1 <= k <= n, got k={k}, n={n}")
-    solver, converged, fallback_reason = "dense", True, None
+    solver, converged, fallback_reason, blas_threads = "dense", True, None, None
     values: Optional[np.ndarray] = None
     if n > DENSE_CUTOFF and k < n - 1:
         incr("eigensolver.arpack_calls")
         solver = "arpack"
+        blas_threads = None if _BLAS_CONTROLS is None else 1
         try:
             values, vectors = _arpack(op, k)
         except ArpackNoConvergence as exc:
@@ -134,5 +226,6 @@ def smallest_eigenpairs(op, k: int) -> Tuple[np.ndarray, np.ndarray, Dict[str, A
         "residual": _residual(op, values, vectors),
         "converged": converged,
         "fallback_reason": fallback_reason,
+        "blas_threads": blas_threads,
     }
     return values, vectors, outcome

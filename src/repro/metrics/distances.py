@@ -13,7 +13,7 @@ prefix sums in O(n log n) rather than the naive O(n^2) pairing.
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import List, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,15 +75,17 @@ def _check(features, labels) -> Tuple[np.ndarray, np.ndarray, int]:
 
 
 def adjacent_partition_pairs(adjacency, labels) -> List[Tuple[int, int]]:
-    """Pairs (i, j), i < j, of partitions joined by at least one edge."""
-    adj = sp.csr_matrix(adjacency)
-    lab = np.asarray(labels, dtype=int)
-    coo = adj.tocoo()
-    pairs: Set[Tuple[int, int]] = set()
-    cross = lab[coo.row] != lab[coo.col]
-    for a, b in zip(lab[coo.row[cross]], lab[coo.col[cross]]):
-        pairs.add((int(min(a, b)), int(max(a, b))))
-    return sorted(pairs)
+    """Pairs (i, j), i < j, of partitions joined by at least one edge
+    (labels non-negative, as :func:`_check` ensures)."""
+    coo = sp.coo_matrix(adjacency)
+    lab = np.asarray(labels, dtype=np.int64)
+    a, b = lab[coo.row], lab[coo.col]
+    cross = a != b
+    lo, hi = np.minimum(a[cross], b[cross]), np.maximum(a[cross], b[cross])
+    # one code per (lo, hi); its sort order is the pairs' sort order
+    width = int(hi.max()) + 1 if hi.size else 1
+    codes = np.unique(lo * width + hi)
+    return list(zip((codes // width).tolist(), (codes % width).tolist()))
 
 
 def inter_metric(features, labels, adjacency) -> float:

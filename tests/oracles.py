@@ -283,6 +283,32 @@ def membership_vector_loop(supernodes: Sequence[Supernode], n_nodes: int) -> np.
     return out
 
 
+def cluster_means_loop(
+    arr: np.ndarray, labels: np.ndarray, centers: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Lloyd's update one cluster at a time: a boolean mask and a
+    ``mean(axis=0)`` per non-empty cluster; the oracle for
+    :func:`repro.clustering.kmeans._cluster_means`."""
+    new_centers = centers.copy()
+    for q in range(len(centers)):
+        if counts[q] > 0:
+            new_centers[q] = arr[labels == q].mean(axis=0)
+    return new_centers
+
+
+def adjacent_partition_pairs_loop(adjacency, labels) -> List[Tuple[int, int]]:
+    """Touching partition pairs, one cut adjacency entry at a time; the
+    oracle for :func:`repro.metrics.distances.adjacent_partition_pairs`."""
+    adj = sp.csr_matrix(adjacency)
+    lab = np.asarray(labels, dtype=int)
+    coo = adj.tocoo()
+    pairs: Set[Tuple[int, int]] = set()
+    cross = lab[coo.row] != lab[coo.col]
+    for a, b in zip(lab[coo.row[cross]], lab[coo.col[cross]]):
+        pairs.add((int(min(a, b)), int(max(a, b))))
+    return sorted(pairs)
+
+
 def partition_connectivity_matrix_loop(adjacency, labels) -> np.ndarray:
     """RMS cross-partition superlink weight, one superlink at a time."""
     adj = sp.csr_matrix(adjacency, dtype=float)

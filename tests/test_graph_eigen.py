@@ -1,9 +1,11 @@
 """Tests for the one eigensolver entry point, repro.graph.eigen."""
 
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import repro.graph.eigen as eigen_mod
 from repro.baselines.ncut import ncut_embedding
@@ -12,6 +14,7 @@ from repro.exceptions import GraphError, PartitioningError
 from repro.graph.eigen import smallest_eigenpairs
 from repro.graph.laplacian import AlphaCutOperator, alpha_cut_matrix, normalized_laplacian
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.trace import Tracer, activate_tracer
 
 
 def _chorded_ring(n: int, seed: int = 0) -> sp.csr_matrix:
@@ -146,3 +149,121 @@ class TestNonFiniteWeights:
         adj[2, 3] = adj[3, 2] = np.inf
         with pytest.raises(GraphError):
             normalized_laplacian(adj.tocsr())
+
+
+class TestOneBlasThread:
+    """Every ARPACK solve runs on scipy's OpenBLAS pinned to one thread,
+    and the previous count comes back however the solve ends."""
+
+    @pytest.fixture
+    def get_threads(self, arpack_regime):
+        if eigen_mod._BLAS_CONTROLS is None:
+            pytest.skip("no OpenBLAS thread controls in this scipy")
+        get, set_ = eigen_mod._BLAS_CONTROLS
+        original = get()
+        set_(2)  # a count the pin visibly changes
+        yield get
+        set_(original)
+
+    @staticmethod
+    def _spy(monkeypatch, get, fail=None):
+        """Replace eigsh with one that records the thread count it runs
+        at, then raises ``fail(kwargs)`` if that returns an exception."""
+        seen = []
+        real = eigen_mod.eigsh
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            exc = fail(kwargs) if fail else None
+            if exc is not None:
+                raise exc
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(eigen_mod, "eigsh", spy)
+        return seen
+
+    def test_solve_runs_at_one_thread_and_restores(self, get_threads, monkeypatch):
+        seen = self._spy(monkeypatch, get_threads)
+        __, __, outcome = smallest_eigenpairs(AlphaCutOperator(_chorded_ring(200)), 4)
+        assert seen == [1]
+        assert outcome["solver"] == "arpack" and outcome["blas_threads"] == 1
+        assert get_threads() == 2
+
+    def test_restored_after_no_convergence(self, get_threads, monkeypatch):
+        adj = _chorded_ring(200)
+        values, vectors = np.linalg.eigh(alpha_cut_matrix(adj))
+        partial = ArpackNoConvergence("stopped", values[:4], vectors[:, :4])
+        seen = self._spy(monkeypatch, get_threads, lambda kwargs: partial)
+        __, __, outcome = smallest_eigenpairs(AlphaCutOperator(adj), 4)
+        assert seen == [1] and outcome["solver"] == "arpack_partial"
+        assert get_threads() == 2
+
+    def test_restored_after_arpack_error(self, get_threads, monkeypatch):
+        seen = self._spy(monkeypatch, get_threads, lambda kwargs: ArpackError(-9))
+        __, __, outcome = smallest_eigenpairs(AlphaCutOperator(_chorded_ring(200)), 4)
+        assert seen == [1] and outcome["fallback_reason"] == "arpack_error_dense_fallback"
+        assert get_threads() == 2
+
+    def test_restored_after_shift_invert_retry(self, get_threads, monkeypatch):
+        def singular(kwargs):
+            return RuntimeError("factor is exactly singular") if "sigma" in kwargs else None
+
+        seen = self._spy(monkeypatch, get_threads, singular)
+        __, __, outcome = smallest_eigenpairs(normalized_laplacian(_chorded_ring(200)), 4)
+        assert seen == [1, 1] and outcome["solver"] == "arpack"
+        assert get_threads() == 2
+
+    def test_concurrent_solves_share_the_pin(self, get_threads, monkeypatch):
+        # both solves are inside eigsh at once (the barrier would break
+        # if the guard ran them one at a time); the first to enter leaves
+        # first, and the other must still run pinned after it has gone
+        barrier = threading.Barrier(2, timeout=30)
+        entered, first_left, inside = [], threading.Event(), []
+        lock = threading.Lock()
+
+        def rendezvous(kwargs):
+            with lock:
+                entered.append(threading.get_ident())
+            barrier.wait()
+            if entered[0] != threading.get_ident():
+                assert first_left.wait(30)
+                inside.append(get_threads())
+
+        seen = self._spy(monkeypatch, get_threads, rendezvous)
+        op = AlphaCutOperator(_chorded_ring(300))
+        errors = []
+
+        def solve():
+            try:
+                smallest_eigenpairs(op, 4)
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+            finally:
+                if entered and entered[0] == threading.get_ident():
+                    first_left.set()
+
+        workers = [threading.Thread(target=solve) for __ in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        assert errors == [] and seen == [1, 1] and inside == [1]
+        assert get_threads() == 2
+
+    def test_eigensolve_span_tagged(self, get_threads):
+        tracer = Tracer()
+        with activate_tracer(tracer):
+            smallest_eigenvectors(_chorded_ring(200), 4)
+        (span,) = [s for s in tracer.roots if s.name == "eigensolve"]
+        assert span.attrs["solver"] == "arpack" and span.attrs["blas_threads"] == 1
+
+    def test_no_library_found(self, arpack_regime, monkeypatch):
+        monkeypatch.setattr(eigen_mod, "_BLAS_CONTROLS", None)
+        op = AlphaCutOperator(_chorded_ring(200))
+        values, __, outcome = smallest_eigenpairs(op, 4)
+        assert outcome["solver"] == "arpack" and outcome["blas_threads"] is None
+        np.testing.assert_allclose(values, np.linalg.eigvalsh(op.toarray())[:4], atol=1e-8)
+
+    def test_dense_solve_is_not_tagged(self):
+        __, __, outcome = smallest_eigenpairs(AlphaCutOperator(_chorded_ring(60)), 4)
+        assert outcome["solver"] == "dense" and outcome["blas_threads"] is None

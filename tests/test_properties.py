@@ -1,14 +1,22 @@
 """Property-based tests (hypothesis) for core invariants."""
 
+import contextlib
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import kmeans_1d_prefix_reference
-from strategies import kmeans_1d_problems
+from oracles import (
+    adjacent_partition_pairs_loop,
+    cluster_means_loop,
+    kmeans_1d_prefix_reference,
+)
+from strategies import graphs_with_labels, kmeans_1d_problems
 
-from repro.clustering.kmeans import kmeans_1d, kmeans_1d_batch
+from repro.clustering.kmeans import kmeans, kmeans_1d, kmeans_1d_batch
 from repro.clustering.optimality import (
     clustering_gain,
     moderated_clustering_gain,
@@ -16,12 +24,25 @@ from repro.clustering.optimality import (
 from repro.core.alpha_cut import alpha_cut_quadratic_value, alpha_cut_value
 from repro.graph.adjacency import Graph
 from repro.graph.components import connected_components, is_connected
-from repro.metrics.distances import mean_abs_cross, mean_abs_pairwise
+from repro.metrics.ans import ans
+from repro.metrics.distances import (
+    adjacent_partition_pairs,
+    inter_metric,
+    mean_abs_cross,
+    mean_abs_pairwise,
+)
+from repro.metrics.gdbi import gdbi
 from repro.metrics.partition_quality import (
     cost_of_partitioning,
     partition_volume,
 )
 from repro.supergraph.stability import stability
+
+# the packages re-export functions under their modules' names
+kmeans_mod = importlib.import_module("repro.clustering.kmeans")
+PAIR_METRIC_MODULES = [
+    importlib.import_module(f"repro.metrics.{name}") for name in ("ans", "distances", "gdbi")
+]
 
 # -- strategies ---------------------------------------------------------
 
@@ -99,6 +120,26 @@ class TestKmeansProperties:
             assert fit.centers.tobytes() == ref.centers.tobytes()
             assert fit.inertia == ref.inertia
             assert fit.n_iter == ref.n_iter
+
+    @given(
+        data=arrays(
+            dtype=float,
+            shape=st.tuples(st.integers(2, 60), st.integers(2, 6)),
+            elements=st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+        ),
+        kappa=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_nd_update_equals_the_per_cluster_loop(self, data, kappa, seed):
+        kappa = min(kappa, data.shape[0])
+        fast = kmeans(data, kappa, n_init=2, seed=seed)
+        with mock.patch.object(kmeans_mod, "_cluster_means", cluster_means_loop):
+            ref = kmeans(data, kappa, n_init=2, seed=seed)
+        assert np.array_equal(fast.labels, ref.labels)
+        assert fast.centers.tobytes() == ref.centers.tobytes()
+        assert fast.inertia == ref.inertia
+        assert fast.n_iter == ref.n_iter
 
 
 class TestOptimalityProperties:
@@ -206,3 +247,27 @@ class TestDistanceProperties:
         assert mean_abs_pairwise(values) == pytest.approx(
             mean_abs_pairwise(np.asarray(values) + shift), abs=1e-9
         )
+
+    @given(graph=graphs_with_labels(max_labels=6))
+    @settings(max_examples=150, deadline=None)
+    def test_adjacent_pairs_equal_the_loop(self, graph):
+        adj, labels = graph
+        pairs = adjacent_partition_pairs(adj, labels)
+        assert pairs == adjacent_partition_pairs_loop(adj, labels)
+        assert all(type(v) is int for pair in pairs for v in pair)
+
+    @given(graph=graphs_with_labels(max_labels=6), seed=st.integers(0, 2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_pair_metrics_bit_identical_to_the_loop(self, graph, seed):
+        adj, labels = graph
+        __, labels = np.unique(labels, return_inverse=True)  # no empty partitions
+        features = np.random.default_rng(seed).uniform(0.0, 1.0, len(labels))
+        metrics = (ans, gdbi, inter_metric)
+        fast = [metric(features, labels, adj) for metric in metrics]
+        with contextlib.ExitStack() as stack:
+            for module in PAIR_METRIC_MODULES:
+                stack.enter_context(mock.patch.object(
+                    module, "adjacent_partition_pairs", adjacent_partition_pairs_loop
+                ))
+            ref = [metric(features, labels, adj) for metric in metrics]
+        assert np.array(fast).tobytes() == np.array(ref).tobytes()

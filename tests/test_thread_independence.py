@@ -1,9 +1,13 @@
-"""Labels must not depend on how many threads the BLAS library uses.
+"""Labels and eigenvectors must not depend on how many threads the BLAS
+library uses.
 
 The ARPACK eigensolve runs on supergraphs above ``DENSE_CUTOFF`` (200)
-supernodes; the M3x0.3 input below mines about 3,000. Each case
-partitions such an input in a fresh child process whose environment
-alone sets the OpenBLAS thread count, and compares the labels.
+supernodes; the M3x0.3 input below mines about 3,000. Each case runs
+in a fresh child process whose environment alone sets the OpenBLAS
+thread count, and compares the results: the partition labels of that
+input, and the eigenvector bytes of a 25,000-node solve. At that size
+a multi-threaded OpenBLAS sums ARPACK's dense kernels in another order
+and the bytes differ, unless every solve pins it to one thread.
 """
 
 import json
@@ -34,11 +38,31 @@ print(json.dumps({
 """
 
 
-def _partition_with_threads(n_threads: int) -> dict:
+SOLVE_CHILD = """
+import hashlib, json
+import numpy as np
+import scipy.sparse as sp
+from repro.graph.eigen import smallest_eigenpairs
+from repro.graph.laplacian import AlphaCutOperator
+
+n = 25_000
+rng = np.random.default_rng(0)
+rows = np.r_[np.arange(n), np.arange(n)]
+cols = np.r_[(np.arange(n) + 1) % n, (np.arange(n) + 17) % n]
+upper = sp.coo_matrix((rng.uniform(0.5, 2.0, rows.size), (rows, cols)), shape=(n, n))
+__, vectors, outcome = smallest_eigenpairs(AlphaCutOperator((upper + upper.T).tocsr()), 8)
+print(json.dumps({
+    "solver": outcome["solver"],
+    "vectors": hashlib.sha1(np.ascontiguousarray(vectors).tobytes()).hexdigest(),
+}))
+"""
+
+
+def _run_with_threads(child: str, n_threads: int) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(n_threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", CHILD],
+        [sys.executable, "-c", child],
         env=env,
         capture_output=True,
         text=True,
@@ -49,8 +73,17 @@ def _partition_with_threads(n_threads: int) -> dict:
 
 
 def test_asg_labels_identical_for_one_and_two_blas_threads():
-    one = _partition_with_threads(1)
-    two = _partition_with_threads(2)
+    one = _run_with_threads(CHILD, 1)
+    two = _run_with_threads(CHILD, 2)
     # the input must take the ARPACK path, where the operator runs
     assert one["n_supernodes"] > DENSE_CUTOFF
+    assert one == two
+
+
+def test_large_solve_eigenvectors_identical_for_one_and_two_blas_threads():
+    # a chorded ring of 25,000 nodes: about 0.6 s a solve, and at this
+    # size the bytes differ between 1 and 2 unpinned threads
+    one = _run_with_threads(SOLVE_CHILD, 1)
+    two = _run_with_threads(SOLVE_CHILD, 2)
+    assert one["solver"] == "arpack"
     assert one == two
