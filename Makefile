@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install test bench bench-full bench-hotpaths bench-obs bench-scaling bench-scaling-full bench-serving bench-compare serve-demo slo-demo obs-report trace-demo analyze-demo profile-demo profile-demo-process examples docs-check all
+.PHONY: install test bench bench-full bench-hotpaths bench-obs bench-scaling bench-scaling-full bench-serving bench-compare serve-demo slo-demo obs-report trace-demo analyze-demo examples docs-check all
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -74,11 +74,9 @@ obs-report: trace-demo
 	@echo "wrote report.html"
 
 # Trace analytics on the trace-demo artifact: critical path and
-# ranked optimization targets, then the scaling-law fits + 100k-segment
-# forecast from the committed benchmark history.
+# ranked optimization targets.
 analyze-demo: trace-demo
 	python -m repro obs analyze trace.json
-	python -m repro obs scaling
 
 # Observed demo run: trace.json opens in https://ui.perfetto.dev,
 # metrics.json holds the counters + run manifest.
@@ -86,17 +84,6 @@ trace-demo:
 	python -m repro --log-level info partition D1 -k 6 --json \
 		--trace-out trace.json --metrics-out metrics.json > result.json
 	@echo "wrote result.json, trace.json, metrics.json"
-
-# Profiled demo run: the full artifact set in profdir/ — open
-# profile.speedscope.json at https://www.speedscope.app, or just
-# report.html for the inline flame graph.
-profile-demo:
-	python -m repro obs profile D1 -k 6 --memory --out-dir profdir
-	@echo "open profdir/report.html (or load profdir/profile.speedscope.json at speedscope.app)"
-
-profile-demo-process:
-	python -m repro obs profile D1 -k 6 --workers 2 --shards 4 --out-dir profdir-process
-	@echo "open profdir-process/report.html — one flame graph spanning the parent and both workers"
 
 examples:
 	@for script in examples/*.py; do \

@@ -27,7 +27,7 @@ from repro.datasets.registry import load_dataset
 from repro.network.dual import build_road_graph
 from repro.obs.bench import append_history
 from repro.obs.manifest import run_manifest
-from repro.obs.profile import process_max_rss_bytes
+from repro.obs.metrics import process_max_rss_bytes
 
 RESULTS_DIR = Path(__file__).parent / "results"
 

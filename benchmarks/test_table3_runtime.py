@@ -35,8 +35,8 @@ def _run_one(name):
     timings = dict(result.timings)
     timings["total"] = result.total_time
     timings["segments"] = network.n_segments
-    # explicit size stamp: scopes this dataset's timings for the
-    # scaling-law fitter (repro obs scaling) and the history records
+    # explicit size stamp: scopes this dataset's timings in the
+    # history records
     timings["n_segments"] = network.n_segments
     if result.n_supernodes is not None:
         timings["n_supernodes"] = result.n_supernodes

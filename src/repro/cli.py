@@ -27,16 +27,8 @@ Subcommands
     its own trajectory; exits non-zero on regression (the CI
     ``bench-gate`` job runs exactly this).
 ``obs report``
-    Merge a run's trace JSON, metrics dump and (optionally) its
-    speedscope profile into a self-contained HTML flight-recorder
-    report with an inline flame graph.
-``obs profile``
-    Run a partition under the sampling profiler and emit the full
-    artifact set — trace, metrics, speedscope JSON, collapsed stacks
-    and the flight-recorder report — into one directory.
-``obs diff``
-    Rank frame-level CPU deltas between two speedscope profiles
-    (before/after a change).
+    Merge a run's trace JSON and metrics dump into a self-contained
+    HTML flight-recorder report.
 ``obs slo``
     Query a running server's ``/slo`` endpoint and report the
     error-budget state; exits non-zero while any objective is burning
@@ -47,11 +39,6 @@ Subcommands
     ranked optimization targets and harvested solver-convergence
     traces. ``--json`` emits the strict analysis document the CI
     obs-smoke job validates.
-``obs scaling``
-    Fit per-stage power laws ``t ≈ a·n^b`` over the benchmark history
-    and forecast each stage's cost at a target network size (default
-    100k segments, the paper's M3); flags superlinear stages. Exits 2
-    when the history has no stage measured at two sizes.
 ``serve``
     Partition a dataset (or load a saved ``PartitioningResult``) and
     serve segment→region lookups over HTTP with snapshot epochs; with
@@ -65,9 +52,6 @@ Subcommands
     Drive a running partition server with pipelined lookups and report
     sustained QPS and latency quantiles (plus the server's post-run
     error-budget state when it serves ``/slo``).
-
-``partition`` also accepts ``--profile-out`` / ``--profile-hz`` /
-``--profile-memory`` to profile any normal run in place.
 """
 
 from __future__ import annotations
@@ -158,24 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the run's metrics dump (counters, gauges, histograms "
         "plus the run manifest) to this JSON path",
-    )
-    part.add_argument(
-        "--profile-out",
-        default=None,
-        help="sample the run with the CPU profiler and write a "
-        "speedscope-JSON profile to this path (open at speedscope.app)",
-    )
-    part.add_argument(
-        "--profile-hz",
-        type=float,
-        default=97.0,
-        help="profiler sampling frequency in Hz (default 97)",
-    )
-    part.add_argument(
-        "--profile-memory",
-        action="store_true",
-        help="also track allocations with tracemalloc (per-span "
-        "alloc_bytes deltas; adds noticeable overhead)",
     )
 
     data = sub.add_parser("datasets", help="list built-in datasets")
@@ -270,74 +236,10 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("-o", "--out", required=True, help="HTML output path")
     rep.add_argument("--title", default=None, help="report heading")
     rep.add_argument(
-        "--profile",
-        default=None,
-        help="speedscope profile JSON (from --profile-out / obs profile); "
-        "adds the CPU flame-graph pane",
-    )
-    rep.add_argument(
         "--live",
         default=None,
         help="live-telemetry JSON (from serve --live-out); adds the "
         "time-series sparkline pane",
-    )
-
-    prof = obs_sub.add_parser(
-        "profile",
-        help="run a partition under the sampling profiler and emit "
-        "trace/metrics/profile/report artifacts",
-    )
-    prof.add_argument(
-        "dataset",
-        help=f"built-in dataset name ({', '.join(dataset_names())}) "
-        "or path to a network JSON file",
-    )
-    prof.add_argument("-k", type=int, default=6, help="number of partitions")
-    prof.add_argument(
-        "--scheme", choices=SCHEMES, default="ASG", help="partitioning scheme"
-    )
-    prof.add_argument("--seed", type=int, default=0, help="random seed")
-    prof.add_argument(
-        "--hz", type=float, default=97.0,
-        help="profiler sampling frequency in Hz (default 97)",
-    )
-    prof.add_argument(
-        "--memory",
-        action="store_true",
-        help="also track allocations with tracemalloc",
-    )
-    prof.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker count for the parallel mining loops (0 = all "
-        "cores; default: the REPRO_NUM_WORKERS env var, serial when "
-        "unset)",
-    )
-    prof.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="mine this many geographic shards in parallel and stitch "
-        "the boundaries (supergraph schemes only); with --workers > 1 "
-        "the shards are mined in processes, each running its own "
-        "sampler, and the stacks merge into one flame graph "
-        "(pid:<pid>:<thread> lanes)",
-    )
-    prof.add_argument(
-        "--out-dir",
-        required=True,
-        help="directory for the artifact set (trace.json, metrics.json, "
-        "profile.speedscope.json, profile.collapsed.txt, report.html)",
-    )
-
-    pdiff = obs_sub.add_parser(
-        "diff", help="rank frame-level CPU deltas between two profiles"
-    )
-    pdiff.add_argument("base", help="baseline speedscope profile JSON")
-    pdiff.add_argument("new", help="new speedscope profile JSON")
-    pdiff.add_argument(
-        "--top", type=int, default=20, help="rows to print (default 20)"
     )
 
     ana = obs_sub.add_parser(
@@ -357,29 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument(
         "--json", action="store_true",
         help="emit the machine-readable analysis document",
-    )
-
-    scl = obs_sub.add_parser(
-        "scaling",
-        help="fit per-stage power laws over the benchmark history and "
-        "forecast city-scale cost",
-    )
-    scl.add_argument(
-        "--history", default=None,
-        help="history JSONL path (default benchmarks/results/history.jsonl)",
-    )
-    scl.add_argument(
-        "--bench", default=None,
-        help="restrict the fit to one benchmark name",
-    )
-    scl.add_argument(
-        "--forecast-n", type=int, default=None,
-        help="network size (segments) to forecast each stage at "
-        "(default 100000, the paper's M3 scale)",
-    )
-    scl.add_argument(
-        "--json", action="store_true",
-        help="emit the machine-readable scaling report",
     )
 
     slo_q = obs_sub.add_parser(
@@ -517,17 +396,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         densities = network.densities()
 
     obs = None
-    if args.trace_out or args.metrics_out or args.profile_out:
-        profile = None
-        if args.profile_out:
-            from repro.obs.profile import ProfileConfig
-
-            profile = ProfileConfig(
-                hz=args.profile_hz, memory=args.profile_memory
-            )
-        obs = ObsContext(
-            dataset=args.dataset, scheme=args.scheme, profile=profile
-        )
+    if args.trace_out or args.metrics_out:
+        obs = ObsContext(dataset=args.dataset, scheme=args.scheme)
 
     framework = SpatialPartitioningFramework(
         k=args.k,
@@ -555,9 +425,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
         _diag(f"wrote metrics to {args.metrics_out}")
-    if obs is not None and args.profile_out:
-        obs.write_profile(args.profile_out)
-        _diag(f"wrote profile to {args.profile_out}")
 
     if args.json:
         payload = {
@@ -773,69 +640,12 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
             args.metrics,
             args.out,
             title=args.title,
-            profile_path=args.profile,
             live_path=args.live,
         )
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         _diag(f"report failed: {exc}")
         return 1
     _diag(f"wrote flight-recorder report to {out}")
-    return 0
-
-
-def _cmd_obs_profile(args: argparse.Namespace) -> int:
-    """Profile one partition run and emit the full artifact set."""
-    from pathlib import Path
-
-    from repro.obs.profile import ProfileConfig
-    from repro.obs.report import write_report
-
-    if args.dataset in dataset_names():
-        network, densities = load_dataset(args.dataset, seed=args.seed)
-    else:
-        network = load_network_json(args.dataset)
-        densities = network.densities()
-
-    obs = ObsContext(
-        dataset=args.dataset,
-        scheme=args.scheme,
-        profile=ProfileConfig(hz=args.hz, memory=args.memory),
-    )
-    framework = SpatialPartitioningFramework(
-        k=args.k,
-        scheme=args.scheme,
-        seed=args.seed,
-        workers=args.workers,
-        n_shards=args.shards,
-        obs=obs,
-    )
-    framework.partition(network, densities)
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace_path = obs.write_trace(out_dir / "trace.json")
-    metrics_path = obs.write_metrics(
-        out_dir / "metrics.json",
-        config=framework.config_dict(),
-        seed=args.seed,
-    )
-    profile_path = obs.write_profile(out_dir / "profile.speedscope.json")
-    collapsed_path = obs.write_collapsed(out_dir / "profile.collapsed.txt")
-    report_path = write_report(
-        trace_path,
-        metrics_path,
-        out_dir / "report.html",
-        profile_path=profile_path,
-    )
-    n_samples = obs.profiler.n_samples if obs.profiler is not None else 0
-    for path in (
-        trace_path, metrics_path, profile_path, collapsed_path, report_path
-    ):
-        _diag(f"wrote {path}")
-    print(
-        f"profiled {args.dataset} {args.scheme} k={args.k}: "
-        f"{n_samples} samples -> {out_dir}"
-    )
     return 0
 
 
@@ -859,57 +669,6 @@ def _cmd_obs_analyze(args: argparse.Namespace) -> int:
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(report.render(top=args.top))
-    return 0
-
-
-def _cmd_obs_scaling(args: argparse.Namespace) -> int:
-    """Fit per-stage power laws over the history; exit 2 when unfittable."""
-    from repro.exceptions import DataError
-    from repro.obs.bench import DEFAULT_HISTORY
-    from repro.obs.scaling import (
-        DEFAULT_FORECAST_N,
-        fit_scaling_from_history,
-        render_scaling,
-    )
-
-    path = args.history if args.history else DEFAULT_HISTORY
-    forecast_n = args.forecast_n if args.forecast_n else DEFAULT_FORECAST_N
-    try:
-        report = fit_scaling_from_history(
-            path, bench=args.bench, forecast_n=forecast_n
-        )
-    except DataError as exc:
-        _diag(f"scaling fit failed: {exc}")
-        return 1
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_scaling(report))
-    if not report["stages"]:
-        _diag(
-            "no stage measured at >= 2 network sizes in the history; "
-            "run the table3 benchmark to record a multi-size sweep"
-        )
-        return 2
-    return 0
-
-
-def _cmd_obs_diff(args: argparse.Namespace) -> int:
-    """Print frame-level CPU deltas between two speedscope profiles."""
-    from repro.obs.profile import diff_profiles, render_diff, validate_speedscope
-
-    docs = []
-    for path in (args.base, args.new):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            validate_speedscope(doc)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            _diag(f"cannot read profile {path}: {exc}")
-            return 1
-        docs.append(doc)
-    rows = diff_profiles(docs[0], docs[1])
-    print(render_diff(rows, top=args.top))
     return 0
 
 
@@ -1217,11 +976,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 def _cmd_obs(args: argparse.Namespace) -> int:
     handlers = {
         "report": _cmd_obs_report,
-        "profile": _cmd_obs_profile,
-        "diff": _cmd_obs_diff,
         "slo": _cmd_obs_slo,
         "analyze": _cmd_obs_analyze,
-        "scaling": _cmd_obs_scaling,
     }
     return handlers[args.obs_command](args)
 

@@ -15,12 +15,7 @@ and work go. This package provides the four pillars:
   :mod:`logging` with a run-scoped context (run id, dataset, scheme);
 * :mod:`repro.obs.manifest` — reproducibility manifests (config,
   seed, package versions, platform, git SHA, timestamp, argv and
-  every ``REPRO_*`` environment knob);
-* :mod:`repro.obs.profile` — the deep-profiling pillar: a sampling
-  CPU profiler attributing stacks to the innermost open span,
-  tracemalloc-based per-span allocation deltas, FlameGraph
-  collapsed-stack and speedscope-JSON exports (with strict
-  validators), profile diffs and process-wide memory/GC gauges.
+  every ``REPRO_*`` environment knob).
 
 :class:`repro.obs.ObsContext` bundles all four for one pipeline run::
 
@@ -47,9 +42,7 @@ On top of the per-run pillars sits the continuous-monitoring layer:
   opt-in stdlib ``/metrics`` endpoint, and :class:`MonitoringSession`
   publishing live gauges/histograms from the incremental pipeline;
 * :mod:`repro.obs.report` — per-run flight-recorder HTML reports
-  merging trace, metrics, manifest and (when profiled) an inline
-  SVG flame graph (``repro-partition obs report``); the whole
-  profiling artifact set is one ``repro-partition obs profile`` away;
+  merging trace, metrics and manifest (``repro-partition obs report``);
 * :mod:`repro.obs.live` — bounded ring-buffer time series
   (:class:`TimeSeries` / :class:`LiveRecorder`) sampling server gauges
   at configurable Hz, plus the :class:`EpochGenealogyRecorder` that
@@ -68,10 +61,10 @@ And the analysis layer, which *reads* what the other pillars record:
 * :mod:`repro.obs.convergence` — per-iteration solver telemetry
   (:class:`ConvergenceTrace`) attached to spans by the
   k-means / boundary-refinement kernels, rendered as convergence panes
-  in the flight recorder;
-* :mod:`repro.obs.scaling` — power-law fits ``t ≈ a·n^b`` per pipeline
-  stage over the benchmark history, with superlinear flags and
-  city-scale forecasts (``repro-partition obs scaling``).
+  in the flight recorder.
+
+For a function-level CPU breakdown use the stdlib profiler:
+``python -m cProfile -o run.prof -m repro partition D1 -k 6``.
 """
 
 from repro.obs.analyze import (
@@ -88,16 +81,6 @@ from repro.obs.convergence import (
     convergence_wanted,
     traces_from_attrs,
 )
-from repro.obs.scaling import (
-    SCALING_SCHEMA_VERSION,
-    SUPERLINEAR_EXPONENT,
-    collect_points,
-    fit_power_law,
-    fit_scaling,
-    fit_scaling_from_history,
-    render_scaling,
-)
-
 from repro.obs.bench import (
     append_history,
     compare_latest,
@@ -124,21 +107,13 @@ from repro.obs.slo import (
 )
 from repro.obs.report import flight_recorder_html, write_report
 from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, run_manifest
-from repro.obs.profile import (
-    ProfileConfig,
-    Profiler,
-    diff_profiles,
-    parse_collapsed,
-    render_collapsed,
-    sample_process_gauges,
-    validate_speedscope,
-)
 from repro.obs.metrics import (
     MetricsRegistry,
     current_registry,
     incr,
     metrics_enabled,
     observe,
+    sample_process_gauges,
     set_gauge,
     use_registry,
 )
@@ -156,7 +131,7 @@ from repro.obs.trace import (
 __all__ = [
     "ObsContext",
     "observe_run",
-    # trace analytics & forecasting
+    # trace analytics
     "ANALYSIS_SCHEMA_VERSION",
     "AnalysisReport",
     "analyze_trace",
@@ -167,13 +142,6 @@ __all__ = [
     "convergence_enabled",
     "convergence_wanted",
     "traces_from_attrs",
-    "SCALING_SCHEMA_VERSION",
-    "SUPERLINEAR_EXPONENT",
-    "collect_points",
-    "fit_power_law",
-    "fit_scaling",
-    "fit_scaling_from_history",
-    "render_scaling",
     # continuous monitoring layer
     "append_history",
     "load_history",
@@ -196,14 +164,6 @@ __all__ = [
     "SLOTracker",
     "SLOAccumulator",
     "default_objectives",
-    # deep profiling
-    "ProfileConfig",
-    "Profiler",
-    "validate_speedscope",
-    "render_collapsed",
-    "parse_collapsed",
-    "diff_profiles",
-    "sample_process_gauges",
     "Span",
     "Tracer",
     "activate_tracer",
@@ -219,6 +179,7 @@ __all__ = [
     "incr",
     "set_gauge",
     "observe",
+    "sample_process_gauges",
     "configure_logging",
     "get_logger",
     "log_context",

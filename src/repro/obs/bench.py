@@ -142,8 +142,8 @@ def value_direction(key: str) -> Optional[str]:
 
 
 #: Leaves that carry a problem size; ``history_record`` lifts the
-#: largest onto the record so size-aware consumers (the scaling-law
-#: fitter, dashboards) need not guess which dotted key means "n".
+#: largest onto the record so size-aware consumers (dashboards) need
+#: not guess which dotted key means "n".
 _SIZE_LEAVES = {
     "n_segments": ("n_segments", "segments"),
     "n_supernodes": ("n_supernodes",),

@@ -19,14 +19,13 @@ Exports:
 from __future__ import annotations
 
 import json
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Union
 
 from repro.obs.logs import log_context
 from repro.obs.manifest import new_run_id, run_manifest
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.profile import ProfileConfig, Profiler
 from repro.obs.trace import Tracer, activate_tracer
 
 __all__ = ["ObsContext", "observe_run"]
@@ -50,13 +49,6 @@ class ObsContext:
         manifest.
     metadata:
         Free-form extra fields carried into the exports.
-    profile:
-        Optional deep-profiling switch: a
-        :class:`~repro.obs.profile.ProfileConfig` (or ``True`` for the
-        defaults). When set, every :meth:`activate` block runs under
-        the CPU sampling / memory-tracking
-        :class:`~repro.obs.profile.Profiler` and spans gain
-        ``cpu_self_s`` / ``cpu_total_s`` / ``alloc_bytes`` attributes.
     """
 
     def __init__(
@@ -65,7 +57,6 @@ class ObsContext:
         dataset: Optional[str] = None,
         scheme: Optional[str] = None,
         metadata: Optional[Dict[str, Any]] = None,
-        profile: Union[ProfileConfig, bool, None] = None,
     ) -> None:
         self.run_id = run_id if run_id is not None else new_run_id()
         self.dataset = dataset
@@ -73,39 +64,13 @@ class ObsContext:
         self.metadata = dict(metadata or {})
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
-        self.profiler: Optional[Profiler] = None
-        if profile:
-            self.enable_profiling(
-                profile if isinstance(profile, ProfileConfig) else None
-            )
-
-    def enable_profiling(
-        self, config: Optional[ProfileConfig] = None
-    ) -> Profiler:
-        """Attach a profiler (idempotent); active from the next activate."""
-        if self.profiler is None:
-            self.profiler = Profiler(
-                config, tracer=self.tracer, registry=self.metrics
-            )
-        return self.profiler
 
     @contextmanager
     def activate(self) -> Iterator["ObsContext"]:
-        """Make this context ambient (tracer, metrics, log fields).
-
-        With profiling enabled the profiler runs for the duration of
-        the block (nested activations share one sampling thread).
-        """
-        with ExitStack() as stack:
-            stack.enter_context(activate_tracer(self.tracer))
-            stack.enter_context(use_registry(self.metrics))
-            stack.enter_context(
-                log_context(
-                    run_id=self.run_id, dataset=self.dataset, scheme=self.scheme
-                )
-            )
-            if self.profiler is not None:
-                stack.enter_context(self.profiler)
+        """Make this context ambient (tracer, metrics, log fields)."""
+        with activate_tracer(self.tracer), use_registry(self.metrics), log_context(
+            run_id=self.run_id, dataset=self.dataset, scheme=self.scheme
+        ):
             yield self
 
     # ------------------------------------------------------------------
@@ -146,36 +111,6 @@ class ObsContext:
             json.dump(self.chrome_trace(), fh, indent=2)
         return path
 
-    def profile_dict(self) -> Optional[Dict[str, Any]]:
-        """Profiler summary (samples, per-span CPU), or None when off."""
-        return self.profiler.profile_dict() if self.profiler is not None else None
-
-    def speedscope(self) -> Optional[Dict[str, Any]]:
-        """Speedscope-JSON document of the run, or None when off."""
-        if self.profiler is None:
-            return None
-        return self.profiler.speedscope(name=f"repro {self.run_id}")
-
-    def write_profile(self, path: PathLike) -> Path:
-        """Write the validated speedscope-JSON profile to ``path``."""
-        if self.profiler is None:
-            raise ValueError(
-                "profiling is not enabled on this ObsContext "
-                "(pass profile=ProfileConfig(...))"
-            )
-        return self.profiler.write_speedscope(
-            path, name=f"repro {self.run_id}"
-        )
-
-    def write_collapsed(self, path: PathLike) -> Path:
-        """Write the FlameGraph collapsed-stack text to ``path``."""
-        if self.profiler is None:
-            raise ValueError(
-                "profiling is not enabled on this ObsContext "
-                "(pass profile=ProfileConfig(...))"
-            )
-        return self.profiler.write_collapsed(path)
-
     def write_metrics(
         self,
         path: PathLike,
@@ -206,13 +141,9 @@ class ObsContext:
 def observe_run(
     dataset: Optional[str] = None,
     scheme: Optional[str] = None,
-    profile: Union[ProfileConfig, bool, None] = None,
     **metadata: Any,
 ) -> Iterator[ObsContext]:
     """Create and activate an :class:`ObsContext` in one step.
-
-    Pass ``profile=ProfileConfig(...)`` (or ``True``) to run the block
-    under the sampling profiler as well.
 
     >>> from repro.obs import observe_run
     >>> with observe_run(dataset="D1", scheme="ASG") as obs:
@@ -220,8 +151,6 @@ def observe_run(
     >>> obs.run_id is not None
     True
     """
-    obs = ObsContext(
-        dataset=dataset, scheme=scheme, metadata=metadata or None, profile=profile
-    )
+    obs = ObsContext(dataset=dataset, scheme=scheme, metadata=metadata or None)
     with obs.activate():
         yield obs

@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.obs.context import ObsContext
 from repro.obs.logs import get_logger
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, sample_process_gauges
 
 __all__ = [
     "CONTENT_TYPE",
@@ -479,7 +479,7 @@ class MetricsHTTPServer:
         When ``source`` is a registry, refresh the process-level
         gauges (``process.rss_bytes``, ``process.threads``,
         ``process.gc_collections[gen=N]`` — see
-        :func:`repro.obs.profile.sample_process_gauges`) before every
+        :func:`repro.obs.metrics.sample_process_gauges`) before every
         render so each scrape sees current values. Default True.
     """
 
@@ -497,8 +497,6 @@ class MetricsHTTPServer:
 
             def render() -> str:
                 if process_gauges:
-                    from repro.obs.profile import sample_process_gauges
-
                     sample_process_gauges(registry)
                 return render_prometheus(
                     registry, namespace=namespace, extra_labels=extra_labels
@@ -601,7 +599,7 @@ class MonitoringSession:
     * ``process.rss_bytes`` / ``process.threads`` /
       ``process.gc_collections[gen=N]`` — process-level resource
       gauges, refreshed on every scrape (see
-      :func:`repro.obs.profile.sample_process_gauges`).
+      :func:`repro.obs.metrics.sample_process_gauges`).
 
     Updates also run under the session's :class:`ObsContext`, so span
     traces accumulate for the flight-recorder report
@@ -672,8 +670,6 @@ class MonitoringSession:
         service's current resource footprint alongside the pipeline
         metrics.
         """
-        from repro.obs.profile import sample_process_gauges
-
         sample_process_gauges(self.registry)
         return render_prometheus(
             self.registry, extra_labels={"run_id": self.obs.run_id}

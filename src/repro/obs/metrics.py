@@ -27,7 +27,10 @@ relative to in-process recording.
 
 from __future__ import annotations
 
+import gc
 import math
+import os
+import sys
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -42,6 +45,9 @@ __all__ = [
     "incr",
     "set_gauge",
     "observe",
+    "process_rss_bytes",
+    "process_max_rss_bytes",
+    "sample_process_gauges",
 ]
 
 
@@ -250,3 +256,52 @@ def observe(name: str, value: float) -> None:
     registry = _ACTIVE_REGISTRY.get()
     if registry is not None:
         registry.observe(name, value)
+
+
+# ----------------------------------------------------------------------
+# process-level gauges (the /metrics endpoints and MonitoringSession)
+def process_rss_bytes() -> Optional[int]:
+    """Current resident-set size of this process, or None when unknown."""
+    try:
+        with open("/proc/self/statm", "r", encoding="ascii") as fh:
+            pages = int(fh.read().split()[1])
+        return pages * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, IndexError):
+        pass
+    return process_max_rss_bytes()  # macOS & friends: peak is the best we have
+
+
+def process_max_rss_bytes() -> Optional[int]:
+    """Peak resident-set size of this process (``ru_maxrss``), or None."""
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if peak <= 0:
+        return None
+    # Linux reports kilobytes, macOS bytes
+    return int(peak) if sys.platform == "darwin" else int(peak) * 1024
+
+
+def sample_process_gauges(registry: MetricsRegistry) -> None:
+    """Record process-level gauges into ``registry``.
+
+    Sets ``process.rss_bytes``, ``process.max_rss_bytes``,
+    ``process.threads`` and per-generation
+    ``process.gc_collections[gen=N]`` gauges. Called by
+    :meth:`repro.obs.export.MonitoringSession.scrape` and the
+    ``/metrics`` endpoints before every render, so scrapers always see
+    fresh values.
+    """
+    rss = process_rss_bytes()
+    if rss is not None:
+        registry.set_gauge("process.rss_bytes", float(rss))
+    peak = process_max_rss_bytes()
+    if peak is not None:
+        registry.set_gauge("process.max_rss_bytes", float(peak))
+    registry.set_gauge("process.threads", float(threading.active_count()))
+    for gen, stats in enumerate(gc.get_stats()):
+        registry.set_gauge(
+            f"process.gc_collections[gen={gen}]", float(stats.get("collections", 0))
+        )

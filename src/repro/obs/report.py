@@ -9,9 +9,6 @@ images — with:
   seed) from the run manifest;
 * an inline SVG span timeline (flame chart) rendered with
   :func:`repro.viz.svg.render_timeline`;
-* when the run was profiled, an inline SVG CPU flame graph
-  (:func:`repro.viz.svg.render_flamegraph`) plus a top-frames-by-self-
-  time table built from the speedscope profile;
 * an analysis pane — the critical path and ranked optimization
   targets from :func:`repro.obs.analyze.analyze_trace` — plus solver
   convergence panes (:func:`repro.viz.svg.render_convergence`) for
@@ -21,10 +18,9 @@ images — with:
 * the Prometheus exposition snapshot of the same metrics, collapsed,
   so what a scraper would have seen is on record too.
 
-CLI: ``repro-partition obs report trace.json metrics.json -o report.html
-[--profile profile.speedscope.json]`` (the inputs are exactly what
-``partition --trace-out/--metrics-out/--profile-out`` and
-:class:`repro.obs.ObsContext` write).
+CLI: ``repro-partition obs report trace.json metrics.json -o report.html``
+(the inputs are exactly what ``partition --trace-out/--metrics-out``
+and :class:`repro.obs.ObsContext` write).
 """
 
 from __future__ import annotations
@@ -40,7 +36,6 @@ __all__ = [
     "flight_recorder_html",
     "write_report",
     "trace_bars",
-    "profile_section",
     "live_section",
     "analysis_section",
 ]
@@ -141,58 +136,6 @@ def trace_bars(trace: Optional[Dict[str, Any]]) -> List[Tuple]:
     if "traceEvents" in trace:
         return _bars_from_chrome(trace.get("traceEvents") or [])
     return []
-
-
-# ----------------------------------------------------------------------
-# profile handling
-def profile_section(profile: Optional[Dict[str, Any]]) -> Tuple[str, int]:
-    """``(html, n_samples)`` for the CPU-profile pane of the report.
-
-    ``profile`` is a speedscope-JSON document (what ``--profile-out``
-    / :meth:`repro.obs.ObsContext.write_profile` writes); invalid or
-    empty documents degrade to an explanatory paragraph rather than
-    taking the whole report down.
-    """
-    if not profile:
-        return "<p>(no profile recorded)</p>", 0
-    try:
-        from repro.obs.profile import frame_weights, stacks_from_speedscope
-
-        by_profile = stacks_from_speedscope(profile)
-        stacks = [
-            ((name,) + frames, weight)
-            for name, prof_stacks in sorted(by_profile.items())
-            for frames, weight in sorted(prof_stacks.items())
-            if weight > 0
-        ]
-    except ValueError as exc:
-        return f"<p>(profile unreadable: {_esc(exc)})</p>", 0
-    if not stacks:
-        return "<p>(profile recorded no samples)</p>", 0
-
-    from repro.viz.svg import render_flamegraph
-
-    flame = (
-        '<div class="svgwrap">'
-        + render_flamegraph(stacks, title="cpu flame graph")
-        + "</div>"
-    )
-    weights = frame_weights(profile)
-    top = sorted(weights.items(), key=lambda kv: -kv[1]["self"])[:15]
-    rows = "\n".join(
-        f'<tr><td>{_esc(frame)}</td><td class="num">{w["self"]:.4f}</td>'
-        f'<td class="num">{w["total"]:.4f}</td></tr>'
-        for frame, w in top
-        if w["self"] > 0
-    )
-    table = (
-        "<table><tr><th>frame (top self time)</th><th>self s</th>"
-        f"<th>total s</th></tr>{rows}</table>"
-    )
-    n_samples = sum(
-        len(profile_entry.get("samples", [])) for profile_entry in profile["profiles"]
-    )
-    return flame + table, n_samples
 
 
 # ----------------------------------------------------------------------
@@ -416,7 +359,6 @@ def flight_recorder_html(
     trace: Optional[Dict[str, Any]] = None,
     metrics: Optional[Dict[str, Any]] = None,
     title: Optional[str] = None,
-    profile: Optional[Dict[str, Any]] = None,
     live: Optional[Dict[str, Any]] = None,
 ) -> str:
     """Build the self-contained HTML flight-recorder document.
@@ -433,10 +375,6 @@ def flight_recorder_html(
         (``counters`` / ``gauges`` / ``histograms``).
     title:
         Heading; defaults to the run id.
-    profile:
-        Optional speedscope-JSON document (``--profile-out`` /
-        :meth:`repro.obs.ObsContext.write_profile`); adds a CPU
-        flame-graph pane with a top-frames table.
     live:
         Optional :meth:`repro.obs.live.LiveRecorder.to_dict` dump (the
         server's ``--live-out`` file); adds a live-telemetry pane with
@@ -472,7 +410,6 @@ def flight_recorder_html(
         timeline = "<p>(no trace recorded)</p>"
         n_spans = 0
 
-    profile_html, n_samples = profile_section(profile)
     live_html, n_series = live_section(live)
     analysis_html, convergence_html = analysis_section(trace)
     exposition = render_prometheus(snapshot)
@@ -490,8 +427,6 @@ def flight_recorder_html(
         analysis_html,
         "<h2>Solver convergence</h2>",
         convergence_html,
-        f"<h2>CPU profile ({n_samples} sampled stacks)</h2>",
-        profile_html,
         f"<h2>Live telemetry ({n_series} series)</h2>",
         live_html,
         "<h2>Counters</h2>",
@@ -512,15 +447,13 @@ def write_report(
     metrics_path: Optional[PathLike],
     out_path: PathLike,
     title: Optional[str] = None,
-    profile_path: Optional[PathLike] = None,
     live_path: Optional[PathLike] = None,
 ) -> Path:
-    """Read trace/metrics(/profile/live) JSON files and write the report.
+    """Read trace/metrics(/live) JSON files and write the report.
 
     Either of trace/metrics may be None (the corresponding section
     reports "none recorded"); passing both None is rejected — there
-    would be nothing to record. ``profile_path`` optionally adds the
-    speedscope profile's flame-graph pane, ``live_path`` the live
+    would be nothing to record. ``live_path`` optionally adds the live
     telemetry pane (a ``LiveRecorder`` dump).
     """
     if trace_path is None and metrics_path is None:
@@ -533,16 +466,12 @@ def write_report(
     if metrics_path is not None:
         with open(metrics_path, "r", encoding="utf-8") as fh:
             metrics = json.load(fh)
-    profile = None
-    if profile_path is not None:
-        with open(profile_path, "r", encoding="utf-8") as fh:
-            profile = json.load(fh)
     live = None
     if live_path is not None:
         with open(live_path, "r", encoding="utf-8") as fh:
             live = json.load(fh)
     doc = flight_recorder_html(
-        trace=trace, metrics=metrics, title=title, profile=profile, live=live
+        trace=trace, metrics=metrics, title=title, live=live
     )
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -175,19 +175,11 @@ class Tracer:
 
     def __init__(self) -> None:
         self.roots: List[Span] = []
-        #: Attached :class:`repro.obs.profile.Profiler` (memory mode),
-        #: or None. Checked once per span push/pop; tracing without
-        #: profiling pays a single attribute load for it.
-        self.profiler = None
         self._epoch_perf = time.perf_counter()
         self._epoch_wall = time.time()
         self._local = threading.local()
         self._lock = threading.Lock()
         self._thread_ids: Dict[int, int] = {}
-        # thread ident -> that thread's live span stack; lets the
-        # sampling profiler resolve "innermost open span of thread X"
-        # from outside the thread (threading.local cannot)
-        self._stacks_by_thread: Dict[int, List[Span]] = {}
 
     # ------------------------------------------------------------------
     # span lifecycle
@@ -222,23 +214,6 @@ class Tracer:
         """The innermost open span of the calling thread, if any."""
         stack = self._stack()
         return stack[-1] if stack else None
-
-    def open_spans(self, ident: Optional[int] = None) -> List[Span]:
-        """Snapshot of a thread's open spans, outermost first.
-
-        ``ident`` is a :func:`threading.get_ident` value (default: the
-        calling thread). Safe to call from any thread — the sampling
-        profiler uses it to attribute stack samples to spans.
-        """
-        if ident is None:
-            ident = threading.get_ident()
-        stack = self._stacks_by_thread.get(ident)
-        if not stack:
-            return []
-        try:
-            return list(stack)
-        except RuntimeError:  # pragma: no cover - resize during copy
-            return []
 
     # ------------------------------------------------------------------
     # cross-process transport
@@ -374,16 +349,11 @@ class Tracer:
         if stack is None:
             stack = []
             self._local.stack = stack
-            with self._lock:
-                self._stacks_by_thread[threading.get_ident()] = stack
         return stack
 
     def _push(self, span: Span) -> None:
         span.start = time.perf_counter() - self._epoch_perf
         self._stack().append(span)
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.on_span_open(span)
 
     def _pop(self, span: Span) -> None:
         span.duration = time.perf_counter() - self._epoch_perf - span.start
@@ -392,9 +362,6 @@ class Tracer:
             stack.pop()
         elif span in stack:  # defensive: mismatched exits
             stack.remove(span)
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.on_span_close(span)
         self._attach(span)
 
     def _attach(self, span: Span) -> None:

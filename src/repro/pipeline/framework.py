@@ -31,7 +31,6 @@ from repro.network.dual import build_road_graph
 from repro.network.model import RoadNetwork
 from repro.obs.context import ObsContext
 from repro.obs.logs import get_logger
-from repro.obs.profile import ProfileConfig
 from repro.obs.manifest import run_manifest
 from repro.pipeline.results import PartitioningResult
 from repro.pipeline.schemes import SCHEMES, run_scheme
@@ -81,14 +80,6 @@ class SpatialPartitioningFramework:
         spans land on ``obs.tracer``, algorithm counters on
         ``obs.metrics``, and log records carry the run id. When
         omitted the instrumentation is a no-op.
-    profile:
-        Optional :class:`repro.obs.profile.ProfileConfig`. When given,
-        runs execute under the sampling CPU / memory profiler: a fresh
-        :class:`ObsContext` is created when ``obs`` is omitted,
-        otherwise profiling is enabled on the passed context. Spans
-        then carry ``cpu_self_s`` / ``cpu_total_s`` (and
-        ``alloc_bytes`` with memory tracking) attributes, and the
-        profile is exportable via ``framework.obs.write_profile``.
 
     Examples
     --------
@@ -114,7 +105,6 @@ class SpatialPartitioningFramework:
         workers: Optional[int] = None,
         n_shards: Optional[int] = None,
         obs: Optional[ObsContext] = None,
-        profile: Optional[ProfileConfig] = None,
     ) -> None:
         if k < 1:
             raise PartitioningError(f"k must be positive, got {k}")
@@ -133,11 +123,6 @@ class SpatialPartitioningFramework:
         self._seed = seed
         self._workers = workers
         self._n_shards = n_shards
-        if profile is not None:
-            if obs is None:
-                obs = ObsContext(profile=profile)
-            else:
-                obs.enable_profiling(profile)
         self._obs = obs
         self.last_road_graph: Optional[Graph] = None
 

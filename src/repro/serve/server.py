@@ -88,7 +88,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.exceptions import ServeError
 from repro.obs.export import quantiles_from_latencies, render_prometheus
 from repro.obs.logs import get_logger
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, sample_process_gauges
 from repro.obs.trace import Span, Tracer, make_traceparent, parse_traceparent
 from repro.serve.snapshot import SnapshotStore
 
@@ -887,8 +887,6 @@ class PartitionServer:
                 self._slo_acc.flush()
             self.slo.export_gauges(registry)
         try:
-            from repro.obs.profile import sample_process_gauges
-
             sample_process_gauges(registry)
         except Exception:  # pragma: no cover - resource module quirks
             pass

@@ -42,9 +42,7 @@ mode:
   back with each result, spans open on a worker-side
   :class:`~repro.obs.trace.Tracer` whose serialized tree is grafted
   into the caller's trace (``pid``/``worker`` attributes, own
-  Chrome-trace process lane), and — when a profiler is active — a
-  worker-side sampler ships its stacks back for a single merged flame
-  graph.
+  Chrome-trace process lane).
 
 Process-pool workers must not open pools of their own: a function run
 in a process pool passes ``workers=1`` to anything it calls.
@@ -66,7 +64,6 @@ import numpy as np
 
 from repro.exceptions import ReproError
 from repro.obs.metrics import MetricsRegistry, current_registry, use_registry
-from repro.obs.profile import ProfileConfig, Profiler, current_profiler
 from repro.obs.trace import Tracer, activate_tracer, current_tracer
 
 T = TypeVar("T")
@@ -203,8 +200,8 @@ def _map_threaded(
                 registry.observe("parallel.item_seconds", elapsed)
 
     start = time.perf_counter()
-    # the name prefix makes worker threads identifiable in sampling
-    # profiles (repro.obs.profile groups stacks by thread name)
+    # the name prefix makes worker threads identifiable in profiles
+    # and stack dumps
     with ThreadPoolExecutor(
         max_workers=count, thread_name_prefix="repro-worker"
     ) as pool:
@@ -235,17 +232,15 @@ def _worker_init(log_level: Optional[str]) -> None:
     parent's log level when it is a standard one (inherited under
     ``fork`` but lost under ``spawn``), and clears any ambient
     observability state inherited through ``fork`` (a forked worker's
-    contextvars point at dead copies of the parent's registry, tracer
-    and profiler — writes to them would never ride back).
+    contextvars point at dead copies of the parent's registry and
+    tracer — writes to them would never ride back).
     """
     from repro.obs.logs import LOG_LEVELS, configure_logging
     from repro.obs.metrics import _ACTIVE_REGISTRY
-    from repro.obs.profile import _ACTIVE_PROFILER
     from repro.obs.trace import _ACTIVE_TRACER
 
     _ACTIVE_REGISTRY.set(None)
     _ACTIVE_TRACER.set(None)
-    _ACTIVE_PROFILER.set(None)
     if log_level is not None and log_level in LOG_LEVELS:
         configure_logging(level=log_level)
     else:
@@ -271,12 +266,11 @@ def _process_task(
     """One process-pool task: run ``fn`` under worker-side observability.
 
     ``spec`` says which pillars the parent had active (metrics /
-    tracing / profiling); matching worker-side collectors run for the
-    task's duration and their output rides back in the returned
-    payload — metrics snapshot, serialized span tree
-    (:meth:`repro.obs.trace.Tracer.to_wire`) and profile samples
-    (:meth:`repro.obs.profile.Profiler.worker_payload`) — so nothing
-    recorded inside ``fn`` is lost at the interpreter boundary. The
+    tracing); matching worker-side collectors run for the task's
+    duration and their output rides back in the returned payload —
+    metrics snapshot and serialized span tree
+    (:meth:`repro.obs.trace.Tracer.to_wire`) — so nothing recorded
+    inside ``fn`` is lost at the interpreter boundary. The
     payload's wire formats are documented in ``docs/api.md``.
     """
     payload: Dict[str, Any] = {
@@ -286,27 +280,11 @@ def _process_task(
     t0 = time.perf_counter()
     registry = MetricsRegistry() if spec.get("metrics") else None
     tracer = Tracer() if spec.get("trace") else None
-    profile_spec = spec.get("profile")
-    profiler = None
-    if profile_spec is not None:
-        # registry stays None on purpose: the worker profiler must not
-        # write profile.* gauges that would stomp the parent's on merge
-        profiler = Profiler(
-            ProfileConfig(
-                cpu=True,
-                hz=profile_spec["hz"],
-                memory=profile_spec["memory"],
-                max_stack_depth=profile_spec["max_stack_depth"],
-            ),
-            tracer=tracer,
-        )
     with ExitStack() as stack:
         if registry is not None:
             stack.enter_context(use_registry(registry))
         if tracer is not None:
             stack.enter_context(activate_tracer(tracer))
-        if profiler is not None:
-            stack.enter_context(profiler)
         if tracer is not None:
             attrs: Dict[str, Any] = {"item": index}
             parent_span = spec.get("parent_span")
@@ -322,8 +300,6 @@ def _process_task(
         payload["metrics"] = registry.to_dict() if len(registry) else None
     if tracer is not None:
         payload["trace"] = tracer.to_wire()
-    if profiler is not None:
-        payload["profile"] = profiler.worker_payload()
     return result, payload
 
 
@@ -337,17 +313,14 @@ def _map_process(
 
     Worker payloads are merged in input order: metric deltas into the
     caller's registry, span trees grafted into the ambient tracer
-    (with ``pid``/``worker`` attributes), profile samples into the
-    ambient profiler under ``pid:<pid>:<thread>`` lanes. Pool metrics
+    (with ``pid``/``worker`` attributes). Pool metrics
     (queue wait, startup, per-worker busy time, utilization) are
     recorded alongside.
     """
     tracer = current_tracer()
-    profiler = current_profiler()
     spec: Dict[str, Any] = {
         "metrics": registry is not None,
         "trace": tracer is not None,
-        "profile": None,
         "parent_span": None,
     }
     if tracer is not None:
@@ -357,12 +330,6 @@ def _map_process(
                 "name": parent.name,
                 "id": f"{os.getpid()}:{id(parent):x}",
             }
-    if profiler is not None and profiler.config.cpu:
-        spec["profile"] = {
-            "hz": float(profiler.config.hz),
-            "memory": bool(profiler.config.memory),
-            "max_stack_depth": int(profiler.config.max_stack_depth),
-        }
     task = functools.partial(_process_task, fn, spec)
     start = time.perf_counter()
     start_unix = time.time()
@@ -392,8 +359,6 @@ def _map_process(
             busy_by_pid[pid] = busy_by_pid.get(pid, 0.0) + elapsed
         if tracer is not None and payload.get("trace") is not None:
             tracer.graft(payload["trace"], worker=worker_of[pid], item=index)
-        if profiler is not None and payload.get("profile") is not None:
-            profiler.merge_worker(payload["profile"])
         results.append(result)
     if registry is not None:
         wall = time.perf_counter() - start

@@ -220,87 +220,6 @@ def render_timeline(
     return "\n".join(lines)
 
 
-def render_flamegraph(
-    stacks: Sequence[tuple],
-    width: int = 900,
-    row_height: int = 18,
-    title: str = "cpu flame graph",
-    min_frac: float = 0.001,
-) -> str:
-    """SVG flame graph from aggregated profile stacks.
-
-    ``stacks`` is a sequence of ``(frames, weight)`` pairs — frames a
-    root-first tuple of strings, weight a positive number (what
-    :meth:`repro.obs.profile.Profiler.flame_stacks` returns). Identical
-    prefixes merge into one frame box whose width is the subtree's
-    total weight; children are laid out left-to-right in name order so
-    the same profile always renders the same picture. Frames narrower
-    than ``min_frac`` of the total are dropped to keep the SVG small.
-    Hover text carries the full frame name and its share.
-    """
-    total = float(sum(w for __, w in stacks))
-    if not stacks or total <= 0:
-        raise DataError("cannot render an empty flame graph")
-
-    # aggregate into a prefix tree: name -> [weight, children]
-    root: dict = {}
-    for frames, weight in stacks:
-        level = root
-        for frame in frames:
-            node = level.setdefault(str(frame), [0.0, {}])
-            node[0] += float(weight)
-            level = node[1]
-
-    def depth_of(level: dict) -> int:
-        if not level:
-            return 0
-        return 1 + max(depth_of(children) for __, children in level.values())
-
-    margin, label_h = 10, 24
-    max_depth = depth_of(root)
-    height = label_h + max_depth * (row_height + 2) + margin
-    scale = (width - 2 * margin) / total
-
-    lines: List[str] = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f"<title>{html.escape(title)}</title>",
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{margin}" y="16" font-size="13" font-family="sans-serif" '
-        f'font-weight="bold">{html.escape(title)} ({total:.3f})</text>',
-    ]
-
-    def emit(level: dict, x0: float, depth: int) -> None:
-        x = x0
-        for name in sorted(level):
-            weight, children = level[name]
-            w = weight * scale
-            if weight / total >= min_frac:
-                y = label_h + depth * (row_height + 2)
-                color = PALETTE[
-                    zlib.crc32(str(name).encode("utf-8")) % len(PALETTE)
-                ]
-                share = weight / total
-                hover = html.escape(f"{name} — {weight:.4f} ({share:.1%})")
-                lines.append(
-                    f'<rect x="{x:.2f}" y="{y}" width="{max(w, 0.5):.2f}" '
-                    f'height="{row_height}" fill="{color}" fill-opacity="0.85" '
-                    f'rx="1"><title>{hover}</title></rect>'
-                )
-                if w > 50:  # only label boxes wide enough to hold text
-                    lines.append(
-                        f'<text x="{x + 3:.2f}" y="{y + row_height - 5}" '
-                        f'font-size="10" font-family="sans-serif" fill="white">'
-                        f"{html.escape(str(name))}</text>"
-                    )
-                emit(children, x, depth + 1)
-            x += w
-
-    emit(root, float(margin), 0)
-    lines.append("</svg>")
-    return "\n".join(lines)
-
-
 def render_sparkline(
     values: Sequence[float],
     width: int = 220,

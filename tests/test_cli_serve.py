@@ -132,6 +132,13 @@ class TestServeEndToEnd:
         assert "repro_serve_qps" in names
         assert "repro_serve_latency_p99_s" in names
         assert types["repro_serve_request_latency_s"] == "histogram"
+        for gauge in (
+            "repro_process_rss_bytes",
+            "repro_process_max_rss_bytes",
+            "repro_process_threads",
+            "repro_process_gc_collections",
+        ):
+            assert gauge in names
         lookups = next(
             s.value for s in samples if s.name == "repro_serve_lookups_total"
         )

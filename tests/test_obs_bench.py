@@ -220,3 +220,43 @@ class TestCli:
             main(["bench", "compare", "--history", str(path), "--tolerance", "0.05"])
             == 1
         )
+
+
+class TestBenchMemoryGate:
+    @pytest.mark.parametrize(
+        "key",
+        ["x.max_rss_bytes", "peak_alloc_bytes", "pipeline.mem_bytes"],
+    )
+    def test_memory_keys_gate_lower(self, key):
+        assert value_direction(key) == "lower"
+
+    def test_plain_bytes_not_gated(self):
+        assert value_direction("payload.size_bytes") is None
+
+    def test_timing_keys_unaffected(self):
+        assert value_direction("module2.wall_s") == "lower"
+        assert value_direction("scan.speedup") == "higher"
+
+
+class TestHistorySizeStamps:
+    def test_exact_top_level_key_wins(self):
+        record = history_record(
+            "t", {"n_segments": 52_440, "D1": {"segments": 100}}
+        )
+        assert record["n_segments"] == 52_440
+
+    def test_max_over_dotted_leaves(self):
+        record = history_record(
+            "t",
+            {
+                "D1": {"segments": 100, "n_supernodes": 9},
+                "M1": {"segments": 1_000, "n_supernodes": 80},
+            },
+        )
+        assert record["n_segments"] == 1_000
+        assert record["n_supernodes"] == 80
+
+    def test_no_sizes_no_stamp(self):
+        record = history_record("t", {"total": 1.0})
+        assert "n_segments" not in record
+        assert "n_supernodes" not in record

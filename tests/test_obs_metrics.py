@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.obs.export import parse_prometheus, render_prometheus
 from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
@@ -11,6 +12,9 @@ from repro.obs.metrics import (
     incr,
     metrics_enabled,
     observe,
+    process_max_rss_bytes,
+    process_rss_bytes,
+    sample_process_gauges,
     set_gauge,
     use_registry,
 )
@@ -152,3 +156,34 @@ class TestInstrumentedAlgorithms:
         values = np.random.default_rng(2).normal(size=100)
         kmeans_1d(values, 3)  # no registry active
         assert reg.counter("kmeans1d.fits") == 0.0
+
+
+class TestProcessGauges:
+    def test_rss_helpers_positive_on_linux(self):
+        rss = process_rss_bytes()
+        peak = process_max_rss_bytes()
+        assert rss is None or rss > 0
+        assert peak is None or peak > 0
+
+    def test_gauges_land_in_prometheus_exposition(self):
+        registry = MetricsRegistry()
+        sample_process_gauges(registry)
+        text = render_prometheus(registry.to_dict())
+        samples, types = parse_prometheus(text)
+        names = {s.name for s in samples}
+        assert "repro_process_threads" in names
+        # gc gauges carry the generation as a label
+        gens = {
+            s.labels.get("gen")
+            for s in samples
+            if s.name == "repro_process_gc_collections"
+        }
+        assert gens >= {"0", "1", "2"}
+        assert types.get("repro_process_threads") == "gauge"
+
+    def test_gc_generations_all_present(self):
+        registry = MetricsRegistry()
+        sample_process_gauges(registry)
+        gauges = registry.to_dict()["gauges"]
+        for gen in range(3):
+            assert f"process.gc_collections[gen={gen}]" in gauges

@@ -1,8 +1,8 @@
 """Tests for cross-process observability.
 
-Covers the worker→parent wire formats (span trees and profile
-samples), grafting worker traces into the parent timeline, the
-pid-aware Chrome-trace export, merged flame graphs, the pool's
+Covers the worker→parent span-tree wire format, grafting worker
+traces into the parent timeline, the pid-aware Chrome-trace export, the
+pool's
 bookkeeping metrics (queue wait, per-worker busy time, startup), the
 Prometheus exposition of the ``parallel.*`` family under all three
 pools, and the rule that the work picks the pool: only sharded mining
@@ -11,7 +11,6 @@ runs in processes, and its shard jobs travel by value.
 
 import multiprocessing.shared_memory
 import os
-import time
 
 import numpy as np
 import pytest
@@ -21,12 +20,6 @@ from repro.datasets import small_network
 from repro.network.dual import build_road_graph
 from repro.obs.export import parse_prometheus, render_prometheus
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.profile import (
-    ProfileConfig,
-    Profiler,
-    merge_profiles,
-    validate_speedscope,
-)
 from repro.obs.trace import (
     SPAN_WIRE_SCHEMA_VERSION,
     Tracer,
@@ -43,15 +36,6 @@ from repro.util.parallel import map_parallel
 # ---------------------------------------------------------------- helpers
 def _square(x):
     return x * x
-
-
-def _busy(x, seconds=0.05):
-    """Burn CPU long enough for the worker profiler to sample it."""
-    deadline = time.perf_counter() + seconds
-    total = 0.0
-    while time.perf_counter() < deadline:
-        total += float(np.sum(np.arange(2000) * (x + 1)))
-    return x
 
 
 def _traced_square(x):
@@ -185,72 +169,6 @@ class TestChromeTraceMultiPid:
         assert {e["pid"] for e in trace["traceEvents"]} == {1}
 
 
-# --------------------------------------------------------- profile merge
-class TestWorkerProfileMerge:
-    def _run_profiler(self, seconds=0.05):
-        prof = Profiler(ProfileConfig(hz=400))
-        with prof:
-            _busy(1, seconds=seconds)
-        return prof
-
-    def test_worker_payload_shape(self):
-        prof = self._run_profiler()
-        payload = prof.worker_payload()
-        assert payload["schema_version"] == 1
-        assert payload["pid"] == os.getpid()
-        assert payload["samples"]
-        thread, frames, count, seconds = payload["samples"][0]
-        assert isinstance(thread, str)
-        assert isinstance(frames, list)
-        assert count >= 1 and seconds > 0
-
-    def test_merge_rekeys_by_pid(self):
-        parent = self._run_profiler()
-        payload = self._run_profiler().worker_payload()
-        payload["pid"] = 7777
-        parent.merge_worker(payload)
-        assert parent.worker_pids == [7777]
-        doc = parent.speedscope()
-        validate_speedscope(doc)
-        names = {p["name"] for p in doc["profiles"]}
-        assert any(n.startswith("pid:7777:") for n in names)
-        # after a merge the parent's own threads are pid-prefixed too
-        assert any(n.startswith(f"pid:{os.getpid()}:") for n in names)
-
-    def test_serial_profile_names_unchanged(self):
-        doc = self._run_profiler().speedscope()
-        assert all(not p["name"].startswith("pid:") for p in doc["profiles"])
-
-    def test_merge_rejects_unknown_schema(self):
-        prof = self._run_profiler()
-        payload = prof.worker_payload()
-        payload["schema_version"] = 999
-        with pytest.raises(ValueError, match="schema"):
-            prof.merge_worker(payload)
-
-    def test_merge_profiles_combines_documents(self):
-        doc_a = self._run_profiler().speedscope()
-        doc_b = self._run_profiler().speedscope()
-        for profile in doc_b["profiles"]:
-            profile["name"] = f"pid:9999:{profile['name']}"
-        merged = merge_profiles(doc_a, doc_b, name="combined")
-        validate_speedscope(merged)
-        assert merged["name"] == "combined"
-        names = {p["name"] for p in merged["profiles"]}
-        assert names == {p["name"] for p in doc_a["profiles"]} | {
-            p["name"] for p in doc_b["profiles"]
-        }
-
-    def test_merge_profiles_folds_same_named_lanes(self):
-        doc_a = self._run_profiler().speedscope()
-        doc_b = self._run_profiler().speedscope()
-        merged = merge_profiles(doc_a, doc_b)
-        validate_speedscope(merged)
-        # both docs profile MainThread → one combined lane
-        names = [p["name"] for p in merged["profiles"]]
-        assert names.count("MainThread") == 1
-
-
 # ----------------------------------------------------- process-pool runs
 class TestProcessPoolObservability:
     def test_worker_spans_grafted_with_attrs(self):
@@ -293,23 +211,6 @@ class TestProcessPoolObservability:
         # one busy-time observation per worker per map
         assert len(busy) == int(gauges["parallel.workers_used"])
         assert all(h["count"] == 1 for h in busy.values())
-
-    def test_merged_flame_graph_spans_processes(self):
-        reg = MetricsRegistry()
-        tracer = Tracer()
-        prof = Profiler(ProfileConfig(hz=400), registry=reg, tracer=tracer)
-        with use_registry(reg), activate_tracer(tracer), prof:
-            with tracer.span("run"):
-                _in_processes(_busy, range(4))
-        assert len(prof.worker_pids) == 2
-        doc = prof.speedscope()
-        validate_speedscope(doc)
-        pids = {
-            p["name"].split(":")[1]
-            for p in doc["profiles"]
-            if p["name"].startswith("pid:")
-        }
-        assert len(pids) >= 2  # parent plus at least one worker
 
 
 # -------------------------------------------------- prometheus families

@@ -7,9 +7,11 @@ Two layers of evidence that readers can never observe a torn epoch:
   every batch's answers come from exactly one epoch — the pin taken
   at batch start keeps serving that labelling even while newer epochs
   land mid-batch;
-* a **threaded stress test** (the pool from ``repro.util.parallel``)
-  runs N readers against a hot publisher for ~a second and asserts
-  zero exceptions and monotone epoch observations.
+* **threaded tests** (the pool from ``repro.util.parallel``): N
+  readers against a hot publisher for ~a second, asserting zero
+  exceptions and monotone epoch observations; and readers pinned while
+  an ``IncrementalRepartitioner`` publishes derived epochs, asserting
+  every pinned answer matches the labels that epoch was published with.
 """
 
 import threading
@@ -223,6 +225,81 @@ class TestAttachedEpochs:
                 assert found["region"] == int(first[found["segment"]])
             assert snap.index.quality()["k"] == float(first.max() + 1)
         store.close()
+
+
+    def test_pins_during_updates_never_see_a_torn_epoch(
+        self, small_grid, small_grid_graph
+    ):
+        """Readers pinned while ``update()`` publishes derived epochs
+        (relabels sharing one kd-tree) answer every query — labels,
+        batch lookups and point lookups — from the pinned epoch."""
+        store = SnapshotStore()
+        published = {}
+        store.subscribe(
+            lambda snap: published.__setitem__(
+                snap.epoch, np.array(snap.index.labels, copy=True)
+            )
+        )
+        repartitioner = IncrementalRepartitioner(small_grid_graph, k=5, seed=0)
+        attach_repartitioner(store, repartitioner, network=small_grid)
+        base = np.asarray(small_grid_graph.features, dtype=float)
+        repartitioner.bootstrap(base)
+        rng = np.random.default_rng(7)
+        fresh = [base * rng.uniform(0.2, 5.0, base.shape) for __ in range(8)]
+        n = small_grid_graph.n_nodes
+        ids = np.arange(n)
+        points = store.current().index.points
+        done = threading.Event()
+        errors = []
+
+        def writer():
+            try:
+                for densities in fresh:
+                    repartitioner.update(densities)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def reader(worker: int):
+            seen = []
+            while True:
+                finished = done.is_set()
+                with store.pinned() as snap:
+                    seen.append(
+                        (
+                            snap.epoch,
+                            np.array(snap.index.labels, copy=True),
+                            snap.index.regions_of(ids),
+                            [
+                                snap.index.lookup_point(*points[segment])
+                                for segment in range(worker, n, 4)
+                            ],
+                        )
+                    )
+                if finished:
+                    return seen
+
+        thread = threading.Thread(target=writer, daemon=True)
+        thread.start()
+        observations = map_parallel(reader, [0, 1, 2, 3], workers=4)
+        thread.join(timeout=60)
+        store.close()
+        assert not errors, f"update failed: {errors!r}"
+        assert sorted(published) == list(range(1, len(fresh) + 2))
+        distinct = {labels.tobytes() for labels in published.values()}
+        assert len(distinct) > 1, "no update changed the labels"
+        pinned_epochs = set()
+        for seen in observations:
+            for epoch, labels, regions, found in seen:
+                expected = published[epoch]
+                np.testing.assert_array_equal(labels, expected)
+                np.testing.assert_array_equal(regions, expected)
+                for hit in found:
+                    assert hit["region"] == int(expected[hit["segment"]])
+                pinned_epochs.add(epoch)
+        # the last pin of every reader sees the final epoch
+        assert len(fresh) + 1 in pinned_epochs
 
 
 # ----------------------------------------------------------------------
