@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install test bench bench-full bench-hotpaths bench-obs bench-scaling bench-scaling-full bench-serving bench-compare serve-demo slo-demo obs-report trace-demo analyze-demo examples docs-check all
+.PHONY: install test bench bench-full bench-hotpaths bench-obs bench-scaling bench-scaling-full bench-serving bench-compare serve-demo slo-demo trace-demo analyze-demo examples all
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -56,7 +56,7 @@ serve-demo:
 # `repro obs slo` exits 1 — the scriptable gate CI uses.
 slo-demo:
 	@python -m repro serve D1 -k 4 --port 0 --slo-latency-ms 10 \
-		--inject-slow-ms 50 --record-live > slo-status.json & \
+		--inject-slow-ms 50 > slo-status.json & \
 	SERVER_PID=$$!; \
 	for i in $$(seq 1 50); do [ -s slo-status.json ] && break; sleep 0.2; done; \
 	PORT=$$(python -c "import json; print(json.load(open('slo-status.json'))['port'])"); \
@@ -67,11 +67,6 @@ slo-demo:
 	kill -TERM $$SERVER_PID; wait $$SERVER_PID; \
 	echo "obs slo exit code: $$slo_status (1 = burning, as intended)"; \
 	[ $$slo_status -eq 1 ]
-
-# Flight-recorder report from the trace-demo artifacts.
-obs-report: trace-demo
-	python -m repro obs report trace.json metrics.json -o report.html
-	@echo "wrote report.html"
 
 # Trace analytics on the trace-demo artifact: critical path and
 # ranked optimization targets.

@@ -26,9 +26,6 @@ Subcommands
     and gate the newest run of each benchmark/machine group against
     its own trajectory; exits non-zero on regression (the CI
     ``bench-gate`` job runs exactly this).
-``obs report``
-    Merge a run's trace JSON and metrics dump into a self-contained
-    HTML flight-recorder report.
 ``obs slo``
     Query a running server's ``/slo`` endpoint and report the
     error-budget state; exits non-zero while any objective is burning
@@ -44,10 +41,8 @@ Subcommands
     serve segment→region lookups over HTTP with snapshot epochs; with
     ``--updates`` the incremental repartitioner publishes new epochs
     while serving. ``--slo-latency-ms`` attaches availability/latency
-    objectives (``/slo`` + burn-rate gauges), ``--record-live``
-    samples the server gauges into the ring-buffer time-series store
-    behind ``/dashboard``, and ``--access-log-sample`` emits sampled
-    structured access logs.
+    objectives (``/slo`` + burn-rate gauges) and
+    ``--access-log-sample`` emits sampled structured access logs.
 ``loadgen``
     Drive a running partition server with pipelined lookups and report
     sustained QPS and latency quantiles (plus the server's post-run
@@ -225,23 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     obs = sub.add_parser("obs", help="observability artifact tools")
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
-    rep = obs_sub.add_parser(
-        "report", help="merge trace + metrics into an HTML flight recorder"
-    )
-    rep.add_argument("trace", help="trace JSON path, or '-' when there is none")
-    rep.add_argument(
-        "metrics", nargs="?", default=None,
-        help="metrics dump JSON path (from --metrics-out / write_metrics)",
-    )
-    rep.add_argument("-o", "--out", required=True, help="HTML output path")
-    rep.add_argument("--title", default=None, help="report heading")
-    rep.add_argument(
-        "--live",
-        default=None,
-        help="live-telemetry JSON (from serve --live-out); adds the "
-        "time-series sparkline pane",
-    )
-
     ana = obs_sub.add_parser(
         "analyze",
         help="critical path, per-stage self times, parallel slack and "
@@ -313,24 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="attach availability + latency SLOs with this per-request "
         "latency threshold; enables /slo, slo.* gauges and request "
         "tracing (/trace)",
-    )
-    srv.add_argument(
-        "--record-live",
-        action="store_true",
-        help="sample server gauges into the bounded time-series store "
-        "(enables the /dashboard sparklines and --live-out)",
-    )
-    srv.add_argument(
-        "--live-hz",
-        type=float,
-        default=2.0,
-        help="live-recorder sampling frequency in Hz (default 2)",
-    )
-    srv.add_argument(
-        "--live-out",
-        default=None,
-        help="write the live time-series store as JSON on shutdown "
-        "(feed it to `obs report --live`); implies --record-live",
     )
     srv.add_argument(
         "--access-log-sample",
@@ -630,25 +590,6 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
     return 0 if summary.ok else 1
 
 
-def _cmd_obs_report(args: argparse.Namespace) -> int:
-    from repro.obs.report import write_report
-
-    trace_path = None if args.trace == "-" else args.trace
-    try:
-        out = write_report(
-            trace_path,
-            args.metrics,
-            args.out,
-            title=args.title,
-            live_path=args.live,
-        )
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        _diag(f"report failed: {exc}")
-        return 1
-    _diag(f"wrote flight-recorder report to {out}")
-    return 0
-
-
 def _cmd_obs_analyze(args: argparse.Namespace) -> int:
     """Analyze a trace file into critical path + optimization targets."""
     from repro.exceptions import DataError
@@ -773,7 +714,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         attach_repartitioner(store, repartitioner, points=points)
         repartitioner.bootstrap(densities)  # publishes epoch 1 via the hook
 
-    # --- live-telemetry plane (all opt-in; default serving is untraced) --
+    # --- request telemetry (all opt-in; default serving is untraced) --
     slo = None
     if args.slo_latency_ms is not None:
         from repro.obs.slo import SLOTracker, default_objectives
@@ -783,22 +724,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 1
         slo = SLOTracker(default_objectives(args.slo_latency_ms / 1000.0))
 
-    record_live = args.record_live or args.live_out is not None
-    live = None
-    genealogy = None
-    if record_live:
-        from repro.obs.live import EpochGenealogyRecorder, LiveRecorder
-
-        live = LiveRecorder(hz=args.live_hz)
-        if repartitioner is not None:
-            genealogy = EpochGenealogyRecorder(live)
-            genealogy.attach(repartitioner)
-
-    observability_on = (
-        slo is not None or record_live or args.access_log_sample > 0
-    )
     tracer = None
-    if observability_on:
+    if slo is not None or args.access_log_sample > 0:
         from repro.obs.trace import Tracer
 
         tracer = Tracer()
@@ -810,30 +737,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         slo=slo,
         tracer=tracer,
         access_log_sample=args.access_log_sample,
-        live=live,
-        genealogy=genealogy,
         inject_slow_s=args.inject_slow_ms / 1000.0,
     )
-    if live is not None:
-        # The serve gauges are refreshed lazily (on /metrics hits), so
-        # the first pull source primes them; the rest read the fresh
-        # values within the same tick (sources sample in insertion
-        # order).
-        def _primed_qps() -> float:
-            server._refresh_gauges(store.current())
-            return server.registry.gauge("serve.qps")
-
-        live.add_source("serve.qps", _primed_qps)
-        live.watch_registry(
-            server.registry,
-            (
-                "serve.latency_p50_s",
-                "serve.latency_p99_s",
-                "serve.epoch",
-                "serve.epoch_age_s",
-                "serve.connections",
-            ),
-        )
 
     updater = None
     stop_updates = None
@@ -885,8 +790,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         if updater is not None:
             updater.start()
-        if live is not None:
-            live.start()
         loop = __import__("asyncio").get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
             try:
@@ -904,11 +807,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         if stop_updates is not None:
             stop_updates.set()
-        if live is not None:
-            live.stop()
-            if args.live_out:
-                live.write(args.live_out)
-                _diag(f"wrote live telemetry to {args.live_out}")
         store.close()
     _diag("server stopped")
     return 0
@@ -975,7 +873,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 def _cmd_obs(args: argparse.Namespace) -> int:
     handlers = {
-        "report": _cmd_obs_report,
         "slo": _cmd_obs_slo,
         "analyze": _cmd_obs_analyze,
     }

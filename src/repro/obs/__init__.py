@@ -38,16 +38,9 @@ On top of the per-run pillars sits the continuous-monitoring layer:
 * :mod:`repro.obs.bench` — append-only benchmark history
   (``benchmarks/results/history.jsonl``) with robust regression
   gating (``repro-partition bench compare``);
-* :mod:`repro.obs.export` — Prometheus text-format exposition, an
-  opt-in stdlib ``/metrics`` endpoint, and :class:`MonitoringSession`
-  publishing live gauges/histograms from the incremental pipeline;
-* :mod:`repro.obs.report` — per-run flight-recorder HTML reports
-  merging trace, metrics and manifest (``repro-partition obs report``);
-* :mod:`repro.obs.live` — bounded ring-buffer time series
-  (:class:`TimeSeries` / :class:`LiveRecorder`) sampling server gauges
-  at configurable Hz, plus the :class:`EpochGenealogyRecorder` that
-  turns every published repartitioning epoch into a churn/quality/
-  lineage history (the server's ``/dashboard``);
+* :mod:`repro.obs.export` — Prometheus text-format rendering and
+  parsing plus latency quantiles; ``repro serve`` publishes it on
+  ``/metrics``;
 * :mod:`repro.obs.slo` — declarative availability/latency objectives
   with multi-window error-budget burn rates (``slo.*`` gauges, the
   server's ``/slo`` endpoint, ``repro obs slo``).
@@ -60,8 +53,8 @@ And the analysis layer, which *reads* what the other pillars record:
   (``repro-partition obs analyze``);
 * :mod:`repro.obs.convergence` — per-iteration solver telemetry
   (:class:`ConvergenceTrace`) attached to spans by the
-  k-means / boundary-refinement kernels, rendered as convergence panes
-  in the flight recorder.
+  k-means / boundary-refinement kernels and summarised by
+  ``obs analyze``.
 
 For a function-level CPU breakdown use the stdlib profiler:
 ``python -m cProfile -o run.prof -m repro partition D1 -k 6``.
@@ -89,15 +82,12 @@ from repro.obs.bench import (
 )
 from repro.obs.context import ObsContext, observe_run
 from repro.obs.export import (
-    MetricsHTTPServer,
-    MonitoringSession,
     histogram_quantile,
     parse_prometheus,
     quantile_from_latencies,
     quantiles_from_latencies,
     render_prometheus,
 )
-from repro.obs.live import EpochGenealogyRecorder, LiveRecorder, TimeSeries
 from repro.obs.logs import configure_logging, get_logger, log_context
 from repro.obs.slo import (
     SLOAccumulator,
@@ -105,7 +95,6 @@ from repro.obs.slo import (
     SLOTracker,
     default_objectives,
 )
-from repro.obs.report import flight_recorder_html, write_report
 from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, run_manifest
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -149,17 +138,10 @@ __all__ = [
     "machine_fingerprint",
     "render_prometheus",
     "parse_prometheus",
-    "MetricsHTTPServer",
-    "MonitoringSession",
     "histogram_quantile",
     "quantile_from_latencies",
     "quantiles_from_latencies",
-    "flight_recorder_html",
-    "write_report",
-    # live telemetry & SLOs
-    "TimeSeries",
-    "LiveRecorder",
-    "EpochGenealogyRecorder",
+    # SLOs
     "SLObjective",
     "SLOTracker",
     "SLOAccumulator",

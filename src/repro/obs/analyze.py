@@ -1,7 +1,6 @@
 """Trace analytics: critical paths, parallel slack, optimization targets.
 
-The flight recorder (:mod:`repro.obs.report`) *renders* a trace; this
-module *reads* one. Given a span forest — a live
+This module *reads* a trace. Given a span forest — a live
 :class:`repro.obs.trace.Tracer`, its nested-JSON export, or a Chrome
 trace-event document (including merged multi-process traces grafted by
 :meth:`Tracer.graft`) — :func:`analyze_trace` produces an
@@ -99,10 +98,10 @@ def _from_tree(payload: Dict[str, Any]) -> _Node:
 def _from_chrome(events: Sequence[Dict[str, Any]]) -> List[_Node]:
     """Flat Chrome complete events → forest, nesting recovered per lane.
 
-    Lanes are ``(pid, tid)`` pairs, exactly as the flight recorder's
-    timeline draws them; within a lane, containment by timestamp
-    reconstructs the tree (events sorted by start, longest first on
-    ties, with a stack of still-open ancestors).
+    Lanes are ``(pid, tid)`` pairs, as in Perfetto's timeline; within
+    a lane, containment by timestamp reconstructs the tree (events
+    sorted by start, longest first on ties, with a stack of still-open
+    ancestors).
     """
     complete = [e for e in events if e.get("ph") == "X"]
     by_lane: Dict[Any, List[Dict]] = {}

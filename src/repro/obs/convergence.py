@@ -14,7 +14,7 @@ Instrumented solvers build one per run and hand it to
 :func:`attach_convergence`, which files it on the innermost open span
 of the ambient tracer — from where it rides the normal trace exports
 (nested JSON and Chrome trace-event ``args``) into
-``repro obs analyze`` and the flight-recorder's convergence panes.
+``repro obs analyze``.
 
 Cost model (the obs-overhead bench gates this):
 

@@ -1,4 +1,4 @@
-"""Prometheus exposition and live monitoring of the incremental pipeline.
+"""Prometheus text exposition: rendering, strict parsing, quantiles.
 
 The paper's Section 6.4 workflow — a traffic management centre
 repartitioning continuously as congestion evolves — is a *service*,
@@ -12,54 +12,34 @@ exposition format (version 0.0.4):
   ``_bucket{le="..."}`` series plus ``_sum`` / ``_count``;
 * a trailing ``[key=value,...]`` suffix on a registry metric name is
   parsed into Prometheus labels, so
-  ``set_gauge("incremental.region_density[region=3]", 0.12)`` exposes
-  ``repro_incremental_region_density{region="3"} 0.12``.
+  ``inc("serve.responses[status=200]", 5)`` exposes
+  ``repro_serve_responses_total{status="200"} 5``.
 
 :func:`parse_prometheus` is the matching strict parser — the tests and
 the CI gate validate every scrape through it, so the emitted text is
 held to the format rules (name charset, label escaping, TYPE-before-
 samples, bucket cumulativity) rather than "looks about right".
 
-:class:`MetricsHTTPServer` is an opt-in stdlib ``http.server`` endpoint
-(no dependencies), and :class:`MonitoringSession` wires all of it to an
-:class:`repro.pipeline.incremental.IncrementalRepartitioner`: every
-``update()`` publishes update-latency histograms, churn counters,
-per-region density gauges and partition-quality gauges (ANS, GDBI,
-worst conductance), ready to scrape.
+The one HTTP endpoint for this text is ``repro serve``'s ``/metrics``
+(:class:`repro.serve.PartitionServer`).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from repro.obs.context import ObsContext
-from repro.obs.logs import get_logger
-from repro.obs.metrics import MetricsRegistry, sample_process_gauges
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
-    "CONTENT_TYPE",
     "render_prometheus",
     "parse_prometheus",
     "PrometheusSample",
-    "MetricsHTTPServer",
-    "MonitoringSession",
     "histogram_quantile",
     "quantile_from_latencies",
     "quantiles_from_latencies",
 ]
-
-logger = get_logger("obs.export")
-
-#: Content type of the exposition format this module emits.
-CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
 _LABEL_NAME_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*\Z")
@@ -456,287 +436,3 @@ def parse_prometheus(text: str) -> Tuple[List[PrometheusSample], Dict[str, str]]
         if not count_samples or count_samples[0].value != buckets[-1].value:
             raise ValueError(f"histogram {family}: +Inf bucket != _count")
     return samples, types
-
-
-# ----------------------------------------------------------------------
-# /metrics endpoint (stdlib only, opt-in)
-class MetricsHTTPServer:
-    """Serve ``/metrics`` for a registry on a background thread.
-
-    Parameters
-    ----------
-    source:
-        A :class:`MetricsRegistry` or a zero-argument callable
-        returning exposition text (rendered per request, so scrapes
-        always see current values).
-    host, port:
-        Bind address; port 0 (default) picks a free port, exposed as
-        :attr:`port` / :attr:`url`.
-    namespace, extra_labels:
-        Forwarded to :func:`render_prometheus` when ``source`` is a
-        registry.
-    process_gauges:
-        When ``source`` is a registry, refresh the process-level
-        gauges (``process.rss_bytes``, ``process.threads``,
-        ``process.gc_collections[gen=N]`` — see
-        :func:`repro.obs.metrics.sample_process_gauges`) before every
-        render so each scrape sees current values. Default True.
-    """
-
-    def __init__(
-        self,
-        source: Union[MetricsRegistry, Callable[[], str]],
-        host: str = "127.0.0.1",
-        port: int = 0,
-        namespace: str = "repro",
-        extra_labels: Optional[Labels] = None,
-        process_gauges: bool = True,
-    ) -> None:
-        if isinstance(source, MetricsRegistry):
-            registry = source
-
-            def render() -> str:
-                if process_gauges:
-                    sample_process_gauges(registry)
-                return render_prometheus(
-                    registry, namespace=namespace, extra_labels=extra_labels
-                )
-
-            self._render = render
-        else:
-            self._render = source
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
-        self._host = host
-        self._requested_port = port
-
-    def start(self) -> "MetricsHTTPServer":
-        if self._httpd is not None:
-            return self
-        render = self._render
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 (stdlib API)
-                if self.path.split("?", 1)[0] != "/metrics":
-                    # explicit JSON body: send_error()'s default page is
-                    # HTML and some minimal clients drop empty bodies
-                    body = json.dumps(
-                        {"error": "only /metrics is served", "status": 404}
-                    ).encode("utf-8")
-                    self.send_response(404)
-                    self.send_header("Content-Type", "application/json")
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
-                    return
-                body = render().encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", CONTENT_TYPE)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, fmt: str, *args: Any) -> None:
-                logger.debug("metrics endpoint: " + fmt, *args)
-
-        self._httpd = ThreadingHTTPServer((self._host, self._requested_port), Handler)
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-metrics-endpoint",
-            daemon=True,
-        )
-        self._thread.start()
-        logger.info("serving /metrics on %s", self.url)
-        return self
-
-    @property
-    def port(self) -> Optional[int]:
-        return self._httpd.server_address[1] if self._httpd else None
-
-    @property
-    def url(self) -> Optional[str]:
-        if self._httpd is None:
-            return None
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}/metrics"
-
-    def close(self) -> None:
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def __enter__(self) -> "MetricsHTTPServer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-# ----------------------------------------------------------------------
-# monitoring session: incremental pipeline -> live metrics
-class MonitoringSession:
-    """Continuous-monitoring harness around an incremental repartitioner.
-
-    Wraps an :class:`~repro.pipeline.incremental.IncrementalRepartitioner`
-    so that every density snapshot fed through :meth:`bootstrap` /
-    :meth:`update` publishes, into one :class:`MetricsRegistry`:
-
-    * ``incremental.update_latency_s`` — histogram of per-update wall
-      seconds;
-    * ``incremental.segments_relabelled`` — counter of segments whose
-      region assignment churned;
-    * ``incremental.snapshots`` / ``incremental.regions`` — progress
-      and current region-count gauges;
-    * ``incremental.region_density[region=i]`` — per-region mean
-      density gauges (capped at ``max_region_gauges`` regions);
-    * ``quality.ans`` / ``quality.gdbi`` / ``quality.max_conductance``
-      — partition quality of the current labelling (computed from
-      :mod:`repro.metrics` when ``quality=True``);
-    * ``process.rss_bytes`` / ``process.threads`` /
-      ``process.gc_collections[gen=N]`` — process-level resource
-      gauges, refreshed on every scrape (see
-      :func:`repro.obs.metrics.sample_process_gauges`).
-
-    Updates also run under the session's :class:`ObsContext`, so span
-    traces accumulate for the flight-recorder report
-    (:meth:`write_report`). With ``serve=True`` the session exposes the
-    registry at ``http://host:port/metrics`` (see :attr:`url`).
-    """
-
-    def __init__(
-        self,
-        repartitioner,
-        obs: Optional[ObsContext] = None,
-        serve: bool = False,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        quality: bool = True,
-        max_region_gauges: int = 64,
-    ) -> None:
-        self.repartitioner = repartitioner
-        self.obs = obs if obs is not None else ObsContext(scheme="incremental")
-        self.quality = bool(quality)
-        self.max_region_gauges = int(max_region_gauges)
-        self.snapshots = 0
-        self._region_gauges: set = set()
-        self._server: Optional[MetricsHTTPServer] = None
-        if serve:
-            self._server = MetricsHTTPServer(
-                self.registry,
-                host=host,
-                port=port,
-                extra_labels={"run_id": self.obs.run_id},
-            ).start()
-
-    # ------------------------------------------------------------------
-    @property
-    def registry(self) -> MetricsRegistry:
-        return self.obs.metrics
-
-    @property
-    def url(self) -> Optional[str]:
-        """The ``/metrics`` URL when serving, else None."""
-        return self._server.url if self._server else None
-
-    # ------------------------------------------------------------------
-    def bootstrap(self, densities: Sequence[float]) -> np.ndarray:
-        """Bootstrap the repartitioner, publishing the first snapshot."""
-        with self.obs.activate():
-            with self.obs.tracer.span("monitor.bootstrap", snapshot=self.snapshots):
-                labels = self.repartitioner.bootstrap(densities)
-            self._publish(np.asarray(densities, dtype=float), labels)
-        return labels
-
-    def update(self, densities: Sequence[float]):
-        """Feed one density snapshot; returns the ``UpdateReport``."""
-        with self.obs.activate():
-            with self.obs.tracer.span("monitor.update", snapshot=self.snapshots):
-                # update() itself records incremental.update_latency_s /
-                # incremental.segments_relabelled into the ambient
-                # registry, which activate() points at ours
-                report = self.repartitioner.update(densities)
-            self._publish(np.asarray(densities, dtype=float), report.labels)
-        return report
-
-    def scrape(self) -> str:
-        """Current exposition text (what the endpoint would serve).
-
-        Refreshes the process-level gauges (RSS, thread count, GC
-        collections per generation) first, so every scrape reports the
-        service's current resource footprint alongside the pipeline
-        metrics.
-        """
-        sample_process_gauges(self.registry)
-        return render_prometheus(
-            self.registry, extra_labels={"run_id": self.obs.run_id}
-        )
-
-    def write_report(self, path, title: Optional[str] = None) -> Path:
-        """Write the session's flight-recorder HTML report to ``path``."""
-        from repro.obs.report import flight_recorder_html
-
-        html_doc = flight_recorder_html(
-            trace=self.obs.trace_tree(),
-            metrics={
-                "run_id": self.obs.run_id,
-                "manifest": self.obs.manifest(),
-                "metrics": self.obs.metrics_dict(),
-            },
-            title=title or f"monitoring session {self.obs.run_id}",
-        )
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(html_doc, encoding="utf-8")
-        return path
-
-    def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            self._server = None
-
-    def __enter__(self) -> "MonitoringSession":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    def _publish(self, densities: np.ndarray, labels: np.ndarray) -> None:
-        registry = self.registry
-        self.snapshots += 1
-        registry.set_gauge("incremental.snapshots", self.snapshots)
-        n_regions = int(labels.max()) + 1
-        registry.set_gauge("incremental.regions", n_regions)
-
-        sizes = np.bincount(labels, minlength=n_regions)
-        sums = np.bincount(labels, weights=densities, minlength=n_regions)
-        means = sums / np.maximum(sizes, 1)
-        current: set = set()
-        for region in range(min(n_regions, self.max_region_gauges)):
-            name = f"incremental.region_density[region={region}]"
-            registry.set_gauge(name, float(means[region]))
-            current.add(name)
-        # regions can disappear as the count drifts; drop their gauges
-        for name in self._region_gauges - current:
-            registry.remove_gauge(name)
-        self._region_gauges = current
-
-        if self.quality and n_regions >= 2:
-            from repro.metrics import ans, gdbi, max_conductance
-
-            adjacency = self.repartitioner.graph.adjacency
-            try:
-                registry.set_gauge("quality.ans", float(ans(densities, labels, adjacency)))
-                registry.set_gauge(
-                    "quality.gdbi", float(gdbi(densities, labels, adjacency))
-                )
-                registry.set_gauge(
-                    "quality.max_conductance",
-                    float(max_conductance(adjacency, labels)),
-                )
-            except Exception as exc:  # quality must never take the loop down
-                logger.warning("quality gauges skipped: %s", exc)

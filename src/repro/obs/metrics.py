@@ -144,16 +144,6 @@ class MetricsRegistry:
                 hist = self._histograms[name] = Histogram()
             hist.observe(value)
 
-    def remove_gauge(self, name: str) -> bool:
-        """Drop the gauge ``name`` (True if it existed).
-
-        Gauges keyed by a drifting identity (e.g. per-region density in
-        the incremental pipeline, where the region count changes) need
-        explicit retirement so stale series stop being exported.
-        """
-        with self._lock:
-            return self._gauges.pop(name, None) is not None
-
     def merge_snapshot(self, snapshot: Dict[str, Any]) -> None:
         """Fold a :meth:`to_dict` snapshot from another registry in.
 
@@ -259,7 +249,7 @@ def observe(name: str, value: float) -> None:
 
 
 # ----------------------------------------------------------------------
-# process-level gauges (the /metrics endpoints and MonitoringSession)
+# process-level gauges (the server's /metrics)
 def process_rss_bytes() -> Optional[int]:
     """Current resident-set size of this process, or None when unknown."""
     try:
@@ -289,9 +279,8 @@ def sample_process_gauges(registry: MetricsRegistry) -> None:
 
     Sets ``process.rss_bytes``, ``process.max_rss_bytes``,
     ``process.threads`` and per-generation
-    ``process.gc_collections[gen=N]`` gauges. Called by
-    :meth:`repro.obs.export.MonitoringSession.scrape` and the
-    ``/metrics`` endpoints before every render, so scrapers always see
+    ``process.gc_collections[gen=N]`` gauges. The partition server's
+    ``/metrics`` calls it before every render, so scrapers always see
     fresh values.
     """
     rss = process_rss_bytes()

@@ -3,8 +3,8 @@
 :class:`PartitionServer` keeps a partitioned network resident and
 answers lookup traffic from a :class:`~repro.serve.snapshot.
 SnapshotStore`, stdlib-only (``asyncio.Protocol`` + hand-rolled
-HTTP/1.1 — the same dependency footprint as the
-:class:`~repro.obs.export.MetricsHTTPServer`).
+HTTP/1.1). It is the project's one HTTP stack: ``/metrics`` is served
+here too.
 
 Endpoints (all JSON unless noted):
 
@@ -26,9 +26,6 @@ Endpoints (all JSON unless noted):
 ``GET /slo``                                   SLO burn state (JSON;
                                                ``{"enabled": false}``
                                                without a tracker)
-``GET /dashboard``                             live telemetry HTML
-                                               (sparklines, SLOs,
-                                               epoch genealogy)
 ``GET /trace``                                 recent request-group
                                                spans (JSON, debug)
 =============================================  ==========================
@@ -75,7 +72,6 @@ fast path is byte-for-byte the PR 8 hot loop.
 from __future__ import annotations
 
 import asyncio
-import html as _html
 import json
 import random
 import socket
@@ -109,9 +105,15 @@ _STATUS_TEXT = {
     400: b"Bad Request",
     404: b"Not Found",
     405: b"Method Not Allowed",
+    413: b"Payload Too Large",
+    431: b"Request Header Fields Too Large",
     503: b"Service Unavailable",
 }
 
+#: longest request head (request line + headers) a client may send
+_MAX_HEAD_BYTES = 64 * 1024
+#: longest POST body; a 64-id batch is about 0.5 KB
+_MAX_BODY_BYTES = 1024 * 1024
 #: sliding-window length for the QPS gauge, seconds
 _QPS_WINDOW_S = 10.0
 #: per-request latency reservoir for the p50/p99 gauges
@@ -184,27 +186,31 @@ class _HttpProtocol(asyncio.Protocol):
         while True:
             head_end = buf.find(b"\r\n\r\n")
             if head_end < 0:
+                if len(buf) > _MAX_HEAD_BYTES:
+                    self._fail(requests, 431, "request head too large")
+                    return
                 break
             head = buf[:head_end]
             line_end = head.find(b"\r\n")
             request_line = head if line_end < 0 else head[:line_end]
             parts = request_line.split(b" ")
             if len(parts) < 2:
-                self.transport.write(_error_response(400, "malformed request line"))
-                self.transport.close()
-                self.buf = b""
+                self._fail(requests, 400, "malformed request line")
                 return
             method, target = parts[0], parts[1]
             body = b""
             consumed = head_end + 4
             if method == b"POST":
                 length = _content_length(head)
-                if length is None:
-                    self.transport.write(
-                        _error_response(400, "POST requires Content-Length")
+                if length is None or length < 0:
+                    self._fail(
+                        requests, 400, "POST requires a non-negative Content-Length"
                     )
-                    self.transport.close()
-                    self.buf = b""
+                    return
+                if length > _MAX_BODY_BYTES:
+                    self._fail(
+                        requests, 413, f"body over {_MAX_BODY_BYTES} bytes"
+                    )
                     return
                 if len(buf) - consumed < length:
                     break  # body not fully buffered yet
@@ -215,6 +221,19 @@ class _HttpProtocol(asyncio.Protocol):
         self.buf = buf
         if requests:
             self.server._handle_group(self, requests)
+
+    def _fail(
+        self,
+        requests: List[Tuple[bytes, bytes, bytes, bytes]],
+        status: int,
+        message: str,
+    ) -> None:
+        """Answer the requests parsed so far, then the error, and close."""
+        if requests:
+            self.server._handle_group(self, requests)
+        self.transport.write(_error_response(status, message))
+        self.transport.close()
+        self.buf = b""
 
 
 def _content_length(head: bytes) -> Optional[int]:
@@ -286,12 +305,6 @@ class PartitionServer:
         Fraction of request groups logged (INFO, stderr via
         ``obs.logs``) as structured access lines. 0.0 (default) logs
         nothing.
-    live:
-        Optional :class:`~repro.obs.live.LiveRecorder` rendered by
-        ``/dashboard`` (the CLI wires its sources to the registry).
-    genealogy:
-        Optional :class:`~repro.obs.live.EpochGenealogyRecorder` whose
-        epoch history feeds the ``/dashboard`` genealogy table.
     require_epoch:
         Fail fast in :meth:`start` when the store has no epoch yet
         (default). ``False`` lets the server come up first and answer
@@ -311,8 +324,6 @@ class PartitionServer:
         slo=None,
         tracer: Optional[Tracer] = None,
         access_log_sample: float = 0.0,
-        live=None,
-        genealogy=None,
         require_epoch: bool = True,
         inject_slow_s: float = 0.0,
     ) -> None:
@@ -324,8 +335,6 @@ class PartitionServer:
         self.slo = slo
         self.tracer = tracer
         self.access_log_sample = float(access_log_sample)
-        self.live = live
-        self.genealogy = genealogy
         self.require_epoch = bool(require_epoch)
         self.inject_slow_s = float(inject_slow_s)
         self._access_logger = get_logger("serve.access")
@@ -698,8 +707,6 @@ class PartitionServer:
                     return self._slo_response(), 0, 200
                 if path == b"/trace":
                     return self._trace_response(), 0, 200
-                if path == b"/dashboard":
-                    return self._dashboard_response(snap), 0, 200
                 return (
                     _error_response(404, f"no route {path.decode('latin-1')}"),
                     0,
@@ -799,8 +806,8 @@ class PartitionServer:
 
         The request path batches SLO outcomes (integer accumulator)
         and spans (tuple ring); every reader — ``/slo``, ``/metrics``,
-        ``/trace``, ``/dashboard``, and the CLI's shutdown export —
-        flushes first, so observers always see a consistent view.
+        ``/trace`` and the CLI's shutdown export — flushes first, so
+        observers always see a consistent view.
         Safe to call from any thread (the per-connection merge windows
         are only drained when called on the serving loop's thread; off
         the loop they stay pending, bounding staleness at
@@ -918,117 +925,6 @@ class PartitionServer:
         return _json_response(
             {"enabled": True, "spans": [span.to_dict() for span in roots]}
         )
-
-    def _dashboard_response(self, snap) -> bytes:
-        self.flush_telemetry()
-        self._refresh_gauges(snap)
-        body = self._dashboard_html(snap).encode("utf-8")
-        head = (
-            b"HTTP/1.1 200 OK\r\nContent-Type: text/html; charset=utf-8\r\n"
-            b"Content-Length: %d\r\n\r\n" % len(body)
-        )
-        return head + body
-
-    def _dashboard_html(self, snap) -> str:
-        from repro.viz.svg import render_sparkline
-
-        esc = _html.escape
-        parts: List[str] = [
-            "<!DOCTYPE html><html><head><meta charset='utf-8'>",
-            "<title>repro live dashboard</title>",
-            "<style>body{font-family:sans-serif;margin:24px;color:#222}"
-            "table{border-collapse:collapse;margin:8px 0}"
-            "td,th{border:1px solid #ccc;padding:4px 10px;font-size:13px;"
-            "text-align:right}th{background:#f4f4f4}"
-            "h2{margin-top:28px}.burning{color:#c00;font-weight:bold}"
-            ".ok{color:#2a7}.series{display:inline-block;margin:6px 14px 6px 0;"
-            "vertical-align:top;font-size:12px}</style></head><body>",
-            "<h1>repro live dashboard</h1>",
-            f"<p>epoch <b>{snap.epoch}</b> (age {snap.age_s:.1f}s) &middot; "
-            f"{snap.index.n_segments} segments &middot; k={snap.index.k} "
-            f"&middot; {self._n_requests} requests served</p>",
-        ]
-
-        parts.append("<h2>SLOs</h2>")
-        if self.slo is None:
-            parts.append("<p>no SLO tracker attached (start with "
-                         "<code>--slo-latency-ms</code>)</p>")
-        else:
-            parts.append(
-                "<table><tr><th>objective</th><th>state</th>"
-                "<th>budget left</th><th>windows (burn rate)</th></tr>"
-            )
-            for entry in self.slo.evaluate():
-                name = esc(entry["objective"]["name"])
-                state = (
-                    "<span class='burning'>BURNING</span>"
-                    if entry["burning"]
-                    else "<span class='ok'>ok</span>"
-                )
-                windows = ", ".join(
-                    f"{w['window_s']:g}s: {w['burn_rate']:.2f}"
-                    for w in entry["windows"]
-                )
-                parts.append(
-                    f"<tr><td>{name}</td><td>{state}</td>"
-                    f"<td>{entry['budget_remaining']:.1%}</td>"
-                    f"<td>{esc(windows)}</td></tr>"
-                )
-            parts.append("</table>")
-
-        parts.append("<h2>Live series</h2>")
-        if self.live is None:
-            parts.append("<p>no live recorder attached (start with "
-                         "<code>--record-live</code>)</p>")
-        else:
-            drawn = 0
-            for name in self.live.series_names:
-                series = self.live.series(name)
-                values = series.values()
-                if not values:
-                    continue
-                agg = series.aggregate()
-                spark = render_sparkline(values[-256:], title=name)
-                parts.append(
-                    f"<div class='series'><b>{esc(name)}</b><br>{spark}<br>"
-                    f"last {agg['last']:.4g} &middot; p50 {agg['p50']:.4g} "
-                    f"&middot; p99 {agg['p99']:.4g} &middot; "
-                    f"n={agg['count']}</div>"
-                )
-                drawn += 1
-            if not drawn:
-                parts.append("<p>no samples yet</p>")
-
-        parts.append("<h2>Epoch genealogy</h2>")
-        if self.genealogy is None:
-            parts.append("<p>no genealogy recorder attached</p>")
-        else:
-            history = self.genealogy.to_dict()["epochs"][-15:]
-            if not history:
-                parts.append("<p>no epochs recorded yet</p>")
-            else:
-                parts.append(
-                    "<table><tr><th>epoch</th><th>regions</th><th>churn</th>"
-                    "<th>update s</th><th>ANS</th><th>GDBI</th>"
-                    "<th>splits</th><th>merges</th></tr>"
-                )
-                for entry in history:
-                    lineage = entry.get("lineage", {})
-                    parts.append(
-                        "<tr>"
-                        f"<td>{entry['epoch']}</td>"
-                        f"<td>{entry['n_regions']}</td>"
-                        f"<td>{entry['churn']}</td>"
-                        f"<td>{entry['update_s']:.4f}</td>"
-                        f"<td>{entry.get('ans', float('nan')):.4f}</td>"
-                        f"<td>{entry.get('gdbi', float('nan')):.4f}</td>"
-                        f"<td>{lineage.get('splits', 0)}</td>"
-                        f"<td>{lineage.get('merges', 0)}</td>"
-                        "</tr>"
-                    )
-                parts.append("</table>")
-        parts.append("</body></html>")
-        return "".join(parts)
 
     def _epoch_info(self, snap) -> Dict[str, Any]:
         return {

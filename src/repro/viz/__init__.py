@@ -14,7 +14,6 @@ from repro.viz.charts import render_mfd, render_series
 from repro.viz.svg import (
     PALETTE,
     density_color,
-    render_convergence,
     render_network,
     render_partitions,
     save_svg,
@@ -25,7 +24,6 @@ __all__ = [
     "render_partitions",
     "render_mfd",
     "render_series",
-    "render_convergence",
     "save_svg",
     "density_color",
     "PALETTE",

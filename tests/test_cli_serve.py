@@ -196,7 +196,7 @@ def observed_server():
         [
             sys.executable, "-m", "repro", "--log-level", "info",
             "serve", "D1", "-k", "4", "--port", "0",
-            "--slo-latency-ms", "50", "--record-live", "--live-hz", "10",
+            "--slo-latency-ms", "50",
             "--access-log-sample", "1.0",
         ],
         stdout=subprocess.PIPE,
@@ -281,16 +281,6 @@ class TestObservedServeEndToEnd:
             assert family in names, sorted(names)
         responses = [s for s in samples if s.name == "repro_serve_responses_total"]
         assert any(s.labels.get("status") == "200" for s in responses)
-
-    def test_dashboard_serves_html_sparklines(self, observed_server):
-        import time
-
-        _get(observed_server["url"] + "/lookup?segment=1")
-        time.sleep(0.3)  # let the 10 Hz live sampler tick
-        html = _get(observed_server["url"] + "/dashboard").decode("utf-8")
-        assert "serve.qps" in html
-        assert "polyline" in html
-        assert "availability" in html
 
     def test_obs_slo_verb_exits_zero_within_budget(self, observed_server):
         env = dict(os.environ)

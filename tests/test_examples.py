@@ -24,6 +24,12 @@ FAST_EXAMPLES = [
     "congestion_monitoring.py",
 ]
 
+#: stdout lines that prove an example reached its last stage
+EXPECTED_OUTPUT = {
+    # scraped the partition server's /metrics and /quality over HTTP
+    "congestion_monitoring.py": ("updates observed", "quality: ANS"),
+}
+
 
 def _example_env() -> dict:
     """Spawn environment with ``src`` on PYTHONPATH.
@@ -56,6 +62,8 @@ def test_example_runs(script, tmp_path):
         f"\n--- stderr ---\n{proc.stderr[-2000:]}"
     )
     assert proc.stdout.strip(), f"{script} produced no output"
+    for marker in EXPECTED_OUTPUT.get(script, ()):
+        assert marker in proc.stdout, (script, marker)
 
 
 def test_all_examples_have_docstrings():

@@ -79,7 +79,7 @@ class TestFullPipeline:
         assert set(result.labels.tolist()) == set(range(result.k))
 
 
-class TestTimeSeriesRepartitioning:
+class TestRepartitionOverTime:
     """The paper's motivating use: repartition at regular intervals."""
 
     def test_repartition_over_time(self):

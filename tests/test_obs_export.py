@@ -1,40 +1,21 @@
-"""Tests for the Prometheus exposition layer and the monitoring session.
+"""Tests for the Prometheus exposition layer.
 
 The exposition renderer is held to the text-format rules by the
-package's own strict parser — every golden test round-trips through
-``parse_prometheus`` — and the end-to-end test drives a real
-``IncrementalRepartitioner`` under a ``MonitoringSession`` over five
-density snapshots and scrapes the live ``/metrics`` endpoint the way a
-Prometheus server would (the ISSUE-4 acceptance demo).
+package's own strict parser: every golden test round-trips through
+``parse_prometheus``. The served ``/metrics`` endpoint is tested with
+the partition server (``tests/test_serve_observability.py``).
 """
 
 import math
-import urllib.request
 
-import numpy as np
 import pytest
 
-from repro.network.dual import build_road_graph
-from repro.network.generators import grid_network
 from repro.obs.export import (
-    CONTENT_TYPE,
-    MetricsHTTPServer,
-    MonitoringSession,
     escape_label_value,
     parse_prometheus,
     render_prometheus,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.pipeline.incremental import IncrementalRepartitioner
-from repro.traffic.profiles import hotspot_profile
-
-
-@pytest.fixture(scope="module")
-def setup():
-    network = grid_network(8, 8, two_way=True)
-    graph = build_road_graph(network)
-    base = hotspot_profile(network, n_hotspots=2, noise=0.0, seed=0)
-    return network, graph, base
 
 
 class TestRenderPrometheus:
@@ -169,109 +150,6 @@ class TestParser:
         assert math.isnan(samples[1].value)
 
 
-class TestMetricsHTTPServer:
-    def test_serves_metrics_and_404s_elsewhere(self):
-        reg = MetricsRegistry()
-        reg.inc("hits", 7)
-        with MetricsHTTPServer(reg) as server:
-            assert server.port not in (None, 0)
-            response = urllib.request.urlopen(server.url, timeout=5)
-            assert response.headers["Content-Type"] == CONTENT_TYPE
-            samples, __ = parse_prometheus(response.read().decode())
-            assert any(s.name == "repro_hits_total" and s.value == 7 for s in samples)
-            base = server.url.rsplit("/", 1)[0]
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(base + "/other", timeout=5)
-
-    def test_scrapes_see_current_values(self):
-        reg = MetricsRegistry()
-        reg.inc("n", 1)
-        with MetricsHTTPServer(reg) as server:
-            urllib.request.urlopen(server.url, timeout=5).read()
-            reg.inc("n", 1)
-            body = urllib.request.urlopen(server.url, timeout=5).read().decode()
-        samples, __ = parse_prometheus(body)
-        assert next(s for s in samples if s.name == "repro_n_total").value == 2
-
-
-class TestMonitoringSession:
-    def test_end_to_end_five_snapshots_served_and_parsed(self, setup):
-        """ISSUE-4 acceptance demo: live /metrics over >=5 snapshots."""
-        __, graph, base = setup
-        inc = IncrementalRepartitioner(graph, k=4, staleness_threshold=0.15, seed=0)
-        rng = np.random.default_rng(0)
-        with MonitoringSession(inc, serve=True) as session:
-            session.bootstrap(base)
-            densities = base
-            for __i in range(5):
-                densities = densities * rng.uniform(0.6, 1.8, size=densities.shape)
-                report = session.update(densities)
-                assert report.duration_s > 0
-            body = urllib.request.urlopen(session.url, timeout=10).read().decode()
-        samples, types = parse_prometheus(body)  # must obey the format rules
-        names = {s.name for s in samples}
-        # update latency histogram with 5 observations
-        assert types["repro_incremental_update_latency_s"] == "histogram"
-        count = next(
-            s for s in samples if s.name == "repro_incremental_update_latency_s_count"
-        )
-        assert count.value == 5
-        # churn counter and quality gauges present
-        assert "repro_incremental_segments_relabelled_total" in names
-        for quality in ("repro_quality_ans", "repro_quality_gdbi",
-                        "repro_quality_max_conductance"):
-            assert quality in names, names
-        # per-region density gauges, labelled by region
-        density = [s for s in samples if s.name == "repro_incremental_region_density"]
-        assert len(density) >= 4
-        assert all("region" in s.labels for s in density)
-        # every sample carries the session's run id
-        assert all(s.labels.get("run_id") for s in samples)
-
-    def test_scrape_without_serving(self, setup):
-        __, graph, base = setup
-        inc = IncrementalRepartitioner(graph, k=3, staleness_threshold=0.2, seed=0)
-        session = MonitoringSession(inc, serve=False)
-        assert session.url is None
-        session.bootstrap(base)
-        session.update(base * 2.0)
-        samples, __t = parse_prometheus(session.scrape())
-        assert any(s.name == "repro_incremental_updates_total" for s in samples)
-
-    def test_region_gauges_track_region_count(self, setup):
-        __, graph, base = setup
-        inc = IncrementalRepartitioner(graph, k=4, staleness_threshold=0.2, seed=0)
-        session = MonitoringSession(inc, quality=False)
-        session.bootstrap(base)
-        snapshot = session.registry.to_dict()
-        region_gauges = [
-            name for name in snapshot["gauges"]
-            if name.startswith("incremental.region_density")
-        ]
-        assert len(region_gauges) == int(inc.labels.max()) + 1
-
-    def test_trace_spans_recorded_for_report(self, setup):
-        __, graph, base = setup
-        inc = IncrementalRepartitioner(graph, k=3, staleness_threshold=0.2, seed=0)
-        session = MonitoringSession(inc, quality=False)
-        session.bootstrap(base)
-        session.update(base * 3.0)
-        names = [span["name"] for span in session.obs.trace_tree()["spans"]]
-        assert "monitor.bootstrap" in names
-        assert "monitor.update" in names
-
-    def test_write_report(self, setup, tmp_path):
-        __, graph, base = setup
-        inc = IncrementalRepartitioner(graph, k=3, staleness_threshold=0.2, seed=0)
-        session = MonitoringSession(inc, quality=False)
-        session.bootstrap(base)
-        session.update(base * 3.0)
-        out = session.write_report(tmp_path / "report.html")
-        doc = out.read_text(encoding="utf-8")
-        assert doc.startswith("<!DOCTYPE html>")
-        assert "monitor.update" in doc
-
-
 class TestQuantilesFromLatencies:
     def test_multi_quantile_matches_single(self):
         from repro.obs.export import (
@@ -303,24 +181,3 @@ class TestQuantilesFromLatencies:
         from repro.obs.export import quantiles_from_latencies
 
         assert quantiles_from_latencies([9.0, 1.0], (0.5,)) == [1.0]
-
-
-class TestMetricsHTTPServer404Body:
-    def test_404_carries_a_json_body(self):
-        """Regression: the 404 path used to send headers with no body,
-        leaving clients that trust Content-Type hanging on an empty
-        document."""
-        import json as _json
-
-        reg = MetricsRegistry()
-        with MetricsHTTPServer(reg) as server:
-            base = server.url.rsplit("/", 1)[0]
-            try:
-                urllib.request.urlopen(base + "/nope", timeout=5)
-                raise AssertionError("expected HTTP 404")
-            except urllib.error.HTTPError as err:
-                assert err.code == 404
-                body = _json.loads(err.read())
-                assert body["status"] == 404
-                assert "metrics" in body["error"]
-                assert err.headers["Content-Type"].startswith("application/json")

@@ -1,10 +1,10 @@
 """In-process tests of the server's observability plane.
 
 Boots :class:`PartitionServer` on a tiny spatial-shard labelling with
-the full telemetry stack attached — SLO tracker, request tracer, live
-recorder, access-log sampling — and exercises the new surfaces over
-real HTTP: ``/slo``, ``/trace``, ``/dashboard``, the 503 +
-``Retry-After`` degraded mode, and the per-status response counters.
+the full telemetry stack attached — SLO tracker, request tracer,
+access-log sampling — and exercises the new surfaces over real HTTP:
+``/slo``, ``/trace``, the 503 + ``Retry-After`` degraded mode, and the
+per-status response counters.
 """
 
 import json
@@ -15,7 +15,6 @@ import pytest
 
 from repro.network.dual import build_road_graph
 from repro.network.generators import grid_network
-from repro.obs.live import LiveRecorder
 from repro.obs.slo import SLOTracker, default_objectives
 from repro.obs.trace import Tracer, make_traceparent
 from repro.serve import PartitionServer, SegmentIndex, SnapshotStore
@@ -55,14 +54,12 @@ def _make_store():
 
 @pytest.fixture()
 def observed_server():
-    """A server with SLO + tracer + live recorder attached."""
+    """A server with SLO + tracer + access log attached."""
     store, n_segments = _make_store()
     slo = SLOTracker(default_objectives(0.010))
     tracer = Tracer()
-    live = LiveRecorder()
-    live.add_source("constant", lambda: 42.0)
     server = PartitionServer(
-        store, slo=slo, tracer=tracer, live=live, access_log_sample=1.0
+        store, slo=slo, tracer=tracer, access_log_sample=1.0
     )
     handle = server.start_background()
     yield handle, server, n_segments
@@ -172,30 +169,6 @@ class TestTraceEndpoint:
         try:
             doc = json.loads(_get(handle.url + "/trace"))
             assert doc["enabled"] is False
-        finally:
-            handle.stop()
-            store.close()
-
-
-class TestDashboard:
-    def test_dashboard_renders_sparklines_and_slo_table(self, observed_server):
-        handle, server, __n = observed_server
-        for sid in range(3):
-            _get(handle.url + f"/lookup?segment={sid}")
-        server.live.sample_once()  # tick the pull sources
-        html = _get(handle.url + "/dashboard").decode()
-        assert html.startswith("<!DOCTYPE html>") or html.startswith("<html")
-        assert "polyline" in html  # the sparkline for "constant"
-        assert "constant" in html
-        assert "availability" in html  # the SLO table
-        assert "epoch" in html.lower()
-
-    def test_dashboard_without_telemetry_still_serves(self):
-        store, __ = _make_store()
-        handle = PartitionServer(store).start_background()
-        try:
-            html = _get(handle.url + "/dashboard").decode()
-            assert "epoch" in html.lower()
         finally:
             handle.stop()
             store.close()
