@@ -16,14 +16,19 @@ of the paper's M1/M2 networks):
 * alpha-Cut partition scoring (per-call weight passes vs the cached
   summary);
 * publishing one serving epoch (a fresh ``SegmentIndex``, which builds
-  the kd-tree, vs ``relabel`` of the previous epoch, which shares it).
+  the kd-tree, vs ``relabel`` of the previous epoch, which shares it);
+* module 2 after the kappa choice: supernodes, the stability check
+  (off, and at epsilon_eta = 0.5) and superlinks, on per-supernode
+  objects (``tests/oracles.py``) vs on one membership vector, with
+  byte-identical supergraphs.
 
 Writes ``BENCH_hotpaths.json`` at the repo root (plus the usual
 ``benchmarks/results`` copy) so the perf trajectory is tracked from
 this PR onward. The module-1 and kappa-scan speedups are asserted
 (>= 5x and >= 2x) — they are the paper's scalability story — and so is
-the batched scan's (>= 2x over the per-kappa loop), and the derived
-epoch's (>= 5x over a fresh index, with identical lookups).
+the batched scan's (>= 2x over the per-kappa loop), the derived
+epoch's (>= 5x over a fresh index, with identical lookups) and module
+2's (>= 2x without the stability check, >= 5x with it).
 """
 
 from __future__ import annotations
@@ -41,16 +46,26 @@ from repro.clustering.kmeans import assign_to_centers, kmeans_1d
 from repro.clustering.optimality import moderated_clustering_gain, scan_kappa
 from repro.core.alpha_cut import _partition_weights, _prepare, partition_weight_summary
 from repro.graph.adjacency import Graph
+from repro.graph.components import edge_list
 from repro.network.dual import build_road_graph
 from repro.network.generators import grid_network
 from repro.serve.index import SegmentIndex
 from repro.shard.spatial import segment_midpoints
+from repro.supergraph.builder import SupergraphBuilder
+from repro.supergraph.model import Supergraph
+from repro.supergraph.stability import stability_check
+from repro.supergraph.superlink import superlink_weights
+from repro.supergraph.supernode import create_supernodes
 from tests.oracles import (
+    create_supernodes_loop,
     kmeans_1d_prefix_reference,
     kmeans_1d_reference,
+    membership_vector_loop,
     moderated_clustering_gain_reference,
     pairwise_sq_dists_reference,
     segment_adjacency_reference,
+    stability_check_objects,
+    superlink_weights_objects,
 )
 
 ROOT_RESULTS = Path(__file__).parent.parent / "BENCH_hotpaths.json"
@@ -219,6 +234,49 @@ def test_bench_hotpaths(synthetic_city):
         "repeats": reps_epoch,
     }
 
+    # --- module 2 after the kappa choice: objects vs arrays --------------
+    builder = SupergraphBuilder(seed=0)
+    builder.build(new_graph)
+    fit = kmeans_1d(densities, builder.report.chosen_kappa)
+    reps_m2 = 3
+
+    def module2_objects(epsilon_eta):
+        sns = create_supernodes_loop(adjacency, fit.labels, cluster_means=fit.centers)
+        if epsilon_eta:
+            sns = stability_check_objects(sns, densities, epsilon_eta, adjacency)
+        return sns, superlink_weights_objects(adjacency, sns)
+
+    def module2_arrays(epsilon_eta):
+        edges = edge_list(adjacency)
+        member_of, feats = create_supernodes(edges, fit.labels, cluster_means=fit.centers)
+        if epsilon_eta:
+            member_of, feats = stability_check(
+                member_of, feats, densities, epsilon_eta, adjacency=adjacency
+            )
+        return Supergraph(member_of, feats, superlink_weights(edges, member_of, feats))
+
+    module2_rows = {}
+    for epsilon_eta in (0.0, 0.5):
+        objects_s, (sns, weights) = min(
+            (_timed(module2_objects, epsilon_eta) for __ in range(reps_m2)), key=lambda t: t[0]
+        )
+        arrays_s, supergraph = min(
+            (_timed(module2_arrays, epsilon_eta) for __ in range(reps_m2)), key=lambda t: t[0]
+        )
+        assert np.array_equal(supergraph.member_of, membership_vector_loop(sns, network.n_segments))
+        assert supergraph.features().tobytes() == np.array([sn.feature for sn in sns]).tobytes()
+        for part in ("data", "indices", "indptr"):
+            assert getattr(supergraph.adjacency, part).tobytes() == getattr(weights, part).tobytes()
+        module2_rows[epsilon_eta] = (objects_s, arrays_s, objects_s / arrays_s)
+        payload[f"module2_build_eta{epsilon_eta:g}"] = {
+            "objects_s": objects_s,
+            "arrays_s": arrays_s,
+            "speedup": objects_s / arrays_s,
+            "kappa": builder.report.chosen_kappa,
+            "n_supernodes": supergraph.n_supernodes,
+            "repeats": reps_m2,
+        }
+
     rows = [
         ["module1 dual transform", ref_s, new_s, dual_speedup],
         ["kappa scan (2..30)", ref_scan_s, new_scan_s, scan_speedup],
@@ -227,6 +285,8 @@ def test_bench_hotpaths(synthetic_city):
         ["n-D assignment", ref_nd_s, new_nd_s, ref_nd_s / new_nd_s],
         ["alpha-cut scoring (k calls)", ref_cut_s, new_cut_s, ref_cut_s / new_cut_s],
         ["epoch publish (fresh vs relabel)", fresh_s, derived_s, epoch_speedup],
+        ["module-2 build (objects vs arrays)", *module2_rows[0.0]],
+        ["module-2 build, eta=0.5 (objects vs arrays)", *module2_rows[0.5]],
     ]
     print_table(
         f"Hot paths on {network.n_segments}-segment grid",
@@ -244,3 +304,7 @@ def test_bench_hotpaths(synthetic_city):
     assert scan_speedup >= 2.0, f"kappa-scan speedup {scan_speedup:.1f}x < 2x"
     assert batch_speedup >= 2.0, f"batched-scan speedup {batch_speedup:.1f}x < 2x"
     assert epoch_speedup >= 5.0, f"derived-epoch speedup {epoch_speedup:.1f}x < 5x"
+    assert module2_rows[0.0][2] >= 2.0, f"module-2 speedup {module2_rows[0.0][2]:.1f}x < 2x"
+    assert module2_rows[0.5][2] >= 5.0, (
+        f"module-2 speedup with the stability check {module2_rows[0.5][2]:.1f}x < 5x"
+    )

@@ -17,13 +17,27 @@ the reference the tests compare against.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components as _csgraph_components
 
 from repro.exceptions import GraphError
+
+
+class EdgeList(NamedTuple):
+    """Each undirected edge of an ``n``-node graph once, as ``u < v``.
+
+    The edges are the upper triangle of the adjacency in CSR order:
+    ``indptr`` (length ``n + 1``) frames them by ``u``, and ``u``/``v``
+    hold the endpoints. All three arrays are int32.
+    """
+
+    n: int
+    indptr: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
 
 
 def _as_csr(adjacency) -> sp.csr_matrix:
@@ -33,20 +47,37 @@ def _as_csr(adjacency) -> sp.csr_matrix:
     return adj
 
 
-def _same_label_edges(adj: sp.csr_matrix, labels: Optional[Sequence[int]]) -> sp.csr_matrix:
-    """``adj`` restricted to edges whose endpoints share a label."""
-    if labels is None:
-        return adj
+def edge_list(adjacency) -> EdgeList:
+    """The :class:`EdgeList` of a symmetric (or upper-triangular) adjacency.
+
+    An :class:`EdgeList` is returned unchanged, so a caller that reads
+    the edges several times builds them once and passes them on.
+    """
+    if isinstance(adjacency, EdgeList):
+        return adjacency
+    adj = _as_csr(adjacency)
     n = adj.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(adj.indptr))
+    upper = rows < adj.indices
+    u = rows[upper]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
+    return EdgeList(n, indptr, u, adj.indices[upper].astype(np.int32, copy=False))
+
+
+def _same_label_graph(edges: EdgeList, labels: Sequence[int]) -> sp.csr_matrix:
+    """Upper-triangular CSR of the edges whose endpoints share a label."""
     labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise GraphError(f"labels must have shape ({n},), got {labels.shape}")
-    # filter straight on the CSR arrays; the row order is kept
-    rows = np.repeat(np.arange(n), np.diff(adj.indptr))
-    keep = labels[rows] == labels[adj.indices]
-    kept = np.concatenate(([0], np.cumsum(keep)))
+    if labels.shape != (edges.n,):
+        raise GraphError(f"labels must have shape ({edges.n},), got {labels.shape}")
+    # np.take and np.compress skip the index conversion and the mask
+    # scan that fancy indexing pays on int32 indices and boolean masks
+    keep = np.take(labels, edges.u) == np.take(labels, edges.v)
+    kept = np.zeros(keep.size + 1, dtype=np.int32)
+    np.cumsum(keep, out=kept[1:])
     return sp.csr_matrix(
-        (adj.data[keep], adj.indices[keep], kept[adj.indptr]), shape=adj.shape
+        (np.ones(int(kept[-1])), np.compress(keep, edges.v), kept[edges.indptr]),
+        shape=(edges.n, edges.n),
     )
 
 
@@ -56,7 +87,8 @@ def connected_components(adjacency, labels: Optional[Sequence[int]] = None) -> n
     Parameters
     ----------
     adjacency:
-        Symmetric (sparse or dense) adjacency matrix.
+        Symmetric (sparse or dense) adjacency matrix; with ``labels``,
+        an :class:`EdgeList` as well.
     labels:
         Optional per-node cluster labels. When given, an edge (u, v)
         only connects u and v if ``labels[u] == labels[v]`` — this is
@@ -69,7 +101,10 @@ def connected_components(adjacency, labels: Optional[Sequence[int]] = None) -> n
         numbered by each component's lowest node (the FIFO BFS
         discovery order from node 0 upward).
     """
-    adj = _same_label_edges(_as_csr(adjacency), labels)
+    if labels is None:
+        adj = _as_csr(adjacency)
+    else:
+        adj = _same_label_graph(edge_list(adjacency), labels)
     n = adj.shape[0]
     n_comp, raw = _csgraph_components(adj, directed=False)
     # renumber by each component's lowest node, the order in which a
@@ -98,13 +133,14 @@ def count_constrained_components(adjacency, labels: Sequence[int]) -> int:
 
     Used to pick, among the MCG-shortlisted clustering configurations,
     the one producing the fewest supernodes (Algorithm 1, lines 10-16).
-    Only the count is computed, so no ids are renumbered. Edges are
-    undirected: one triangle of the adjacency (``scipy.sparse.triu``)
-    gives the same count as the full matrix for half the filtering.
+    Only the count is computed, so no ids are renumbered. ``adjacency``
+    may be an :class:`EdgeList`: the supergraph builder builds one per
+    build and every shortlisted kappa filters the same int32 edge
+    arrays by label.
     """
     if labels is None:
         raise GraphError("count_constrained_components requires labels")
-    adj = _same_label_edges(_as_csr(adjacency), labels)
+    adj = _same_label_graph(edge_list(adjacency), labels)
     return int(_csgraph_components(adj, directed=False, return_labels=False))
 
 

@@ -200,12 +200,15 @@ class _HttpProtocol(asyncio.Protocol):
             method, target = parts[0], parts[1]
             body = b""
             consumed = head_end + 4
-            if method == b"POST":
+            # Content-Length frames a body on every method. Every
+            # spelling of the header has a hyphen, so the common
+            # hyphen-free GET head skips the case-folding header scan.
+            if b"-" in head or method == b"POST":
                 length = _content_length(head)
-                if length is None or length < 0:
-                    self._fail(
-                        requests, 400, "POST requires a non-negative Content-Length"
-                    )
+                if length is None:
+                    length = -1 if method == b"POST" else 0
+                if length < 0:
+                    self._fail(requests, 400, "missing or invalid Content-Length")
                     return
                 if length > _MAX_BODY_BYTES:
                     self._fail(
@@ -237,6 +240,8 @@ class _HttpProtocol(asyncio.Protocol):
 
 
 def _content_length(head: bytes) -> Optional[int]:
+    """The Content-Length of a request head: None when absent, -1 when
+    not an integer."""
     lower = head.lower()
     idx = lower.find(b"content-length:")
     if idx < 0:
@@ -246,7 +251,7 @@ def _content_length(head: bytes) -> Optional[int]:
     try:
         return int(raw)
     except ValueError:
-        return None
+        return -1
 
 
 class ServerHandle:

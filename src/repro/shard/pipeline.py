@@ -47,7 +47,7 @@ import scipy.sparse as sp
 from repro.clustering.kmeans import kmeans_1d
 from repro.exceptions import GraphError
 from repro.graph.adjacency import Graph
-from repro.graph.components import constrained_components
+from repro.graph.components import EdgeList, constrained_components, edge_list
 from repro.obs.logs import get_logger
 from repro.obs.metrics import incr, set_gauge
 from repro.obs.trace import current_tracer
@@ -55,7 +55,6 @@ from repro.shard.spatial import graph_shards, shard_order
 from repro.supergraph.builder import SupergraphBuilder
 from repro.supergraph.model import Supergraph
 from repro.supergraph.superlink import superlink_weights
-from repro.supergraph.supernode import Supernode
 from repro.util.parallel import map_parallel, resolve_workers
 from repro.util.rng import RngLike, ensure_rng
 from repro.util.timer import ModuleTimer
@@ -289,9 +288,10 @@ class ShardedSupergraphBuilder:
         super_feats = np.concatenate(super_feats_parts)
         super_sizes = np.bincount(member_global, minlength=n_super).astype(float)
 
+        edges = edge_list(adjacency)
         with timer.time("module2.stitch"):
             comp, stitch_kappa, n_cross = self._stitch(
-                adjacency, labels, member_global, super_feats, n_super, shard_kappas
+                edges, labels, member_global, super_feats, n_super, shard_kappas
             )
         n_merged = int(comp.max()) + 1
         member_merged = comp[member_global]
@@ -302,27 +302,15 @@ class ShardedSupergraphBuilder:
         total = np.bincount(comp, weights=super_sizes, minlength=n_merged)
         merged_feats = weight / total
 
-        # member lists per merged supernode via one argsort
-        node_order = np.argsort(member_merged, kind="stable")
-        bounds = np.zeros(n_merged + 1, dtype=np.int64)
-        np.cumsum(np.bincount(member_merged, minlength=n_merged), out=bounds[1:])
-        supernodes = [
-            Supernode(
-                cid,
-                node_order[bounds[cid] : bounds[cid + 1]],
-                float(merged_feats[cid]),
-            )
-            for cid in range(n_merged)
-        ]
-
         with timer.time("module2.superlinks"):
             weights = superlink_weights(
-                adjacency,
-                supernodes,
+                edges,
+                member_merged,
+                merged_feats,
                 node_features=features,
                 mode=self._superlink_mode,
             )
-        supergraph = Supergraph(supernodes, weights, n_road_nodes=n)
+        supergraph = Supergraph(member_merged, merged_feats, weights)
 
         self.report = ShardedBuildReport(
             n_shards=n_shards,
@@ -381,7 +369,7 @@ class ShardedSupergraphBuilder:
 
     def _stitch(
         self,
-        adjacency,
+        edges: EdgeList,
         shard_labels: np.ndarray,
         member_global: np.ndarray,
         super_feats: np.ndarray,
@@ -396,9 +384,7 @@ class ShardedSupergraphBuilder:
         cluster — Algorithm 1's constrained-component rule applied at
         the supernode level.
         """
-        coo = sp.csr_matrix(adjacency).tocoo()
-        upper = coo.row < coo.col
-        u, v = coo.row[upper], coo.col[upper]
+        u, v = edges.u, edges.v
         cross = shard_labels[u] != shard_labels[v]
         n_cross = int(cross.sum())
         identity = np.arange(n_super, dtype=np.int64)

@@ -20,14 +20,13 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.clustering.kmeans import KMeansResult, kmeans_1d_batch
 from repro.clustering.optimal1d import kmeans_1d_optimal
 from repro.clustering.optimality import KappaScan, shortlist_kappa
 from repro.exceptions import GraphError
 from repro.graph.adjacency import Graph
-from repro.graph.components import count_constrained_components
+from repro.graph.components import EdgeList, count_constrained_components, edge_list
 from repro.obs.logs import get_logger
 from repro.obs.metrics import incr, set_gauge
 from repro.supergraph.model import Supergraph
@@ -42,7 +41,7 @@ logger = get_logger("supergraph.builder")
 
 
 def _shortlist_outcomes(
-    adjacency,
+    edges: EdgeList,
     features: np.ndarray,
     scan: KappaScan,
     shortlisted: List[int],
@@ -56,11 +55,9 @@ def _shortlist_outcomes(
     the Lloyd candidates are refitted on the full set in one
     :func:`kmeans_1d_batch` call; the exact-DP variant fits each
     candidate on its own. The counts (and the DP fits) run as one
-    order-keeping map_parallel on threads. The upper triangle built
-    here is freed on return, before the supernode and superlink steps
-    reach the build's memory peak.
+    order-keeping map_parallel on threads. Every count filters the
+    build's one int32 edge list by its labels.
     """
-    upper = sp.triu(adjacency, k=1, format="csr")
     if kmeans_method == "optimal":
         results = map_parallel(
             lambda kappa: kmeans_1d_optimal(features, kappa), shortlisted, workers=workers
@@ -71,7 +68,7 @@ def _shortlist_outcomes(
         fits = dict(zip(scan.kappas, scan.results))
         results = [fits[kappa] for kappa in shortlisted]
     counts = map_parallel(
-        lambda result: count_constrained_components(upper, result.labels),
+        lambda result: count_constrained_components(edges, result.labels),
         results,
         workers=workers,
     )
@@ -201,10 +198,12 @@ class SupergraphBuilder:
 
         # Step 2: pick the configuration with the fewest supernodes. The
         # candidates come back in shortlist order, so the strict-<
-        # selection below is deterministic.
+        # selection below is deterministic. The counts, the supernodes
+        # and the superlinks all read one edge list.
+        edges = edge_list(adjacency)
         with timer.time("module2.shortlist_fits"):
             outcomes = _shortlist_outcomes(
-                adjacency, features, scan, shortlisted, self._kmeans_method, self._workers
+                edges, features, scan, shortlisted, self._kmeans_method, self._workers
             )
         incr("supergraph.shortlist_fits", len(shortlisted))
         best_kappa = -1
@@ -221,16 +220,17 @@ class SupergraphBuilder:
 
         # Step 3: supernodes with cluster means as features
         with timer.time("module2.supernodes"):
-            supernodes = create_supernodes(
-                adjacency, best_result.labels, cluster_means=best_result.centers
+            member_of, sn_features = create_supernodes(
+                edges, best_result.labels, cluster_means=best_result.centers
             )
-        n_before = len(supernodes)
+        n_before = sn_features.size
 
         # Step 4: optional stability check
         if self._epsilon_eta > 0.0:
             with timer.time("module2.stability"):
-                supernodes = stability_check(
-                    supernodes,
+                member_of, sn_features = stability_check(
+                    member_of,
+                    sn_features,
                     features,
                     self._epsilon_eta,
                     adjacency=adjacency,
@@ -240,8 +240,9 @@ class SupergraphBuilder:
         # Step 5: weighted superlinks
         with timer.time("module2.superlinks"):
             weights = superlink_weights(
-                adjacency,
-                supernodes,
+                edges,
+                member_of,
+                sn_features,
                 node_features=features,
                 mode=self._superlink_mode,
             )
@@ -253,7 +254,7 @@ class SupergraphBuilder:
             component_counts=component_counts,
             n_supernodes_before_stability=n_before,
         )
-        supergraph = Supergraph(supernodes, weights, n_road_nodes=n)
+        supergraph = Supergraph(member_of, sn_features, weights)
         incr("supergraph.builds")
         set_gauge("supergraph.chosen_kappa", best_kappa)
         set_gauge("supergraph.n_supernodes_before_stability", n_before)

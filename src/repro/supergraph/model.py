@@ -8,14 +8,14 @@ expansion of supernode partitions into road-segment partitions.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import GraphError
 from repro.graph.adjacency import Graph
-from repro.supergraph.supernode import Supernode, membership_vector
+from repro.supergraph.supernode import Supernode
 
 
 class Supergraph:
@@ -23,41 +23,46 @@ class Supergraph:
 
     Parameters
     ----------
-    supernodes:
-        The supernode set; ids must be dense 0..n_s-1 in order.
+    member_of:
+        Supernode id of every road-graph node; the ids must be dense
+        0..n_s-1, every one with at least one member.
+    features:
+        Feature value ς.f of every supernode id, length n_s.
     adjacency:
         Symmetric weighted superlink matrix, shape (n_s, n_s).
-    n_road_nodes:
-        Order of the underlying road graph (for membership expansion).
     """
 
-    def __init__(
-        self,
-        supernodes: Sequence[Supernode],
-        adjacency,
-        n_road_nodes: int,
-    ) -> None:
-        self._supernodes: List[Supernode] = list(supernodes)
-        for pos, sn in enumerate(self._supernodes):
-            if sn.id != pos:
-                raise GraphError(
-                    f"supernode ids must be dense 0..n-1; found {sn.id} at {pos}"
-                )
-        adj = sp.csr_matrix(adjacency)
-        if adj.shape != (len(self._supernodes), len(self._supernodes)):
+    def __init__(self, member_of: Sequence[int], features: Sequence[float], adjacency) -> None:
+        self._member_of = np.array(member_of, dtype=np.intp)
+        self._features = np.array(features, dtype=float)
+        if self._member_of.ndim != 1 or self._features.ndim != 1:
+            raise GraphError("member_of and features must be 1-D")
+        n_super = self._features.size
+        if self._member_of.size and (
+            self._member_of.min() < 0 or self._member_of.max() >= n_super
+        ):
             raise GraphError(
-                f"adjacency shape {adj.shape} does not match "
-                f"{len(self._supernodes)} supernodes"
+                f"supernode ids must be dense 0..{n_super - 1}; "
+                f"found {int(self._member_of.min())}..{int(self._member_of.max())}"
+            )
+        self._sizes = np.bincount(self._member_of, minlength=n_super)
+        empty = np.flatnonzero(self._sizes == 0)
+        if empty.size:
+            raise GraphError(
+                f"supernode ids must be dense; supernode {int(empty[0])} has no members"
+            )
+        adj = sp.csr_matrix(adjacency)
+        if adj.shape != (n_super, n_super):
+            raise GraphError(
+                f"adjacency shape {adj.shape} does not match {n_super} supernodes"
             )
         self._adj = adj
-        self._n_road = int(n_road_nodes)
-        self._member_of = membership_vector(self._supernodes, self._n_road)
 
     # ------------------------------------------------------------------
     @property
     def n_supernodes(self) -> int:
         """Order of the supergraph |V_s|."""
-        return len(self._supernodes)
+        return self._features.size
 
     @property
     def n_superlinks(self) -> int:
@@ -67,12 +72,18 @@ class Supergraph:
     @property
     def n_road_nodes(self) -> int:
         """Order of the underlying road graph."""
-        return self._n_road
+        return self._member_of.size
 
     @property
-    def supernodes(self) -> Sequence[Supernode]:
-        """The supernode set, ordered by id."""
-        return tuple(self._supernodes)
+    def supernodes(self) -> Tuple[Supernode, ...]:
+        """The supernode set, ordered by id, built from the arrays on each access."""
+        order = np.argsort(self._member_of, kind="stable")
+        bounds = np.cumsum(self._sizes).tolist()
+        starts = [0] + bounds[:-1]
+        return tuple(
+            Supernode(sid, order[a:b], feature)
+            for sid, (a, b, feature) in enumerate(zip(starts, bounds, self._features.tolist()))
+        )
 
     @property
     def adjacency(self) -> sp.csr_matrix:
@@ -88,11 +99,11 @@ class Supergraph:
 
     def features(self) -> np.ndarray:
         """Supernode feature values, ordered by id."""
-        return np.array([sn.feature for sn in self._supernodes], dtype=float)
+        return self._features.copy()
 
     def sizes(self) -> np.ndarray:
         """Member counts |ς_i|, ordered by id."""
-        return np.array([sn.size for sn in self._supernodes], dtype=int)
+        return self._sizes.copy()
 
     def as_graph(self) -> Graph:
         """View as a :class:`repro.graph.Graph` with supernode features."""
@@ -101,9 +112,9 @@ class Supergraph:
     # ------------------------------------------------------------------
     def reduction_ratio(self) -> float:
         """Order reduction n_s / n_r achieved by the condensation."""
-        if self._n_road == 0:
+        if self.n_road_nodes == 0:
             raise GraphError("empty road graph")
-        return self.n_supernodes / self._n_road
+        return self.n_supernodes / self.n_road_nodes
 
     def expand_partition(self, supernode_labels: Sequence[int]) -> np.ndarray:
         """Expand a supernode partition to road-graph node labels.
@@ -127,5 +138,5 @@ class Supergraph:
     def __repr__(self) -> str:
         return (
             f"Supergraph(n_supernodes={self.n_supernodes}, "
-            f"n_superlinks={self.n_superlinks}, n_road_nodes={self._n_road})"
+            f"n_superlinks={self.n_superlinks}, n_road_nodes={self.n_road_nodes})"
         )

@@ -20,7 +20,7 @@ pass ``reconnect=False`` for the paper-literal behaviour.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from repro.exceptions import GraphError
 from repro.graph.components import connected_components
 from repro.obs.metrics import incr
-from repro.supergraph.supernode import Supernode
+from repro.supergraph.supernode import Supernode, member_means
 
 
 def stability(member_features: Sequence[float]) -> float:
@@ -78,20 +78,53 @@ def _connected_pieces(members: np.ndarray, adjacency: sp.csr_matrix) -> List[np.
     return [members[comp == cid] for cid in range(int(comp.max()) + 1)]
 
 
+def _stable_pieces(
+    members: np.ndarray,
+    feature: float,
+    feats: np.ndarray,
+    epsilon_eta: float,
+    adjacency,
+    reconnect: bool,
+) -> List[Tuple[np.ndarray, float]]:
+    """Algorithm 2 on one supernode: its stable pieces, in the order the
+    LIFO stack accepts them, each with its feature value."""
+    accepted: List[Tuple[np.ndarray, float]] = []
+    # stack holds (members, feature, was_split)
+    stack: List = [(members, feature, False)]
+    while stack:
+        members, feature, was_split = stack.pop()
+        incr("stability.checks")
+        halves = [members]
+        if members.size > 1 and stability(feats[members]) < epsilon_eta:
+            halves = _split_members(members, feats)
+        if len(halves) == 1:
+            # stable, a single node, or unsplittable (all features equal)
+            accepted.append((members, float(feats[members].mean()) if was_split else feature))
+            continue
+        incr("stability.splits")
+        for half in halves:
+            for piece in _connected_pieces(half, adjacency) if reconnect else [half]:
+                stack.append((piece, 0.0, True))
+    return accepted
+
+
 def stability_check(
-    supernodes: Sequence[Supernode],
-    features: Sequence[float],
+    member_of: np.ndarray,
+    features: np.ndarray,
+    node_features: Sequence[float],
     epsilon_eta: float,
     adjacency=None,
     reconnect: bool = True,
-) -> List[Supernode]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Split unstable supernodes until all are stable (Algorithm 2).
 
     Parameters
     ----------
-    supernodes:
-        Initial supernode set.
+    member_of:
+        Supernode id of every road-graph node (ids dense 0..n_s-1).
     features:
+        Feature value of every supernode id.
+    node_features:
         Per-node feature vector of the road graph (densities).
     epsilon_eta:
         Stability threshold in [0, 1]. 0 keeps every supernode
@@ -105,43 +138,58 @@ def stability_check(
 
     Returns
     -------
-    list of Supernode with dense ids; supernodes that were split get
-    their member mean as the new feature value, stable originals keep
-    their existing feature.
+    (member_of, features) with dense ids. Supernodes that were split
+    get their member mean as the new feature value, stable originals
+    keep their existing feature. Ids follow Algorithm 2's LIFO stack:
+    the last supernode is popped first, and an unstable one is split
+    down to stable pieces before the next is popped.
     """
     if not 0.0 <= epsilon_eta <= 1.0:
         raise GraphError(f"epsilon_eta must be in [0, 1], got {epsilon_eta}")
-    feats = np.asarray(features, dtype=float)
+    member_of = np.asarray(member_of)
+    features = np.asarray(features, dtype=float)
+    feats = np.asarray(node_features, dtype=float)
     if reconnect:
         if adjacency is None:
             raise GraphError("reconnect=True requires the road-graph adjacency")
         adjacency = sp.csr_matrix(adjacency)
 
     if epsilon_eta == 0.0:
-        return list(supernodes)
+        return member_of, features
 
-    accepted: List[Supernode] = []
-    # stack holds (members, feature, was_split)
-    stack: List = [(sn.members, sn.feature, False) for sn in supernodes]
-    while stack:
-        members, feature, was_split = stack.pop()
-        incr("stability.checks")
-        eta = stability(feats[members])
-        if eta >= epsilon_eta or members.size == 1:
-            value = float(feats[members].mean()) if was_split else feature
-            accepted.append(Supernode(len(accepted), members, value))
-            continue
-        halves = _split_members(members, feats)
-        if len(halves) == 1:
-            # unsplittable (all features equal) — accept as-is
-            value = float(feats[members].mean()) if was_split else feature
-            accepted.append(Supernode(len(accepted), members, value))
-            continue
-        incr("stability.splits")
-        for half in halves:
-            if reconnect:
-                for piece in _connected_pieces(half, adjacency):
-                    stack.append((piece, 0.0, True))
-            else:
-                stack.append((half, 0.0, True))
-    return accepted
+    # eta of every supernode at once, bit-identical to stability()
+    n_super = features.size
+    mu = member_means(member_of, feats, n_super)
+    eta = member_means(
+        member_of, np.exp(-np.abs((feats + 1.0) / (mu[member_of] + 1.0) - 1.0)), n_super
+    )
+    sizes = np.bincount(member_of, minlength=n_super)
+    unstable = np.flatnonzero((eta < epsilon_eta) & (sizes > 1))
+    incr("stability.checks", n_super - unstable.size)
+    order = np.argsort(member_of, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    pieces = {
+        int(s): _stable_pieces(
+            order[starts[s] : starts[s] + sizes[s]],
+            features[s],
+            feats,
+            epsilon_eta,
+            adjacency,
+            reconnect,
+        )
+        for s in unstable
+    }
+
+    counts = np.ones(n_super, dtype=np.int64)
+    for s, accepted in pieces.items():
+        counts[s] = len(accepted)
+    # the first id of supernode s follows the pieces of every supernode above it
+    first = np.cumsum(counts[::-1])[::-1] - counts
+    out_member_of = first[member_of]
+    out_features = np.empty(int(counts.sum()))
+    out_features[first] = features
+    for s, accepted in pieces.items():
+        for j, (members, value) in enumerate(accepted):
+            out_member_of[members] = first[s] + j
+            out_features[first[s] + j] = value
+    return out_member_of, out_features

@@ -25,18 +25,18 @@ features coincide and every weight is 1.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import GraphError
-from repro.supergraph.supernode import Supernode, membership_vector
+from repro.graph.components import edge_list
 
 
-def feature_variance(supernodes: Sequence[Supernode]) -> float:
+def feature_variance(features: Sequence[float]) -> float:
     """Variance sigma^2 of supernode features around their global mean."""
-    feats = np.array([sn.feature for sn in supernodes], dtype=float)
+    feats = np.asarray(features, dtype=float)
     if feats.size == 0:
         raise GraphError("no supernodes")
     return float(((feats - feats.mean()) ** 2).mean())
@@ -44,7 +44,8 @@ def feature_variance(supernodes: Sequence[Supernode]) -> float:
 
 def superlink_weights(
     adjacency,
-    supernodes: Sequence[Supernode],
+    member_of: np.ndarray,
+    features: Sequence[float],
     node_features: Sequence[float] = None,
     mode: str = "supernode",
 ) -> sp.csr_matrix:
@@ -53,9 +54,12 @@ def superlink_weights(
     Parameters
     ----------
     adjacency:
-        Road-graph adjacency (symmetric sparse/dense).
-    supernodes:
-        Supernode set covering every road-graph node exactly once.
+        Road-graph adjacency (symmetric sparse/dense) or its
+        :class:`repro.graph.components.EdgeList`.
+    member_of:
+        Supernode id of every road-graph node (ids dense 0..n_s-1).
+    features:
+        Feature value of every supernode id.
     node_features:
         Per-node densities; required for ``mode="node"``.
     mode:
@@ -69,39 +73,38 @@ def superlink_weights(
     """
     if mode not in ("supernode", "node"):
         raise GraphError(f"mode must be 'supernode' or 'node', got {mode!r}")
-    adj = sp.csr_matrix(adjacency)
-    n_nodes = adj.shape[0]
-    member_of = membership_vector(supernodes, n_nodes)
-    n_super = len(supernodes)
-    sigma2 = feature_variance(supernodes)
-    feats = np.array([sn.feature for sn in supernodes], dtype=float)
+    edges = edge_list(adjacency)
+    member_of = np.asarray(member_of)
+    if member_of.shape != (edges.n,):
+        raise GraphError(f"member_of must have shape ({edges.n},), got {member_of.shape}")
+    feats = np.asarray(features, dtype=float)
+    n_super = feats.size
+    sigma2 = feature_variance(feats)
     if mode == "node":
         if node_features is None:
             raise GraphError("mode='node' requires node_features")
         node_feats = np.asarray(node_features, dtype=float)
-        if node_feats.shape != (n_nodes,):
+        if node_feats.shape != (edges.n,):
             raise GraphError(
-                f"node_features must have shape ({n_nodes},), got {node_feats.shape}"
+                f"node_features must have shape ({edges.n},), got {node_feats.shape}"
             )
 
-    coo = adj.tocoo()
     # vectorised accumulation per supernode pair (each link once)
-    upper = coo.row < coo.col
-    u, v = coo.row[upper], coo.col[upper]
-    p, q = member_of[u], member_of[v]
+    p, q = np.take(member_of, edges.u), np.take(member_of, edges.v)
     cross = p != q
-    u, v, p, q = u[cross], v[cross], p[cross], q[cross]
-    if p.size == 0:
+    if not cross.any():
         return sp.csr_matrix((n_super, n_super))
-
-    lo = np.minimum(p, q).astype(np.int64)
-    hi = np.maximum(p, q).astype(np.int64)
-    keys = lo * n_super + hi
-    unique_keys, inverse, counts = np.unique(
-        keys, return_inverse=True, return_counts=True
-    )
-    pair_lo = (unique_keys // n_super).astype(int)
-    pair_hi = (unique_keys % n_super).astype(int)
+    p, q = np.compress(cross, p), np.compress(cross, q)
+    keys = np.minimum(p, q).astype(np.int64) * n_super + np.maximum(p, q)
+    if mode == "supernode":
+        # a plain sort: np.unique without return arrays takes a hash
+        # table, several times slower on these keys
+        keys.sort()
+        unique_keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    else:
+        unique_keys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    pair_lo = unique_keys // n_super
+    pair_hi = unique_keys % n_super
 
     if mode == "supernode":
         if sigma2 > 0:
@@ -111,15 +114,19 @@ def superlink_weights(
         else:
             weights = np.ones(unique_keys.size)
     else:
+        u, v = np.compress(cross, edges.u), np.compress(cross, edges.v)
         if sigma2 > 0:
             g = np.exp(-((node_feats[u] - node_feats[v]) ** 2) / (2.0 * sigma2))
         else:
             g = np.ones(u.size)
-        sums = np.zeros(unique_keys.size)
-        np.add.at(sums, inverse, g * g)
+        # bincount adds each pair's links in edge order, whatever order
+        # the sort left the pairs in
+        sums = np.bincount(inverse, weights=g * g, minlength=unique_keys.size)
         weights = np.sqrt(sums / counts)
 
-    rows = np.concatenate([pair_lo, pair_hi])
-    cols = np.concatenate([pair_hi, pair_lo])
+    # the pairs are sorted by (lo, hi), so listing the lower triangle
+    # first puts every row's columns in ascending order
+    rows = np.concatenate([pair_hi, pair_lo])
+    cols = np.concatenate([pair_lo, pair_hi])
     vals = np.concatenate([weights, weights])
     return sp.csr_matrix((vals, (rows, cols)), shape=(n_super, n_super))

@@ -4,12 +4,17 @@ A supernode (Definition 6) is a set of road-graph nodes that were
 grouped into the same k-means cluster *and* are interlinked in the
 road graph. They are computed as the connected components of the
 subgraph that keeps only same-cluster edges (Algorithm 1, line 17).
+
+Module 2 keeps a supernode set as two arrays: ``member_of`` (road node
+→ supernode id) and ``features`` (one value per supernode id).
+:class:`Supernode` objects are built from them only on request
+(:attr:`repro.supergraph.Supergraph.supernodes`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,18 +58,42 @@ class Supernode:
         return float(arr[self.members].mean())
 
 
+def member_means(member_of: np.ndarray, values: np.ndarray, n_supernodes: int) -> np.ndarray:
+    """Mean of ``values`` over each supernode's members.
+
+    Bit-identical to ``values[members].mean()`` with the members in
+    ascending order: supernodes of one size are stacked into a
+    C-contiguous matrix and averaged along its rows, which numpy sums
+    pairwise exactly as it sums a 1-D mean. (A ``bincount`` sums
+    sequentially and moves the last bits of every supernode with eight
+    or more members.) Every supernode needs at least one member.
+    """
+    order = np.argsort(member_of, kind="stable")
+    sizes = np.bincount(member_of, minlength=n_supernodes)
+    starts = np.cumsum(sizes) - sizes
+    grouped = values[order]
+    by_size = np.argsort(sizes, kind="stable")
+    out = np.empty(n_supernodes)
+    for ids in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
+        if ids.size:
+            rows = starts[ids, None] + np.arange(sizes[ids[0]])
+            out[ids] = grouped[rows].mean(axis=1)
+    return out
+
+
 def create_supernodes(
     adjacency,
     labels: Sequence[int],
     cluster_means: Optional[Sequence[float]] = None,
     features: Optional[Sequence[float]] = None,
-) -> List[Supernode]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Create supernodes from a clustering indicator vector.
 
     Parameters
     ----------
     adjacency:
-        Road-graph adjacency matrix (sparse or dense, symmetric).
+        Road-graph adjacency matrix (sparse or dense, symmetric) or its
+        :class:`repro.graph.components.EdgeList`.
     labels:
         Cluster index per road-graph node (the indicator vector ρ).
     cluster_means:
@@ -77,65 +106,25 @@ def create_supernodes(
 
     Returns
     -------
-    list of Supernode, ids dense in component-discovery order.
+    (member_of, features): the supernode id of every road-graph node,
+    ids dense in component-discovery order, and the feature of every
+    supernode id.
     """
-    labels = np.asarray(labels, dtype=int)
-    comp = constrained_components(adjacency, labels)
-    n_comp = int(comp.max()) + 1 if comp.size else 0
-
     if cluster_means is None and features is None:
         raise GraphError("create_supernodes needs cluster_means or features")
-    feats = None if features is None else np.asarray(features, dtype=float)
-    means = None if cluster_means is None else np.asarray(cluster_means, dtype=float)
-
-    if n_comp == 0:
-        return []
-    # one stable sort groups the nodes by component with each group in
-    # ascending node order; component ids are dense, so the i-th group
-    # is component i
-    order = np.argsort(comp, kind="stable")
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(comp[order])) + 1))
-    ends = np.append(starts[1:], comp.size)
-    groups = [order[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
-    if means is not None:
-        clusters = labels[order[starts]]
-        bad = np.flatnonzero(clusters >= means.size)
-        if bad.size:
-            raise GraphError(
-                f"cluster index {int(clusters[bad[0]])} out of range for "
-                f"{means.size} cluster means"
-            )
-        feature_of = means[clusters].tolist()
-    else:
-        feature_of = [float(feats[members].mean()) for members in groups]
-    return [
-        Supernode(cid, members, feature)
-        for cid, (members, feature) in enumerate(zip(groups, feature_of))
-    ]
-
-
-def membership_vector(supernodes: Sequence[Supernode], n_nodes: int) -> np.ndarray:
-    """Map node id → supernode id; raises if the cover is not a partition."""
-    members = np.concatenate([np.empty(0, dtype=int)] + [sn.members for sn in supernodes])
-    ids = np.repeat(
-        np.array([sn.id for sn in supernodes], dtype=int),
-        [sn.size for sn in supernodes],
-    )
-    out_of_range = (members < 0) | (members >= n_nodes)
-    if out_of_range.any():
+    labels = np.asarray(labels, dtype=int)
+    member_of = constrained_components(adjacency, labels)
+    n_super = int(member_of.max()) + 1 if member_of.size else 0
+    if cluster_means is None:
+        return member_of, member_means(member_of, np.asarray(features, dtype=float), n_super)
+    means = np.asarray(cluster_means, dtype=float)
+    # every member of a supernode carries its cluster's label
+    clusters = np.empty(n_super, dtype=int)
+    clusters[member_of] = labels
+    bad = np.flatnonzero(clusters >= means.size)
+    if bad.size:
         raise GraphError(
-            f"supernode member id {int(members[out_of_range][0])} out of range "
-            f"for {n_nodes} nodes"
+            f"cluster index {int(clusters[bad[0]])} out of range for "
+            f"{means.size} cluster means"
         )
-    hits = np.bincount(members, minlength=n_nodes)
-    if (hits > 1).any():
-        node = int(np.flatnonzero(hits > 1)[0])
-        owners = np.unique(ids[members == node])
-        if owners.size == 1:
-            raise GraphError(f"supernode {int(owners[0])} lists node {node} twice")
-        raise GraphError("supernodes overlap")
-    if members.size < n_nodes:
-        raise GraphError(f"{n_nodes - members.size} nodes not covered by any supernode")
-    out = np.empty(n_nodes, dtype=int)
-    out[members] = ids
-    return out
+    return member_of, means[clusters]

@@ -246,16 +246,18 @@ def create_supernodes_loop(
     cluster_means: Optional[Sequence[float]] = None,
     features: Optional[Sequence[float]] = None,
 ) -> List[Supernode]:
-    """One ``comp == cid`` scan per supernode."""
+    """One :class:`Supernode` per component, its feature read per object."""
     labels = np.asarray(labels, dtype=int)
     comp = constrained_components(adjacency, labels)
-    n_comp = int(comp.max()) + 1 if comp.size else 0
     feats = None if features is None else np.asarray(features, dtype=float)
     means = None if cluster_means is None else np.asarray(cluster_means, dtype=float)
 
+    # a stable sort lists each component's members in ascending order
+    order = np.argsort(comp, kind="stable")
+    bounds = np.cumsum(np.bincount(comp)).tolist()
     supernodes: List[Supernode] = []
-    for cid in range(n_comp):
-        members = np.flatnonzero(comp == cid)
+    for cid, (start, end) in enumerate(zip([0] + bounds[:-1], bounds)):
+        members = order[start:end]
         if means is not None:
             cluster = int(labels[members[0]])
             if cluster >= means.size:
@@ -268,6 +270,127 @@ def create_supernodes_loop(
             feature = float(feats[members].mean())
         supernodes.append(Supernode(cid, members, feature))
     return supernodes
+
+
+def membership_vector(supernodes: Sequence[Supernode], n_nodes: int) -> np.ndarray:
+    """Map node id -> supernode id; raises if the cover is not a partition.
+
+    The checked object-to-array conversion: tests use it to assert that
+    a supergraph's supernodes partition the road graph.
+    """
+    members = np.concatenate([np.empty(0, dtype=int)] + [sn.members for sn in supernodes])
+    ids = np.repeat(
+        np.array([sn.id for sn in supernodes], dtype=int),
+        [sn.size for sn in supernodes],
+    )
+    out_of_range = (members < 0) | (members >= n_nodes)
+    if out_of_range.any():
+        raise GraphError(
+            f"supernode member id {int(members[out_of_range][0])} out of range "
+            f"for {n_nodes} nodes"
+        )
+    hits = np.bincount(members, minlength=n_nodes)
+    if (hits > 1).any():
+        node = int(np.flatnonzero(hits > 1)[0])
+        owners = np.unique(ids[members == node])
+        if owners.size == 1:
+            raise GraphError(f"supernode {int(owners[0])} lists node {node} twice")
+        raise GraphError("supernodes overlap")
+    if members.size < n_nodes:
+        raise GraphError(f"{n_nodes - members.size} nodes not covered by any supernode")
+    out = np.empty(n_nodes, dtype=int)
+    out[members] = ids
+    return out
+
+
+def superlink_weights_objects(
+    adjacency,
+    supernodes: Sequence[Supernode],
+    node_features: Optional[Sequence[float]] = None,
+    mode: str = "supernode",
+) -> sp.csr_matrix:
+    """Eq. 3 superlinks from a list of :class:`Supernode` objects: the
+    oracle for :func:`repro.supergraph.superlink.superlink_weights`."""
+    adj = sp.csr_matrix(adjacency)
+    n_nodes = adj.shape[0]
+    member_of = membership_vector(supernodes, n_nodes)
+    n_super = len(supernodes)
+    feats = np.array([sn.feature for sn in supernodes], dtype=float)
+    sigma2 = float(((feats - feats.mean()) ** 2).mean())
+
+    coo = adj.tocoo()
+    upper = coo.row < coo.col
+    u, v = coo.row[upper], coo.col[upper]
+    p, q = member_of[u], member_of[v]
+    cross = p != q
+    u, v, p, q = u[cross], v[cross], p[cross], q[cross]
+    if p.size == 0:
+        return sp.csr_matrix((n_super, n_super))
+
+    lo = np.minimum(p, q).astype(np.int64)
+    hi = np.maximum(p, q).astype(np.int64)
+    keys = lo * n_super + hi
+    unique_keys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    pair_lo = (unique_keys // n_super).astype(int)
+    pair_hi = (unique_keys % n_super).astype(int)
+
+    if mode == "supernode":
+        if sigma2 > 0:
+            weights = np.exp(-((feats[pair_lo] - feats[pair_hi]) ** 2) / (2.0 * sigma2))
+        else:
+            weights = np.ones(unique_keys.size)
+    else:
+        node_feats = np.asarray(node_features, dtype=float)
+        if sigma2 > 0:
+            g = np.exp(-((node_feats[u] - node_feats[v]) ** 2) / (2.0 * sigma2))
+        else:
+            g = np.ones(u.size)
+        sums = np.zeros(unique_keys.size)
+        np.add.at(sums, inverse, g * g)
+        weights = np.sqrt(sums / counts)
+
+    rows = np.concatenate([pair_lo, pair_hi])
+    cols = np.concatenate([pair_hi, pair_lo])
+    vals = np.concatenate([weights, weights])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n_super, n_super))
+
+
+def stability_check_objects(
+    supernodes: Sequence[Supernode],
+    features: Sequence[float],
+    epsilon_eta: float,
+    adjacency=None,
+    reconnect: bool = True,
+) -> List[Supernode]:
+    """Algorithm 2 as one LIFO stack of :class:`Supernode` objects: the
+    oracle for :func:`repro.supergraph.stability.stability_check`."""
+    feats = np.asarray(features, dtype=float)
+    if reconnect:
+        adjacency = sp.csr_matrix(adjacency)
+    if epsilon_eta == 0.0:
+        return list(supernodes)
+
+    accepted: List[Supernode] = []
+    # stack holds (members, feature, was_split)
+    stack: List = [(sn.members, sn.feature, False) for sn in supernodes]
+    while stack:
+        members, feature, was_split = stack.pop()
+        values = feats[members]
+        mu = values.mean()
+        eta = float(np.exp(-np.abs((values + 1.0) / (mu + 1.0) - 1.0)).mean())
+        pre, post = members[values <= mu], members[values > mu]
+        if eta >= epsilon_eta or members.size == 1 or not (pre.size and post.size):
+            value = float(values.mean()) if was_split else feature
+            accepted.append(Supernode(len(accepted), members, value))
+            continue
+        for half in (pre, post):
+            if reconnect:
+                comp = connected_components_bfs(adjacency[half][:, half])
+                for cid in range(int(comp.max()) + 1):
+                    stack.append((half[comp == cid], 0.0, True))
+            else:
+                stack.append((half, 0.0, True))
+    return accepted
 
 
 def membership_vector_loop(supernodes: Sequence[Supernode], n_nodes: int) -> np.ndarray:

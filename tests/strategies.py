@@ -51,3 +51,22 @@ def kmeans_1d_problems(draw, max_n: int = 40):
         values = [draw(st.floats(min_value=0.0, max_value=5.0))] * n
     kappas = draw(st.lists(st.integers(1, n), min_size=1, max_size=8))
     return np.asarray(values, dtype=float), kappas
+
+
+@st.composite
+def road_graphs_with_densities(draw, max_nodes: int = 40):
+    """A :func:`graphs_with_labels` graph with up to three isolated nodes
+    appended, and a density per node: continuous, tie-heavy or constant
+    (ties and constants leave supernodes that cannot split)."""
+    adj, __ = draw(graphs_with_labels(max_nodes=max_nodes))
+    isolated = draw(st.integers(0, 3))
+    adj = sp.block_diag([adj, sp.csr_matrix((isolated, isolated))], format="csr")
+    n = adj.shape[0]
+    kind = draw(st.sampled_from(["continuous", "ties", "constant"]))
+    if kind == "continuous":
+        values = draw(st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=n, max_size=n))
+    elif kind == "ties":
+        values = [0.125 * s for s in draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))]
+    else:
+        values = [draw(st.floats(min_value=0.0, max_value=5.0))] * n
+    return adj, np.asarray(values, dtype=float)

@@ -106,6 +106,29 @@ class TestRequestLimits:
         proto.data_received(b"\r\n\r\n")
         assert [r[1] for r in server.requests] == [b"/healthz"]
 
+    @pytest.mark.parametrize("name", [b"Content-Length", b"content-length", b"CONTENT-length"])
+    def test_get_body_is_framed_by_content_length(self, name):
+        """A GET's body is its body, not the next pipelined request."""
+        proto, server = _protocol()
+        smuggled = b"GET /metrics HTTP/1.1\r\n\r\n"
+        proto.data_received(
+            b"GET /healthz HTTP/1.1\r\n" + name + b": %d\r\n\r\n" % len(smuggled) + smuggled
+        )
+        assert [r[:3] for r in server.requests] == [(b"GET", b"/healthz", smuggled)]
+        assert proto.transport.written == [] and proto.buf == b""
+
+    @pytest.mark.parametrize(
+        "length, status", [(b"-1", 400), (b"ten", 400), (b"%d" % (_MAX_BODY_BYTES + 1), 413)]
+    )
+    def test_get_content_length_limits(self, length, status):
+        proto, server = _protocol()
+        _feed_with_timeout(
+            proto, b"GET /healthz HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n"
+        )
+        assert server.requests == []
+        assert [_status(w) for w in proto.transport.written] == [status]
+        assert proto.transport.closed
+
     def test_requests_before_a_fatal_error_are_answered_first(self):
         proto, server = _protocol()
         proto.data_received(
@@ -127,10 +150,14 @@ def _request(draw):
     """One valid request as (wire bytes, (method, target, body))."""
     target = draw(_TARGETS)
     extra = draw(st.sampled_from([b"", b"Host: a\r\n", b"traceparent: t\r\n"]))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["get", "get-body", "post"]))
+    if kind == "get":
         head = b"GET " + target + b" HTTP/1.1\r\n" + extra
         return head + b"\r\n", (b"GET", target, b"")
     body = draw(st.binary(max_size=64))
+    if kind == "get-body":
+        head = b"GET " + target + b" HTTP/1.1\r\n" + extra + b"content-length: %d\r\n" % len(body)
+        return head + b"\r\n" + body, (b"GET", target, body)
     head = (
         b"POST /lookup/batch HTTP/1.1\r\n" + extra
         + b"Content-Length: %d\r\n" % len(body)

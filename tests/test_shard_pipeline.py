@@ -15,6 +15,7 @@ The contract under test:
 
 import numpy as np
 import pytest
+from oracles import membership_vector
 
 from repro.datasets import small_network
 from repro.exceptions import GraphError
@@ -30,7 +31,6 @@ from repro.shard.pipeline import (
 )
 from repro.shard.spatial import segment_midpoints
 from repro.supergraph.builder import SupergraphBuilder
-from repro.supergraph.supernode import membership_vector
 
 
 @pytest.fixture(scope="module")

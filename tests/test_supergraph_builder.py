@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import create_supernodes_loop, membership_vector
 
 from repro.clustering.kmeans import kmeans_1d
 from repro.exceptions import GraphError
@@ -13,7 +14,6 @@ from repro.graph.components import count_constrained_components, is_connected
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.shard.pipeline import ShardedSupergraphBuilder
 from repro.supergraph.builder import SupergraphBuilder, build_supergraph
-from repro.supergraph.supernode import create_supernodes, membership_vector
 
 
 def _stepped_path(n_groups=4, per=10, step=1.0, noise=0.02, seed=0):
@@ -170,7 +170,9 @@ class TestShortlistReusesScan:
         best = int(np.argmin(counts))  # first minimum, like the builder's strict <
         assert report.chosen_kappa == report.shortlisted[best]
         result = refits[best][0]
-        expected = create_supernodes(graph.adjacency, result.labels, cluster_means=result.centers)
+        expected = create_supernodes_loop(
+            graph.adjacency, result.labels, cluster_means=result.centers
+        )
         assert len(supergraph.supernodes) == len(expected)
         for got, want in zip(supergraph.supernodes, expected):
             np.testing.assert_array_equal(got.members, want.members)

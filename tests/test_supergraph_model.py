@@ -6,19 +6,13 @@ import scipy.sparse as sp
 
 from repro.exceptions import GraphError
 from repro.supergraph.model import Supergraph
-from repro.supergraph.supernode import Supernode
 
 
 def _simple_supergraph():
-    sns = [
-        Supernode(0, [0, 1], 0.1),
-        Supernode(1, [2], 0.5),
-        Supernode(2, [3, 4], 0.9),
-    ]
     adj = sp.csr_matrix(
         np.array([[0, 0.8, 0], [0.8, 0, 0.6], [0, 0.6, 0]])
     )
-    return Supergraph(sns, adj, n_road_nodes=5)
+    return Supergraph([0, 0, 1, 2, 2], [0.1, 0.5, 0.9], adj)
 
 
 class TestSupergraph:
@@ -61,19 +55,27 @@ class TestSupergraph:
         np.testing.assert_allclose(g.features, [0.1, 0.5, 0.9])
 
     def test_nondense_ids_rejected(self):
-        sns = [Supernode(1, [0], 0.1)]
         with pytest.raises(GraphError, match="dense"):
-            Supergraph(sns, sp.csr_matrix((1, 1)), n_road_nodes=1)
+            Supergraph([1], [0.1], sp.csr_matrix((1, 1)))
 
     def test_adjacency_shape_mismatch_rejected(self):
-        sns = [Supernode(0, [0], 0.1)]
         with pytest.raises(GraphError):
-            Supergraph(sns, sp.csr_matrix((2, 2)), n_road_nodes=1)
+            Supergraph([0], [0.1], sp.csr_matrix((2, 2)))
 
     def test_incomplete_cover_rejected(self):
-        sns = [Supernode(0, [0], 0.1)]
-        with pytest.raises(GraphError):
-            Supergraph(sns, sp.csr_matrix((1, 1)), n_road_nodes=2)
+        # supernode 1 has no members
+        with pytest.raises(GraphError, match="no members"):
+            Supergraph([0, 0], [0.1, 0.5], sp.csr_matrix((2, 2)))
+
+    def test_uncovered_node_rejected(self):
+        with pytest.raises(GraphError, match="dense"):
+            Supergraph([0, -1], [0.1], sp.csr_matrix((1, 1)))
+
+    def test_supernodes_built_from_the_arrays(self):
+        sns = _simple_supergraph().supernodes
+        assert [sn.id for sn in sns] == [0, 1, 2]
+        assert [sn.members.tolist() for sn in sns] == [[0, 1], [2], [3, 4]]
+        assert [sn.feature for sn in sns] == [0.1, 0.5, 0.9]
 
     def test_repr(self):
         assert "n_supernodes=3" in repr(_simple_supergraph())

@@ -10,7 +10,7 @@ from repro.supergraph.stability import (
     stability_check,
     supernode_stability,
 )
-from repro.supergraph.supernode import Supernode, membership_vector
+from repro.supergraph.supernode import Supernode
 
 
 class TestStabilityMeasure:
@@ -50,78 +50,80 @@ class TestStabilityCheck:
     def test_threshold_zero_is_noop(self):
         feats = [0.0, 10.0, 0.0]
         g = _chain_graph(feats)
-        sns = [Supernode(0, [0, 1, 2], 3.33)]
-        out = stability_check(sns, feats, 0.0, adjacency=g.adjacency)
-        assert out == sns
+        member_of, features = stability_check([0, 0, 0], [3.33], feats, 0.0, adjacency=g.adjacency)
+        assert member_of.tolist() == [0, 0, 0]
+        assert features.tolist() == [3.33]
 
     def test_stable_supernode_kept_with_feature(self):
         feats = [1.0, 1.0, 1.0]
         g = _chain_graph(feats)
-        sns = [Supernode(0, [0, 1, 2], 42.0)]
-        out = stability_check(sns, feats, 0.99, adjacency=g.adjacency)
-        assert len(out) == 1
-        assert out[0].feature == 42.0  # retained, not recomputed
+        __, features = stability_check([0, 0, 0], [42.0], feats, 0.99, adjacency=g.adjacency)
+        assert features.tolist() == [42.0]  # retained, not recomputed
 
     def test_unstable_supernode_split(self):
         feats = [0.0, 0.0, 10.0, 10.0]
         g = _chain_graph(feats)
-        sns = [Supernode(0, np.arange(4), 5.0)]
-        out = stability_check(sns, feats, 0.9, adjacency=g.adjacency)
-        assert len(out) == 2
-        features = sorted(sn.feature for sn in out)
-        assert features == [0.0, 10.0]  # member means after split
+        __, features = stability_check(np.zeros(4, dtype=int), [5.0], feats, 0.9, adjacency=g.adjacency)
+        assert sorted(features) == [0.0, 10.0]  # member means after split
 
     def test_split_halves_reconnected(self):
         """Splitting by value can disconnect members; reconnect=True
         separates the pieces."""
         feats = [0.0, 10.0, 0.0]  # low nodes 0, 2 are not adjacent
         g = _chain_graph(feats)
-        sns = [Supernode(0, np.arange(3), 3.33)]
-        out = stability_check(sns, feats, 0.9, adjacency=g.adjacency)
-        assert len(out) == 3
+        __, features = stability_check([0, 0, 0], [3.33], feats, 0.9, adjacency=g.adjacency)
+        assert features.size == 3
 
     def test_no_reconnect_keeps_value_halves(self):
         feats = [0.0, 10.0, 0.0]
-        sns = [Supernode(0, np.arange(3), 3.33)]
-        out = stability_check(sns, feats, 0.9, reconnect=False)
-        assert len(out) == 2
+        member_of, features = stability_check([0, 0, 0], [3.33], feats, 0.9, reconnect=False)
+        assert features.size == 2
+        assert member_of[0] == member_of[2] != member_of[1]
 
     def test_result_is_partition(self):
         rng = np.random.default_rng(1)
         feats = rng.random(20)
         g = _chain_graph(list(feats))
-        sns = [Supernode(0, np.arange(10), 0.5), Supernode(1, np.arange(10, 20), 0.5)]
-        out = stability_check(sns, feats, 0.95, adjacency=g.adjacency)
-        membership_vector(out, 20)  # raises on overlap/uncovered
+        member_of, features = stability_check(
+            np.repeat([0, 1], 10), [0.5, 0.5], feats, 0.95, adjacency=g.adjacency
+        )
+        # every node in one supernode, every supernode id used
+        np.testing.assert_array_equal(np.unique(member_of), np.arange(features.size))
 
     def test_threshold_one_forces_constant_groups(self):
-        feats = [0.0, 0.0, 1.0, 1.0, 1.0]
+        feats = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
         g = _chain_graph(feats)
-        sns = [Supernode(0, np.arange(5), 0.6)]
-        out = stability_check(sns, feats, 1.0, adjacency=g.adjacency)
-        for sn in out:
-            members = np.asarray(feats)[sn.members]
+        member_of, __ = stability_check(np.zeros(5, dtype=int), [0.6], feats, 1.0, adjacency=g.adjacency)
+        for sid in np.unique(member_of):
+            members = feats[member_of == sid]
             assert members.min() == members.max()
 
     def test_reconnect_requires_adjacency(self):
-        sns = [Supernode(0, [0, 1], 0.5)]
         with pytest.raises(GraphError, match="adjacency"):
-            stability_check(sns, [0.0, 1.0], 0.9)
+            stability_check([0, 0], [0.5], [0.0, 1.0], 0.9)
 
     def test_invalid_threshold(self):
-        sns = [Supernode(0, [0], 0.5)]
         with pytest.raises(GraphError):
-            stability_check(sns, [0.0], 1.5, reconnect=False)
+            stability_check([0], [0.5], [0.0], 1.5, reconnect=False)
 
     def test_monotone_supernode_count_in_threshold(self):
         rng = np.random.default_rng(2)
         feats = rng.random(30)
         g = _chain_graph(list(feats))
-        sns = [Supernode(0, np.arange(30), float(feats.mean()))]
         counts = [
-            len(
-                stability_check(sns, feats, eta, adjacency=g.adjacency)
-            )
+            stability_check(
+                np.zeros(30, dtype=int), [float(feats.mean())], feats, eta, adjacency=g.adjacency
+            )[1].size
             for eta in (0.0, 0.7, 0.9, 0.99)
         ]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
+
+    def test_stable_ids_follow_the_lifo_stack(self):
+        """With every supernode stable, the stack pops the last one first."""
+        feats = [1.0, 1.0, 2.0, 2.0, 3.0]
+        g = _chain_graph(feats)
+        member_of, features = stability_check(
+            [0, 0, 1, 1, 2], [1.0, 2.0, 3.0], feats, 0.5, adjacency=g.adjacency
+        )
+        assert member_of.tolist() == [2, 2, 1, 1, 0]
+        assert features.tolist() == [3.0, 2.0, 1.0]

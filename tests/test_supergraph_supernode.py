@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import create_supernodes_loop, membership_vector_loop
+from oracles import create_supernodes_loop, membership_vector, membership_vector_loop
 from strategies import graphs_with_labels
 
 from repro.exceptions import GraphError
 from repro.graph.adjacency import Graph
-from repro.supergraph.supernode import (
-    Supernode,
-    create_supernodes,
-    membership_vector,
-)
+from repro.supergraph.supernode import Supernode, create_supernodes
 
 
 def _path_adj(n):
@@ -38,37 +34,36 @@ class TestCreateSupernodes:
     def test_aligned_clusters_one_supernode_each(self):
         adj = _path_adj(6)
         labels = [0, 0, 0, 1, 1, 1]
-        sns = create_supernodes(adj, labels, cluster_means=[0.1, 0.9])
-        assert len(sns) == 2
-        assert sns[0].feature == 0.1
-        assert sns[1].feature == 0.9
+        member_of, features = create_supernodes(adj, labels, cluster_means=[0.1, 0.9])
+        np.testing.assert_array_equal(member_of, labels)
+        assert features.tolist() == [0.1, 0.9]
 
     def test_disconnected_cluster_splits(self):
         adj = _path_adj(5)
         labels = [0, 1, 0, 1, 0]  # cluster 0 is three isolated nodes
-        sns = create_supernodes(adj, labels, cluster_means=[0.1, 0.9])
-        assert len(sns) == 5
+        member_of, features = create_supernodes(adj, labels, cluster_means=[0.1, 0.9])
+        np.testing.assert_array_equal(member_of, np.arange(5))
+        assert features.tolist() == [0.1, 0.9, 0.1, 0.9, 0.1]
 
     def test_cluster_mean_assigned_by_label(self):
         adj = _path_adj(4)
         labels = [0, 0, 1, 1]
-        sns = create_supernodes(adj, labels, cluster_means=[0.25, 0.75])
-        features = sorted(sn.feature for sn in sns)
-        assert features == [0.25, 0.75]
+        __, features = create_supernodes(adj, labels, cluster_means=[0.25, 0.75])
+        assert sorted(features) == [0.25, 0.75]
 
     def test_member_mean_fallback(self):
         adj = _path_adj(4)
         labels = [0, 0, 1, 1]
-        sns = create_supernodes(adj, labels, features=[1.0, 3.0, 5.0, 7.0])
-        features = sorted(sn.feature for sn in sns)
-        assert features == [2.0, 6.0]
+        __, features = create_supernodes(adj, labels, features=[1.0, 3.0, 5.0, 7.0])
+        assert sorted(features) == [2.0, 6.0]
 
     def test_cover_is_partition(self):
         adj = _path_adj(7)
         labels = [0, 1, 1, 0, 2, 2, 2]
-        sns = create_supernodes(adj, labels, cluster_means=[0.1, 0.5, 0.9])
-        member_of = membership_vector(sns, 7)
-        assert (member_of >= 0).all()
+        member_of, features = create_supernodes(adj, labels, cluster_means=[0.1, 0.5, 0.9])
+        # every node in one supernode, every supernode id used
+        assert member_of.shape == (7,)
+        np.testing.assert_array_equal(np.unique(member_of), np.arange(features.size))
 
     def test_requires_means_or_features(self):
         with pytest.raises(GraphError):
@@ -82,11 +77,9 @@ class TestCreateSupernodes:
 class TestCreateSupernodesMatchesLoop:
     @staticmethod
     def _assert_same(fast, slow):
-        assert len(fast) == len(slow)
-        for a, b in zip(fast, slow):
-            assert a.id == b.id
-            np.testing.assert_array_equal(a.members, b.members)
-            assert a.feature == b.feature
+        member_of, features = fast
+        np.testing.assert_array_equal(member_of, membership_vector_loop(slow, member_of.size))
+        assert features.tobytes() == np.array([sn.feature for sn in slow]).tobytes()
 
     @given(graph=graphs_with_labels(), means_seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
@@ -110,11 +103,13 @@ class TestCreateSupernodesMatchesLoop:
 
 
 class TestMembershipVector:
+    """The checked object-to-array conversion the tests validate covers with."""
+
     @given(graph=graphs_with_labels())
     @settings(max_examples=100, deadline=None)
     def test_matches_loop(self, graph):
         adj, labels = graph
-        sns = create_supernodes(adj, labels, features=np.zeros(labels.size))
+        sns = create_supernodes_loop(adj, labels, features=np.zeros(labels.size))
         np.testing.assert_array_equal(
             membership_vector(sns, labels.size), membership_vector_loop(sns, labels.size)
         )
