@@ -20,15 +20,19 @@ of the paper's M1/M2 networks):
 * module 2 after the kappa choice: supernodes, the stability check
   (off, and at epsilon_eta = 0.5) and superlinks, on per-supernode
   objects (``tests/oracles.py``) vs on one membership vector, with
-  byte-identical supergraphs.
+  byte-identical supergraphs;
+* generating the full-scale M3 metropolis (network and hotspot
+  densities): per-street and per-segment loops (``tests/oracles.py``)
+  vs array passes, with identical networks and density bytes.
 
 Writes ``BENCH_hotpaths.json`` at the repo root (plus the usual
 ``benchmarks/results`` copy) so the perf trajectory is tracked from
 this PR onward. The module-1 and kappa-scan speedups are asserted
 (>= 5x and >= 2x) — they are the paper's scalability story — and so is
 the batched scan's (>= 2x over the per-kappa loop), the derived
-epoch's (>= 5x over a fresh index, with identical lookups) and module
-2's (>= 2x without the stability check, >= 5x with it).
+epoch's (>= 5x over a fresh index, with identical lookups), module
+2's (>= 2x without the stability check, >= 5x with it) and the M3
+generator's (>= 2x).
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from benchmarks.conftest import print_table, save_results
 from repro.obs.manifest import run_manifest
 from repro.clustering.kmeans import assign_to_centers, kmeans_1d
 from repro.clustering.optimality import moderated_clustering_gain, scan_kappa
+from repro.datasets.large import melbourne_like
 from repro.core.alpha_cut import _partition_weights, _prepare, partition_weight_summary
 from repro.graph.adjacency import Graph
 from repro.graph.components import edge_list
@@ -58,6 +63,7 @@ from repro.supergraph.superlink import superlink_weights
 from repro.supergraph.supernode import create_supernodes
 from tests.oracles import (
     create_supernodes_loop,
+    hotspot_profile_loop,
     kmeans_1d_prefix_reference,
     kmeans_1d_reference,
     membership_vector_loop,
@@ -66,11 +72,13 @@ from tests.oracles import (
     segment_adjacency_reference,
     stability_check_objects,
     superlink_weights_objects,
+    urban_network_loop,
 )
 
 ROOT_RESULTS = Path(__file__).parent.parent / "BENCH_hotpaths.json"
 
 GRID_SIDE = 115  # 115 x 115 two-way grid -> 52 440 directed segments
+M3_SIDE = 159  # the M3 preset's grid side at size factor 1
 
 
 def _timed(fn, *args, **kwargs):
@@ -277,6 +285,33 @@ def test_bench_hotpaths(synthetic_city):
             "repeats": reps_m2,
         }
 
+    # --- M3 generation: per-street loops vs arrays ----------------------
+    def generate_loops():
+        rng = np.random.default_rng(0)
+        net = urban_network_loop(M3_SIDE, M3_SIDE, seed=rng)
+        return net, hotspot_profile_loop(net, n_hotspots=5, seed=rng)
+
+    reps_gen = 3
+    gen_loop_s, (loop_net, loop_dens) = min(
+        (_timed(generate_loops) for __ in range(reps_gen)), key=lambda t: t[0]
+    )
+    gen_arrays_s, (m3_net, m3_dens) = min(
+        (_timed(melbourne_like, "M3", seed=0) for __ in range(reps_gen)), key=lambda t: t[0]
+    )
+    assert [(i.location.x, i.location.y) for i in m3_net.intersections] == [
+        (i.location.x, i.location.y) for i in loop_net.intersections
+    ]
+    assert [vars(s) for s in m3_net.segments] == [vars(s) for s in loop_net.segments]
+    assert m3_dens.tobytes() == loop_dens.tobytes()
+    gen_speedup = gen_loop_s / gen_arrays_s
+    payload["generate_m3"] = {
+        "loops_s": gen_loop_s,
+        "arrays_s": gen_arrays_s,
+        "speedup": gen_speedup,
+        "n_segments": m3_net.n_segments,
+        "repeats": reps_gen,
+    }
+
     rows = [
         ["module1 dual transform", ref_s, new_s, dual_speedup],
         ["kappa scan (2..30)", ref_scan_s, new_scan_s, scan_speedup],
@@ -287,6 +322,7 @@ def test_bench_hotpaths(synthetic_city):
         ["epoch publish (fresh vs relabel)", fresh_s, derived_s, epoch_speedup],
         ["module-2 build (objects vs arrays)", *module2_rows[0.0]],
         ["module-2 build, eta=0.5 (objects vs arrays)", *module2_rows[0.5]],
+        ["M3 generation (loops vs arrays)", gen_loop_s, gen_arrays_s, gen_speedup],
     ]
     print_table(
         f"Hot paths on {network.n_segments}-segment grid",
@@ -308,3 +344,4 @@ def test_bench_hotpaths(synthetic_city):
     assert module2_rows[0.5][2] >= 5.0, (
         f"module-2 speedup with the stability check {module2_rows[0.5][2]:.1f}x < 5x"
     )
+    assert gen_speedup >= 2.0, f"M3 generation speedup {gen_speedup:.1f}x < 2x"

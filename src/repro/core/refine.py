@@ -226,32 +226,35 @@ def repair_connectivity(adjacency, labels, k: int) -> np.ndarray:
     if n_comp <= k:
         return comp
 
+    coo = adj.tocoo()
     while n_comp > k:
         sizes = np.bincount(comp, minlength=n_comp)
-        # connectivity weight between components
-        coo = adj.tocoo()
-        cross = comp[coo.row] != comp[coo.col]
-        weight = {}
-        for a, b, w in zip(
-            comp[coo.row[cross]], comp[coo.col[cross]], coo.data[cross]
-        ):
-            key = (int(min(a, b)), int(max(a, b)))
-            weight[key] = weight.get(key, 0.0) + w
+        # connectivity weight between components: one sum per component
+        # pair, over the cross entries in COO order
+        a, b = comp[coo.row], comp[coo.col]
+        cross = a != b
+        lo = np.minimum(a[cross], b[cross])
+        hi = np.maximum(a[cross], b[cross])
+        keys, inverse = np.unique(lo * n_comp + hi, return_inverse=True)
+        weight = np.bincount(inverse, weights=coo.data[cross], minlength=keys.size)
+        lo, hi = keys // n_comp, keys % n_comp
+        # each component's strongest neighbour, ties to the larger id:
+        # the last entry per component when sorted by (weight, neighbour)
+        comps = np.concatenate((lo, hi))
+        others = np.concatenate((hi, lo))
+        by = np.lexsort((others, np.concatenate((weight, weight)), comps))
+        comps, others = comps[by], others[by]
+        last = np.ones(by.size, dtype=bool)
+        last[:-1] = comps[1:] != comps[:-1]
+        best = np.full(n_comp, -1)
+        best[comps[last]] = others[last]
 
         order = np.argsort(sizes)
-        merged = False
-        for smallest in order:
-            neighbours = [
-                (w, a if b == smallest else b)
-                for (a, b), w in weight.items()
-                if smallest in (a, b)
-            ]
-            if neighbours:
-                __, target = max(neighbours)
-                comp = _dense_labels(np.where(comp == smallest, target, comp))
-                merged = True
-                break
-        if not merged:
+        candidates = order[best[order] >= 0]
+        if candidates.size:
+            smallest = candidates[0]
+            comp = _dense_labels(np.where(comp == smallest, best[smallest], comp))
+        else:
             # graph has more connected components than k: merge the two
             # smallest anyway (C.2 is unsatisfiable, keep the contract
             # of exactly k partitions)

@@ -17,7 +17,7 @@ the reference the tests compare against.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,13 +102,29 @@ def connected_components(adjacency, labels: Optional[Sequence[int]] = None) -> n
         discovery order from node 0 upward).
     """
     if labels is None:
-        adj = _as_csr(adjacency)
-    else:
-        adj = _same_label_graph(edge_list(adjacency), labels)
-    n = adj.shape[0]
-    n_comp, raw = _csgraph_components(adj, directed=False)
-    # renumber by each component's lowest node, the order in which a
-    # BFS started from successive unvisited nodes discovers them
+        return renumber_components(*_csgraph_components(_as_csr(adjacency), directed=False))
+    return renumber_components(*label_components(adjacency, labels))
+
+
+def label_components(adjacency, labels: Sequence[int]) -> Tuple[int, np.ndarray]:
+    """Count and raw ids of the constrained components.
+
+    The ids are csgraph's own; :func:`renumber_components` turns them
+    into :func:`connected_components`' ids. The supergraph builder
+    keeps the pair per shortlisted kappa, so the chosen kappa's
+    supernodes need no second component pass.
+    """
+    n_comp, raw = _csgraph_components(
+        _same_label_graph(edge_list(adjacency), labels), directed=False
+    )
+    return int(n_comp), raw
+
+
+def renumber_components(n_comp: int, raw: np.ndarray) -> np.ndarray:
+    """Renumber component ids by each component's lowest node, the
+    order in which a BFS started from successive unvisited nodes
+    discovers them."""
+    n = raw.size
     first = np.full(n_comp, n)
     np.minimum.at(first, raw, np.arange(n))
     rank = np.empty(n_comp, dtype=int)

@@ -56,10 +56,9 @@ def check_cover(labels, n_nodes: int) -> int:
     if lab.min() < 0:
         raise PartitioningError("labels must be non-negative")
     k = int(lab.max()) + 1
-    present = np.unique(lab)
-    if present.size != k:
-        missing = sorted(set(range(k)) - set(present.tolist()))
-        raise PartitioningError(f"label gaps: partitions {missing} are empty")
+    missing = np.flatnonzero(np.bincount(lab, minlength=k) == 0)
+    if missing.size:
+        raise PartitioningError(f"label gaps: partitions {missing.tolist()} are empty")
     return k
 
 

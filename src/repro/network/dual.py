@@ -45,8 +45,7 @@ def _segment_adjacency_arrays(
     if m == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    src = np.fromiter((s.source for s in network.segments), dtype=np.int64, count=m)
-    tgt = np.fromiter((s.target for s in network.segments), dtype=np.int64, count=m)
+    src, tgt = network.segment_endpoint_ids()
     seg_ids = np.arange(m, dtype=np.int64)
     incidence = sp.csr_matrix(
         (

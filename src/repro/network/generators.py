@@ -21,9 +21,12 @@ All generators are deterministic given a ``seed``.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import repeat
+from typing import List, Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from repro.exceptions import NetworkError
 from repro.network.geometry import Point
@@ -32,73 +35,102 @@ from repro.util.rng import RngLike, ensure_rng
 
 
 def _build_network(
-    locations: List[Point],
-    streets: List[Tuple[int, int]],
-    two_way_mask: List[bool],
-    speed_limits: Optional[List[float]] = None,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    two_way: np.ndarray,
+    speed_limits: Optional[np.ndarray] = None,
 ) -> RoadNetwork:
-    """Assemble a RoadNetwork from undirected streets and a two-way mask."""
-    intersections = [Intersection(i, loc) for i, loc in enumerate(locations)]
-    segments: List[RoadSegment] = []
-    sid = 0
-    for k, (u, v) in enumerate(streets):
-        length = locations[u].distance_to(locations[v])
-        if length <= 0:
-            raise NetworkError(f"street ({u}, {v}) has zero length")
-        speed = speed_limits[k] if speed_limits is not None else 13.9
-        segments.append(
-            RoadSegment(sid, u, v, length=length, speed_limit=speed)
+    """Assemble a RoadNetwork from undirected streets ``u[k] - v[k]``.
+
+    Intersection ``i`` sits at ``(xs[i], ys[i])``. Street ``k`` becomes
+    segment ``u -> v`` and, when ``two_way[k]``, the next segment id
+    ``v -> u``. Lengths stay on :func:`math.hypot`, the function
+    :meth:`Point.distance_to` uses (``np.hypot`` rounds differently).
+    """
+    intersections = list(
+        map(Intersection, range(xs.size), map(Point, xs.tolist(), ys.tolist()))
+    )
+    lengths = np.fromiter(
+        map(math.hypot, (xs[u] - xs[v]).tolist(), (ys[u] - ys[v]).tolist()),
+        dtype=float,
+        count=u.size,
+    )
+    bad = np.flatnonzero(lengths <= 0)
+    if bad.size:
+        k = int(bad[0])
+        raise NetworkError(f"street ({int(u[k])}, {int(v[k])}) has zero length")
+    if speed_limits is None:
+        speed_limits = np.full(u.size, 13.9)
+    # one segment per street, a second (reversed) one per two-way street
+    street = np.repeat(np.arange(u.size), np.where(two_way, 2, 1))
+    reverse = np.zeros(street.size, dtype=bool)
+    reverse[1:] = street[1:] == street[:-1]
+    sources = np.where(reverse, v[street], u[street]).tolist()
+    targets = np.where(reverse, u[street], v[street]).tolist()
+    # positional: id, source, target, length, density, lanes, speed_limit
+    segments = list(
+        map(
+            RoadSegment,
+            range(street.size),
+            sources,
+            targets,
+            lengths[street].tolist(),
+            repeat(0.0),
+            repeat(1),
+            speed_limits[street].tolist(),
         )
-        sid += 1
-        if two_way_mask[k]:
-            segments.append(
-                RoadSegment(sid, v, u, length=length, speed_limit=speed)
-            )
-            sid += 1
+    )
     return RoadNetwork(intersections, segments)
+
+
+def _grid_streets(n_rows: int, n_cols: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Streets ``(u, v)`` of an ``n_rows x n_cols`` grid with node
+    ``r * n_cols + c``: per node in id order, the street to its right
+    neighbour, then the one to the neighbour below."""
+    node = np.arange(n_rows * n_cols)
+    r, c = np.divmod(node, n_cols)
+    u = np.repeat(node, 2)
+    v = np.column_stack((node + 1, node + n_cols)).ravel()
+    exists = np.column_stack((c + 1 < n_cols, r + 1 < n_rows)).ravel()
+    return u[exists], v[exists]
 
 
 def _remove_streets(
     n: int,
-    streets: List[Tuple[int, int]],
+    u: np.ndarray,
+    v: np.ndarray,
     fraction: float,
     rng: np.random.Generator,
-) -> List[int]:
+) -> np.ndarray:
     """Indices of streets to keep after random removal, staying connected.
 
     A random spanning tree of the street graph is computed first
-    (union-find over a shuffled edge order); tree streets are protected
-    from removal, so connectivity is preserved by construction. Up to
-    ``fraction`` of all streets are then removed from the non-tree
-    candidates. Runs in O(n + m α(n)).
+    (Kruskal over a shuffled edge order: the minimum spanning tree
+    with each street weighted by its rank in the shuffle, unique since
+    the ranks differ); tree streets are protected from removal, so
+    connectivity is preserved by construction. Up to ``fraction`` of
+    all streets are then removed from the non-tree candidates, in
+    shuffle order. The streets must be simple (no repeated pair).
     """
     if not 0.0 <= fraction < 1.0:
         raise NetworkError(f"removal fraction must be in [0, 1), got {fraction}")
-    m = len(streets)
+    m = u.size
     target_removals = int(round(fraction * m))
     if target_removals == 0 or m == 0:
-        return list(range(m))
-
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+        return np.arange(m)
 
     order = rng.permutation(m)
+    rank = np.empty(m)
+    rank[order] = np.arange(1, m + 1)
+    tree = minimum_spanning_tree(sp.csr_matrix((rank, (u, v)), shape=(n, n)))
     in_tree = np.zeros(m, dtype=bool)
-    for idx in order:
-        u, v = streets[idx]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            in_tree[idx] = True
+    in_tree[order[tree.data.astype(np.int64) - 1]] = True
 
-    candidates = [int(i) for i in order if not in_tree[i]]
-    to_remove = set(candidates[:target_removals])
-    return [i for i in range(m) if i not in to_remove]
+    keep = np.ones(m, dtype=bool)
+    keep[order[~in_tree[order]][:target_removals]] = False
+    return np.flatnonzero(keep)
 
 
 def grid_network(
@@ -128,26 +160,17 @@ def grid_network(
     if spacing <= 0:
         raise NetworkError(f"spacing must be positive, got {spacing}")
 
-    locations = [
-        Point(c * spacing, r * spacing) for r in range(n_rows) for c in range(n_cols)
-    ]
-
-    def node(r: int, c: int) -> int:
-        return r * n_cols + c
-
-    streets: List[Tuple[int, int]] = []
-    for r in range(n_rows):
-        for c in range(n_cols):
-            if c + 1 < n_cols:
-                a, b = node(r, c), node(r, c + 1)
-                # alternate one-way direction per row when not two_way
-                streets.append((a, b) if (two_way or r % 2 == 0) else (b, a))
-            if r + 1 < n_rows:
-                a, b = node(r, c), node(r + 1, c)
-                streets.append((a, b) if (two_way or c % 2 == 0) else (b, a))
-
-    two_way_mask = [two_way] * len(streets)
-    return _build_network(locations, streets, two_way_mask)
+    r, c = np.divmod(np.arange(n_rows * n_cols), n_cols)
+    u, v = _grid_streets(n_rows, n_cols)
+    if not two_way:
+        # alternate one-way direction per row (horizontal streets) and
+        # per column (vertical streets)
+        ur, uc = np.divmod(u, n_cols)
+        flip = np.where(v == u + 1, ur % 2 == 1, uc % 2 == 1)
+        u, v = np.where(flip, v, u), np.where(flip, u, v)
+    return _build_network(
+        c * spacing, r * spacing, u, v, np.full(u.size, two_way, dtype=bool)
+    )
 
 
 def ring_radial_network(
@@ -168,12 +191,13 @@ def ring_radial_network(
     if ring_spacing <= 0:
         raise NetworkError(f"ring_spacing must be positive, got {ring_spacing}")
 
-    locations = [Point(0.0, 0.0)]
+    xs, ys = [0.0], [0.0]
     for ring in range(1, n_rings + 1):
         radius = ring * ring_spacing
         for k in range(n_radials):
             angle = 2.0 * math.pi * k / n_radials
-            locations.append(Point(radius * math.cos(angle), radius * math.sin(angle)))
+            xs.append(radius * math.cos(angle))
+            ys.append(radius * math.sin(angle))
 
     def node(ring: int, k: int) -> int:
         # ring >= 1
@@ -188,8 +212,10 @@ def ring_radial_network(
             else:
                 streets.append((node(ring - 1, k), node(ring, k)))  # radial
 
-    two_way_mask = [two_way] * len(streets)
-    return _build_network(locations, streets, two_way_mask)
+    u, v = np.array(streets, dtype=np.int64).T
+    return _build_network(
+        np.array(xs), np.array(ys), u, v, np.full(u.size, two_way, dtype=bool)
+    )
 
 
 def urban_network(
@@ -238,45 +264,26 @@ def urban_network(
     rng = ensure_rng(seed)
 
     offsets = rng.uniform(-jitter * spacing, jitter * spacing, size=(n_rows, n_cols, 2))
-    locations: List[Point] = []
-    for r in range(n_rows):
-        for c in range(n_cols):
-            dx, dy = offsets[r, c]
-            locations.append(Point(c * spacing + dx, r * spacing + dy))
+    r, c = np.divmod(np.arange(n_rows * n_cols), n_cols)
+    xs = c * spacing + offsets[..., 0].ravel()
+    ys = r * spacing + offsets[..., 1].ravel()
 
-    def node(r: int, c: int) -> int:
-        return r * n_cols + c
-
-    streets: List[Tuple[int, int]] = []
-    for r in range(n_rows):
-        for c in range(n_cols):
-            if c + 1 < n_cols:
-                streets.append((node(r, c), node(r, c + 1)))
-            if r + 1 < n_rows:
-                streets.append((node(r, c), node(r + 1, c)))
-
-    kept = _remove_streets(n_rows * n_cols, streets, removal_fraction, rng)
-    streets = [streets[i] for i in kept]
+    u, v = _grid_streets(n_rows, n_cols)
+    kept = _remove_streets(n_rows * n_cols, u, v, removal_fraction, rng)
+    u, v = u[kept], v[kept]
 
     # CBD bounds (central square region)
     r_lo = (1.0 - cbd_fraction) / 2.0 * (n_rows - 1)
     r_hi = (1.0 + cbd_fraction) / 2.0 * (n_rows - 1)
     c_lo = (1.0 - cbd_fraction) / 2.0 * (n_cols - 1)
     c_hi = (1.0 + cbd_fraction) / 2.0 * (n_cols - 1)
+    in_cbd = (r_lo <= r) & (r <= r_hi) & (c_lo <= c) & (c <= c_hi)
 
-    def in_cbd(idx: int) -> bool:
-        r, c = divmod(idx, n_cols)
-        return r_lo <= r <= r_hi and c_lo <= c <= c_hi
+    # CBD streets are two-way 40 km/h core streets; every other street
+    # is a 60 km/h suburban arterial, two-way with one draw each
+    cbd_street = in_cbd[u] & in_cbd[v]
+    two_way = cbd_street.copy()
+    two_way[~cbd_street] = rng.random(int((~cbd_street).sum())) < two_way_fraction
+    speed_limits = np.where(cbd_street, 11.1, 16.7)
 
-    two_way_mask: List[bool] = []
-    speed_limits: List[float] = []
-    for u, v in streets:
-        cbd_street = in_cbd(u) and in_cbd(v)
-        if cbd_street:
-            two_way_mask.append(True)
-            speed_limits.append(11.1)  # 40 km/h core streets
-        else:
-            two_way_mask.append(bool(rng.random() < two_way_fraction))
-            speed_limits.append(16.7)  # 60 km/h suburban arterials
-
-    return _build_network(locations, streets, two_way_mask, speed_limits)
+    return _build_network(xs, ys, u, v, two_way, speed_limits)

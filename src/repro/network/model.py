@@ -10,7 +10,8 @@ segments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -104,31 +105,54 @@ class RoadNetwork:
         segments: Iterable[RoadSegment],
     ) -> None:
         self._intersections: List[Intersection] = sorted(
-            intersections, key=lambda i: i.id
+            intersections, key=attrgetter("id")
         )
-        self._segments: List[RoadSegment] = sorted(segments, key=lambda s: s.id)
-
-        for pos, inter in enumerate(self._intersections):
-            if inter.id != pos:
-                raise NetworkError(
-                    f"intersection ids must be dense 0..n-1; missing id {pos}"
-                )
+        self._segments: List[RoadSegment] = sorted(segments, key=attrgetter("id"))
         n = len(self._intersections)
-        for pos, seg in enumerate(self._segments):
-            if seg.id != pos:
-                raise NetworkError(f"segment ids must be dense 0..m-1; missing id {pos}")
-            if not (0 <= seg.source < n and 0 <= seg.target < n):
-                raise NetworkError(
-                    f"segment {seg.id} references unknown intersection "
-                    f"({seg.source} -> {seg.target}, n={n})"
-                )
+        m = len(self._segments)
 
-        # adjacency indexes for traffic routing
-        self._out: Dict[int, List[int]] = {i: [] for i in range(n)}
-        self._in: Dict[int, List[int]] = {i: [] for i in range(n)}
-        for seg in self._segments:
-            self._out[seg.source].append(seg.id)
-            self._in[seg.target].append(seg.id)
+        ids = [inter.id for inter in self._intersections]
+        if ids != list(range(n)):
+            pos = next(p for p, iid in enumerate(ids) if iid != p)
+            raise NetworkError(f"intersection ids must be dense 0..n-1; missing id {pos}")
+
+        # The topology is fixed from here on: the endpoint and
+        # coordinate arrays below are built once and never refreshed.
+        self._source = np.fromiter(
+            (seg.source for seg in self._segments), dtype=np.int64, count=m
+        )
+        self._target = np.fromiter(
+            (seg.target for seg in self._segments), dtype=np.int64, count=m
+        )
+        bad_id = np.flatnonzero(
+            np.fromiter((seg.id for seg in self._segments), dtype=np.int64, count=m)
+            != np.arange(m)
+        )
+        bad_end = np.flatnonzero(
+            (self._source < 0) | (self._source >= n) | (self._target < 0) | (self._target >= n)
+        )
+        if bad_id.size and (not bad_end.size or bad_id[0] <= bad_end[0]):
+            raise NetworkError(
+                f"segment ids must be dense 0..m-1; missing id {int(bad_id[0])}"
+            )
+        if bad_end.size:
+            seg = self._segments[int(bad_end[0])]
+            raise NetworkError(
+                f"segment {seg.id} references unknown intersection "
+                f"({seg.source} -> {seg.target}, n={n})"
+            )
+        for arr in (self._source, self._target):
+            arr.flags.writeable = False
+        self._x = np.fromiter(
+            (inter.location.x for inter in self._intersections), dtype=float, count=n
+        )
+        self._y = np.fromiter(
+            (inter.location.y for inter in self._intersections), dtype=float, count=n
+        )
+
+        # per-intersection segment tables, built on first use
+        self._out: Optional[Dict[int, Tuple[int, ...]]] = None
+        self._in: Optional[Dict[int, Tuple[int, ...]]] = None
 
     # ------------------------------------------------------------------
     # Size queries
@@ -170,17 +194,32 @@ class RoadNetwork:
     # ------------------------------------------------------------------
     # Topology queries
     # ------------------------------------------------------------------
+    def _segments_by(self, endpoint: np.ndarray) -> Dict[int, Tuple[int, ...]]:
+        """Segment ids (ascending) per intersection id of ``endpoint``."""
+        order = np.argsort(endpoint, kind="stable").tolist()
+        bounds = np.zeros(self.n_intersections + 1, dtype=np.int64)
+        np.cumsum(np.bincount(endpoint, minlength=self.n_intersections), out=bounds[1:])
+        edges = bounds.tolist()
+        return {
+            iid: tuple(order[edges[iid]:edges[iid + 1]])
+            for iid in range(self.n_intersections)
+        }
+
     def outgoing(self, iid: int) -> Sequence[int]:
         """Ids of segments leaving intersection ``iid``."""
+        if self._out is None:
+            self._out = self._segments_by(self._source)
         if iid not in self._out:
             raise NetworkError(f"no intersection with id {iid}")
-        return tuple(self._out[iid])
+        return self._out[iid]
 
     def incoming(self, iid: int) -> Sequence[int]:
         """Ids of segments arriving at intersection ``iid``."""
+        if self._in is None:
+            self._in = self._segments_by(self._target)
         if iid not in self._in:
             raise NetworkError(f"no intersection with id {iid}")
-        return tuple(self._in[iid])
+        return self._in[iid]
 
     def segment_endpoints(self, sid: int) -> Tuple[Point, Point]:
         """Source and target locations of segment ``sid``."""
@@ -194,6 +233,22 @@ class RoadNetwork:
         """Midpoint of segment ``sid`` (used by spatial metrics)."""
         a, b = self.segment_endpoints(sid)
         return a.midpoint(b)
+
+    def segment_endpoint_ids(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Source and target intersection ids of every segment, as two
+        read-only int64 arrays indexed by segment id."""
+        return self._source, self._target
+
+    def segment_midpoints(self) -> np.ndarray:
+        """Midpoint ``(x, y)`` of every segment, shape ``(m, 2)``.
+
+        Row ``sid`` equals :meth:`segment_midpoint` ``(sid)``: halving a
+        sum is exact, so ``0.5 * (a + b)`` and ``(a + b) / 2.0`` agree.
+        """
+        src, tgt = self._source, self._target
+        return np.column_stack(
+            (0.5 * (self._x[src] + self._x[tgt]), 0.5 * (self._y[src] + self._y[tgt]))
+        )
 
     # ------------------------------------------------------------------
     # Densities

@@ -31,31 +31,9 @@ def segment_midpoints(network: RoadNetwork) -> np.ndarray:
 
     The dual transform maps segment ``i`` to road-graph node ``i``, so
     these midpoints are the node coordinates the spatial sharder
-    splits on.
+    splits on. Same as :meth:`RoadNetwork.segment_midpoints`.
     """
-    ix = np.fromiter(
-        (inter.location.x for inter in network.intersections),
-        dtype=float,
-        count=network.n_intersections,
-    )
-    iy = np.fromiter(
-        (inter.location.y for inter in network.intersections),
-        dtype=float,
-        count=network.n_intersections,
-    )
-    src = np.fromiter(
-        (seg.source for seg in network.segments),
-        dtype=np.int64,
-        count=network.n_segments,
-    )
-    tgt = np.fromiter(
-        (seg.target for seg in network.segments),
-        dtype=np.int64,
-        count=network.n_segments,
-    )
-    return np.column_stack(
-        (0.5 * (ix[src] + ix[tgt]), 0.5 * (iy[src] + iy[tgt]))
-    )
+    return network.segment_midpoints()
 
 
 def spatial_shards(points, n_shards: int) -> np.ndarray:

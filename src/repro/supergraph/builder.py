@@ -26,13 +26,18 @@ from repro.clustering.optimal1d import kmeans_1d_optimal
 from repro.clustering.optimality import KappaScan, shortlist_kappa
 from repro.exceptions import GraphError
 from repro.graph.adjacency import Graph
-from repro.graph.components import EdgeList, count_constrained_components, edge_list
+from repro.graph.components import (
+    EdgeList,
+    edge_list,
+    label_components,
+    renumber_components,
+)
 from repro.obs.logs import get_logger
 from repro.obs.metrics import incr, set_gauge
 from repro.supergraph.model import Supergraph
 from repro.supergraph.stability import stability_check
 from repro.supergraph.superlink import superlink_weights
-from repro.supergraph.supernode import create_supernodes
+from repro.supergraph.supernode import supernode_features
 from repro.util.parallel import map_parallel
 from repro.util.rng import RngLike
 from repro.util.timer import ModuleTimer
@@ -47,8 +52,9 @@ def _shortlist_outcomes(
     shortlisted: List[int],
     kmeans_method: str,
     workers: Optional[int],
-) -> List[Tuple[KMeansResult, int]]:
-    """(fit, supernode count) per shortlisted kappa, in shortlist order.
+) -> List[Tuple[KMeansResult, Tuple[int, np.ndarray]]]:
+    """(fit, (supernode count, raw component ids)) per shortlisted kappa,
+    in shortlist order (the ids as :func:`label_components` returns them).
 
     An unsampled Lloyd scan already fitted every shortlisted kappa on
     these densities, so only the counts remain. After a sampled scan
@@ -67,12 +73,12 @@ def _shortlist_outcomes(
     else:
         fits = dict(zip(scan.kappas, scan.results))
         results = [fits[kappa] for kappa in shortlisted]
-    counts = map_parallel(
-        lambda result: count_constrained_components(edges, result.labels),
+    components = map_parallel(
+        lambda result: label_components(edges, result.labels),
         results,
         workers=workers,
     )
-    return list(zip(results, counts))
+    return list(zip(results, components))
 
 
 @dataclass
@@ -209,19 +215,23 @@ class SupergraphBuilder:
         best_kappa = -1
         best_count = None
         best_result = None
+        best_ids = None
         component_counts: List[int] = []
-        for kappa, (result, count) in zip(shortlisted, outcomes):
+        for kappa, (result, (count, raw_ids)) in zip(shortlisted, outcomes):
             component_counts.append(count)
             if best_count is None or count < best_count:
                 best_count = count
                 best_kappa = kappa
                 best_result = result
+                best_ids = raw_ids
         assert best_result is not None
 
-        # Step 3: supernodes with cluster means as features
+        # Step 3: supernodes with cluster means as features, from the
+        # components the shortlist count already found
         with timer.time("module2.supernodes"):
-            member_of, sn_features = create_supernodes(
-                edges, best_result.labels, cluster_means=best_result.centers
+            member_of = renumber_components(best_count, best_ids)
+            sn_features = supernode_features(
+                member_of, best_result.labels, cluster_means=best_result.centers
             )
         n_before = sn_features.size
 

@@ -114,9 +114,21 @@ def create_supernodes(
         raise GraphError("create_supernodes needs cluster_means or features")
     labels = np.asarray(labels, dtype=int)
     member_of = constrained_components(adjacency, labels)
+    return member_of, supernode_features(member_of, labels, cluster_means, features)
+
+
+def supernode_features(
+    member_of: np.ndarray,
+    labels: np.ndarray,
+    cluster_means: Optional[Sequence[float]] = None,
+    features: Optional[Sequence[float]] = None,
+) -> np.ndarray:
+    """The feature of every supernode id of ``member_of``: its cluster's
+    mean when ``cluster_means`` is given, else its members' mean of
+    ``features`` (see :func:`create_supernodes`)."""
     n_super = int(member_of.max()) + 1 if member_of.size else 0
     if cluster_means is None:
-        return member_of, member_means(member_of, np.asarray(features, dtype=float), n_super)
+        return member_means(member_of, np.asarray(features, dtype=float), n_super)
     means = np.asarray(cluster_means, dtype=float)
     # every member of a supernode carries its cluster's label
     clusters = np.empty(n_super, dtype=int)
@@ -127,4 +139,4 @@ def create_supernodes(
             f"cluster index {int(clusters[bad[0]])} out of range for "
             f"{means.size} cluster means"
         )
-    return member_of, means[clusters]
+    return means[clusters]

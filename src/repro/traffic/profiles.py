@@ -71,12 +71,7 @@ def hotspot_profile(
         raise DataError(f"noise must be non-negative, got {noise}")
     rng = ensure_rng(seed)
 
-    mids = np.array(
-        [
-            (network.segment_midpoint(sid).x, network.segment_midpoint(sid).y)
-            for sid in range(network.n_segments)
-        ]
-    )
+    mids = network.segment_midpoints()
     min_xy = mids.min(axis=0)
     max_xy = mids.max(axis=0)
     diagonal = float(np.hypot(*(max_xy - min_xy)))

@@ -18,16 +18,18 @@ import scipy.sparse as sp
 
 from repro.clustering.kmeans import KMeansResult, _validate_kappa
 from repro.clustering.optimality import _cluster_stats, _prepare
-from repro.exceptions import ClusteringError, GraphError
+from repro.exceptions import ClusteringError, GraphError, NetworkError
 from repro.graph.components import constrained_components
+from repro.network.geometry import Point
 from repro.obs.convergence import (
     ConvergenceTrace,
     attach_convergence,
     convergence_wanted,
 )
-from repro.network.model import RoadNetwork
+from repro.network.model import Intersection, RoadNetwork, RoadSegment
 from repro.pipeline.schemes import run_scheme
 from repro.supergraph.supernode import Supernode
+from repro.util.rng import ensure_rng
 
 
 def segment_adjacency_reference(network: RoadNetwork) -> List[Tuple[int, int]]:
@@ -516,3 +518,223 @@ def incremental_update_loop(
         new_labels[labels == region] = mapped
     __, dense = np.unique(new_labels, return_inverse=True)
     return dense.astype(int), stale, kept, n_relabelled
+
+
+def _build_network_loop(
+    locations: List[Point],
+    streets: List[Tuple[int, int]],
+    two_way_mask: List[bool],
+    speed_limits: Optional[List[float]] = None,
+) -> RoadNetwork:
+    """One :class:`RoadSegment` (or two, for a two-way street) per street."""
+    intersections = [Intersection(i, loc) for i, loc in enumerate(locations)]
+    segments: List[RoadSegment] = []
+    sid = 0
+    for k, (u, v) in enumerate(streets):
+        length = locations[u].distance_to(locations[v])
+        if length <= 0:
+            raise NetworkError(f"street ({u}, {v}) has zero length")
+        speed = speed_limits[k] if speed_limits is not None else 13.9
+        segments.append(RoadSegment(sid, u, v, length=length, speed_limit=speed))
+        sid += 1
+        if two_way_mask[k]:
+            segments.append(RoadSegment(sid, v, u, length=length, speed_limit=speed))
+            sid += 1
+    return RoadNetwork(intersections, segments)
+
+
+def remove_streets_loop(
+    n: int, streets: List[Tuple[int, int]], fraction: float, rng: np.random.Generator
+) -> List[int]:
+    """Kept street indices: a union-find spanning tree over a shuffled
+    street order is protected, then non-tree streets go in shuffle order."""
+    if not 0.0 <= fraction < 1.0:
+        raise NetworkError(f"removal fraction must be in [0, 1), got {fraction}")
+    m = len(streets)
+    target_removals = int(round(fraction * m))
+    if target_removals == 0 or m == 0:
+        return list(range(m))
+
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    order = rng.permutation(m)
+    in_tree = np.zeros(m, dtype=bool)
+    for idx in order:
+        u, v = streets[idx]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            in_tree[idx] = True
+
+    candidates = [int(i) for i in order if not in_tree[i]]
+    to_remove = set(candidates[:target_removals])
+    return [i for i in range(m) if i not in to_remove]
+
+
+def grid_network_loop(
+    n_rows: int, n_cols: int, spacing: float = 100.0, two_way: bool = True
+) -> RoadNetwork:
+    """:func:`repro.network.generators.grid_network`, street by street."""
+    locations = [
+        Point(c * spacing, r * spacing) for r in range(n_rows) for c in range(n_cols)
+    ]
+    streets: List[Tuple[int, int]] = []
+    for r in range(n_rows):
+        for c in range(n_cols):
+            if c + 1 < n_cols:
+                a, b = r * n_cols + c, r * n_cols + c + 1
+                streets.append((a, b) if (two_way or r % 2 == 0) else (b, a))
+            if r + 1 < n_rows:
+                a, b = r * n_cols + c, (r + 1) * n_cols + c
+                streets.append((a, b) if (two_way or c % 2 == 0) else (b, a))
+    return _build_network_loop(locations, streets, [two_way] * len(streets))
+
+
+def urban_network_loop(
+    n_rows: int,
+    n_cols: int,
+    spacing: float = 120.0,
+    cbd_fraction: float = 0.3,
+    two_way_fraction: float = 0.6,
+    removal_fraction: float = 0.08,
+    jitter: float = 0.15,
+    seed=None,
+) -> RoadNetwork:
+    """:func:`repro.network.generators.urban_network` with per-point,
+    per-street Python loops and one ``rng.random()`` per suburban
+    street; the argument checks are left to the library version."""
+    rng = ensure_rng(seed)
+    offsets = rng.uniform(-jitter * spacing, jitter * spacing, size=(n_rows, n_cols, 2))
+    locations: List[Point] = []
+    for r in range(n_rows):
+        for c in range(n_cols):
+            dx, dy = offsets[r, c]
+            locations.append(Point(c * spacing + dx, r * spacing + dy))
+
+    streets: List[Tuple[int, int]] = []
+    for r in range(n_rows):
+        for c in range(n_cols):
+            if c + 1 < n_cols:
+                streets.append((r * n_cols + c, r * n_cols + c + 1))
+            if r + 1 < n_rows:
+                streets.append((r * n_cols + c, (r + 1) * n_cols + c))
+
+    kept = remove_streets_loop(n_rows * n_cols, streets, removal_fraction, rng)
+    streets = [streets[i] for i in kept]
+
+    r_lo = (1.0 - cbd_fraction) / 2.0 * (n_rows - 1)
+    r_hi = (1.0 + cbd_fraction) / 2.0 * (n_rows - 1)
+    c_lo = (1.0 - cbd_fraction) / 2.0 * (n_cols - 1)
+    c_hi = (1.0 + cbd_fraction) / 2.0 * (n_cols - 1)
+
+    def in_cbd(idx: int) -> bool:
+        r, c = divmod(idx, n_cols)
+        return r_lo <= r <= r_hi and c_lo <= c <= c_hi
+
+    two_way_mask: List[bool] = []
+    speed_limits: List[float] = []
+    for u, v in streets:
+        if in_cbd(u) and in_cbd(v):
+            two_way_mask.append(True)
+            speed_limits.append(11.1)
+        else:
+            two_way_mask.append(bool(rng.random() < two_way_fraction))
+            speed_limits.append(16.7)
+    return _build_network_loop(locations, streets, two_way_mask, speed_limits)
+
+
+def segment_midpoints_loop(network: RoadNetwork) -> np.ndarray:
+    """``segment_midpoint`` once per segment, stacked into ``(m, 2)``."""
+    mids = [network.segment_midpoint(sid) for sid in range(network.n_segments)]
+    return np.array([(p.x, p.y) for p in mids], dtype=float).reshape(-1, 2)
+
+
+def hotspot_profile_loop(
+    network: RoadNetwork,
+    n_hotspots: int = 4,
+    peak_density: float = 0.12,
+    background: float = 0.005,
+    decay: float = 0.25,
+    noise: float = 0.15,
+    hotspots=None,
+    seed=None,
+) -> np.ndarray:
+    """:func:`repro.traffic.profiles.hotspot_profile` on midpoints taken
+    one segment at a time; the argument checks are left to the library."""
+    rng = ensure_rng(seed)
+    mids = segment_midpoints_loop(network)
+    min_xy = mids.min(axis=0)
+    max_xy = mids.max(axis=0)
+    diagonal = float(np.hypot(*(max_xy - min_xy)))
+    if diagonal == 0:
+        diagonal = 1.0
+    radius = decay * diagonal
+
+    if hotspots is None:
+        centres = [mids.mean(axis=0)]
+        for __ in range(n_hotspots - 1):
+            centres.append(min_xy + rng.random(2) * (max_xy - min_xy))
+        centres = np.asarray(centres)
+    else:
+        centres = np.asarray(hotspots, dtype=float)
+
+    strengths = np.empty(len(centres))
+    strengths[0] = peak_density
+    if len(centres) > 1:
+        strengths[1:] = peak_density * rng.uniform(0.4, 0.8, size=len(centres) - 1)
+
+    density = np.full(network.n_segments, background, dtype=float)
+    for centre, strength in zip(centres, strengths):
+        d2 = ((mids - centre) ** 2).sum(axis=1)
+        density += strength * np.exp(-d2 / (2.0 * radius**2))
+
+    if noise > 0:
+        density *= rng.lognormal(mean=0.0, sigma=noise, size=density.shape)
+    return np.maximum(density, 0.0)
+
+
+def repair_connectivity_loop(adjacency, labels, k: int) -> np.ndarray:
+    """:func:`repro.core.refine.repair_connectivity` with the component
+    weights summed in a dict, re-read from a fresh COO per merge, and a
+    linear scan of that dict per candidate component."""
+    adj = sp.csr_matrix(adjacency, dtype=float)
+    lab = np.asarray(labels, dtype=int)
+
+    def dense(values):
+        __, out = np.unique(values, return_inverse=True)
+        return out.astype(int)
+
+    comp = connected_components_bfs(adj, lab)
+    n_comp = int(comp.max()) + 1
+    while n_comp > k:
+        sizes = np.bincount(comp, minlength=n_comp)
+        coo = adj.tocoo()
+        cross = comp[coo.row] != comp[coo.col]
+        weight = {}
+        for a, b, w in zip(comp[coo.row[cross]], comp[coo.col[cross]], coo.data[cross]):
+            key = (int(min(a, b)), int(max(a, b)))
+            weight[key] = weight.get(key, 0.0) + w
+        order = np.argsort(sizes)
+        merged = False
+        for smallest in order:
+            neighbours = [
+                (w, a if b == smallest else b)
+                for (a, b), w in weight.items()
+                if smallest in (a, b)
+            ]
+            if neighbours:
+                __, target = max(neighbours)
+                comp = dense(np.where(comp == smallest, target, comp))
+                merged = True
+                break
+        if not merged:
+            a, b = int(order[0]), int(order[1])
+            comp = dense(np.where(comp == a, b, comp))
+        n_comp = int(comp.max()) + 1
+    return comp

@@ -3,14 +3,17 @@ and greedy pruning (Algorithm 3, lines 12-24)."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
-from oracles import partition_connectivity_matrix_loop
+from hypothesis import strategies as st
+from oracles import partition_connectivity_matrix_loop, repair_connectivity_loop
 from strategies import graphs_with_labels
 
 from repro.core.refine import (
     greedy_prune,
     partition_connectivity_matrix,
     recursive_bipartition,
+    repair_connectivity,
 )
 from repro.exceptions import PartitioningError
 from repro.graph.adjacency import Graph
@@ -133,3 +136,45 @@ class TestGreedyPrune:
         labels = np.array([0] * 4 + [1] * 4)
         with pytest.raises(PartitioningError):
             greedy_prune(two_cliques.adjacency, labels, 3)
+
+
+@st.composite
+def integer_weighted_graphs(draw, max_nodes: int = 30):
+    """A symmetric CSR adjacency with small integer weights, so that
+    component pairs tie on weight, plus labels and a target k."""
+    n = draw(st.integers(2, max_nodes))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)
+    )
+    pairs = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(pairs), max_size=len(pairs)))
+    rows = [u for u, v in pairs] + [v for u, v in pairs]
+    cols = [v for u, v in pairs] + [u for u, v in pairs]
+    adj = sp.csr_matrix((weights + weights, (rows, cols)), shape=(n, n), dtype=float)
+    labels = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    return adj, labels, draw(st.integers(2, n))
+
+
+class TestRepairConnectivity:
+    @settings(max_examples=150, deadline=None)
+    @given(integer_weighted_graphs())
+    def test_matches_loop(self, case):
+        adj, labels, k = case
+        assert np.array_equal(
+            repair_connectivity(adj, labels, k), repair_connectivity_loop(adj, labels, k)
+        )
+
+    def test_ties_go_to_the_larger_neighbour(self):
+        # node 0 is a singleton joined to singletons 1 and 2 by equal
+        # weights: it merges into component 2, the larger id
+        g = Graph(3, edges=[(0, 1, 1.0), (0, 2, 1.0)])
+        out = repair_connectivity(g.adjacency, np.array([0, 1, 2]), 2)
+        assert out.tolist() == [1, 0, 1]
+
+    def test_more_graph_components_than_k_still_gives_k(self):
+        g = Graph(4, edges=[(0, 1, 1.0)])
+        out = repair_connectivity(g.adjacency, np.array([0, 1, 2, 3]), 2)
+        assert int(out.max()) + 1 == 2
+        assert np.array_equal(
+            out, repair_connectivity_loop(g.adjacency, np.array([0, 1, 2, 3]), 2)
+        )
