@@ -23,7 +23,10 @@ of the paper's M1/M2 networks):
   byte-identical supergraphs;
 * generating the full-scale M3 metropolis (network and hotspot
   densities): per-street and per-segment loops (``tests/oracles.py``)
-  vs array passes, with identical networks and density bytes.
+  vs array passes, with identical networks and density bytes;
+* the memory of one full-scale M3 network (tracemalloc peak while
+  building it, and what it holds once built): the loop oracle's
+  segment and intersection objects vs the network's arrays.
 
 Writes ``BENCH_hotpaths.json`` at the repo root (plus the usual
 ``benchmarks/results`` copy) so the perf trajectory is tracked from
@@ -31,14 +34,16 @@ this PR onward. The module-1 and kappa-scan speedups are asserted
 (>= 5x and >= 2x) — they are the paper's scalability story — and so is
 the batched scan's (>= 2x over the per-kappa loop), the derived
 epoch's (>= 5x over a fresh index, with identical lookups), module
-2's (>= 2x without the stability check, >= 5x with it) and the M3
-generator's (>= 2x).
+2's (>= 2x without the stability check, >= 5x with it), the M3
+generator's (>= 2x) and the M3 network's peak memory (>= 2x less).
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +58,7 @@ from repro.core.alpha_cut import _partition_weights, _prepare, partition_weight_
 from repro.graph.adjacency import Graph
 from repro.graph.components import edge_list
 from repro.network.dual import build_road_graph
-from repro.network.generators import grid_network
+from repro.network.generators import grid_network, urban_network
 from repro.serve.index import SegmentIndex
 from repro.shard.spatial import segment_midpoints
 from repro.supergraph.builder import SupergraphBuilder
@@ -85,6 +90,22 @@ def _timed(fn, *args, **kwargs):
     start = time.perf_counter()
     out = fn(*args, **kwargs)
     return time.perf_counter() - start, out
+
+
+def _traced_mb(fn):
+    """tracemalloc peak and retained MB of ``fn()`` (over what was held
+    before), and its result."""
+    gc.collect()
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    out = fn()
+    retained, peak = tracemalloc.get_traced_memory()
+    if not was_tracing:
+        tracemalloc.stop()
+    return (peak - base) / 1e6, (retained - base) / 1e6, out
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +333,23 @@ def test_bench_hotpaths(synthetic_city):
         "repeats": reps_gen,
     }
 
+    # --- one M3 network in memory: objects vs arrays --------------------
+    del loop_net, m3_net
+    objects_peak, objects_held, __ = _traced_mb(
+        lambda: urban_network_loop(M3_SIDE, M3_SIDE, seed=np.random.default_rng(0))
+    )
+    arrays_peak, arrays_held, __ = _traced_mb(
+        lambda: urban_network(M3_SIDE, M3_SIDE, seed=np.random.default_rng(0))
+    )
+    memory_ratio = objects_peak / arrays_peak
+    payload["network_memory_m3"] = {
+        "objects_peak_mb": objects_peak,
+        "arrays_peak_mb": arrays_peak,
+        "objects_retained_mb": objects_held,
+        "arrays_retained_mb": arrays_held,
+        "peak_ratio": memory_ratio,
+    }
+
     rows = [
         ["module1 dual transform", ref_s, new_s, dual_speedup],
         ["kappa scan (2..30)", ref_scan_s, new_scan_s, scan_speedup],
@@ -330,6 +368,15 @@ def test_bench_hotpaths(synthetic_city):
         rows,
     )
 
+    print_table(
+        "One M3 network in memory (tracemalloc)",
+        ["network", "peak_MB", "retained_MB"],
+        [
+            ["objects (loop oracle)", objects_peak, objects_held],
+            ["arrays", arrays_peak, arrays_held],
+        ],
+    )
+
     save_results("bench_hotpaths", payload)
     payload["provenance"] = run_manifest(extra={"bench": "bench_hotpaths"})
     with open(ROOT_RESULTS, "w", encoding="utf-8") as fh:
@@ -345,3 +392,4 @@ def test_bench_hotpaths(synthetic_city):
         f"module-2 speedup with the stability check {module2_rows[0.5][2]:.1f}x < 5x"
     )
     assert gen_speedup >= 2.0, f"M3 generation speedup {gen_speedup:.1f}x < 2x"
+    assert memory_ratio >= 2.0, f"M3 network peak memory ratio {memory_ratio:.1f}x < 2x"

@@ -13,8 +13,10 @@ fully vectorized: with B the |I| x |R| intersection/segment incidence
 matrix, the Gram product ``B.T @ B`` has a non-zero at (j, k) exactly
 when segments j and k share an intersection, which yields every
 adjacent pair in one sparse matrix product instead of per-junction
-Python clique loops. The original set-based formulation lives on in
-``tests/oracles.py`` for equivalence testing.
+Python clique loops; without its diagonal, the product is the road
+graph's adjacency matrix itself. The original set-based formulation
+and the pair-list assembly it replaced live on in ``tests/oracles.py``
+for equivalence testing.
 """
 
 from __future__ import annotations
@@ -29,37 +31,32 @@ from repro.network.model import RoadNetwork
 from repro.util.timer import ModuleTimer
 
 
-def _segment_adjacency_arrays(
-    network: RoadNetwork,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Adjacent segment-id pairs as two int arrays (u, v), u < v, sorted.
+def _road_graph_adjacency(network: RoadNetwork) -> sp.csr_matrix:
+    """The road graph's 0/1 adjacency: CSR, sorted int32 indices.
 
-    Builds the sparse incidence matrix B (intersections x segments,
-    one column per segment with ones at its two endpoints) and reads
-    the adjacency off the upper triangle of ``B.T @ B``. Pairs sharing
-    both endpoints (the two directions of a two-way street) collapse
-    into a single entry because the sparse product sums duplicates.
+    With B the incidence matrix (intersections x segments, one column
+    per segment with ones at its two endpoints), ``B.T @ B`` is
+    non-zero at (j, k) exactly when segments j and k share an
+    intersection; the two directions of a two-way street share both
+    endpoints and sum into one entry. Dropping its diagonal (each
+    segment meets itself) and setting every entry to 1 gives the
+    adjacency directly, already symmetric.
     """
     m = network.n_segments
-    n = network.n_intersections
-    if m == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
     src, tgt = network.segment_endpoint_ids()
-    seg_ids = np.arange(m, dtype=np.int64)
-    incidence = sp.csr_matrix(
-        (
-            np.ones(2 * m, dtype=np.float64),
-            (np.concatenate([src, tgt]), np.concatenate([seg_ids, seg_ids])),
-        ),
-        shape=(n, m),
+    incidence_t = sp.csr_matrix(
+        (np.ones(2 * m), np.column_stack((src, tgt)).ravel(), np.arange(0, 2 * m + 1, 2)),
+        shape=(m, network.n_intersections),
     )
-    gram = (incidence.T @ incidence).tocoo()
-    upper = gram.row < gram.col
-    u = gram.row[upper].astype(np.int64)
-    v = gram.col[upper].astype(np.int64)
-    order = np.lexsort((v, u))
-    return u[order], v[order]
+    gram = incidence_t @ incidence_t.T
+    gram.sort_indices()
+    rows = np.repeat(np.arange(m, dtype=gram.indices.dtype), np.diff(gram.indptr))
+    indices = gram.indices[gram.indices != rows]
+    # every row holds exactly one diagonal entry, so row j starts j earlier
+    indptr = gram.indptr - np.arange(m + 1, dtype=gram.indptr.dtype)
+    adjacency = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(m, m))
+    adjacency.has_sorted_indices = True
+    return adjacency
 
 
 def segment_adjacency(network: RoadNetwork) -> List[Tuple[int, int]]:
@@ -69,12 +66,14 @@ def segment_adjacency(network: RoadNetwork) -> List[Tuple[int, int]]:
     endpoint (source or target) of both segments. The two directions of
     a two-way street share both endpoints and are hence adjacent.
 
-    Vectorized via a sparse incidence-matrix product; returns exactly
-    the same sorted pair list as the set-based loop in
+    Read row by row off the upper triangle of the road-graph adjacency,
+    so the list is sorted; it equals the set-based loop in
     ``tests/oracles.py``.
     """
-    u, v = _segment_adjacency_arrays(network)
-    return list(zip(u.tolist(), v.tolist()))
+    adjacency = _road_graph_adjacency(network)
+    rows = np.repeat(np.arange(network.n_segments), np.diff(adjacency.indptr))
+    upper = rows < adjacency.indices
+    return list(zip(rows[upper].tolist(), adjacency.indices[upper].tolist()))
 
 
 def build_road_graph(
@@ -85,7 +84,7 @@ def build_road_graph(
     Returns a :class:`repro.graph.Graph` whose node ``i`` is road
     segment ``i``, whose edges are binary adjacency links, and whose
     node features are the segment traffic densities r_i.d. The sparse
-    adjacency is assembled directly from the vectorized pair arrays,
+    adjacency is the incidence Gram product without its diagonal,
     skipping the per-edge Python loop of the tuple-based constructor.
 
     Parameters
@@ -98,15 +97,7 @@ def build_road_graph(
     """
     own_timer = timer if timer is not None else ModuleTimer()
     with own_timer.time("module1.adjacency"):
-        u, v = _segment_adjacency_arrays(network)
+        adjacency = _road_graph_adjacency(network)
     with own_timer.time("module1.graph"):
-        m = network.n_segments
-        adjacency = sp.csr_matrix(
-            (
-                np.ones(2 * u.size, dtype=np.float64),
-                (np.concatenate([u, v]), np.concatenate([v, u])),
-            ),
-            shape=(m, m),
-        )
         graph = Graph.from_adjacency(adjacency, features=network.densities())
     return graph

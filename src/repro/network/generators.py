@@ -21,7 +21,6 @@ All generators are deterministic given a ``seed``.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -29,8 +28,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from repro.exceptions import NetworkError
-from repro.network.geometry import Point
-from repro.network.model import Intersection, RoadNetwork, RoadSegment
+from repro.network.model import RoadNetwork
 from repro.util.rng import RngLike, ensure_rng
 
 
@@ -49,9 +47,6 @@ def _build_network(
     ``v -> u``. Lengths stay on :func:`math.hypot`, the function
     :meth:`Point.distance_to` uses (``np.hypot`` rounds differently).
     """
-    intersections = list(
-        map(Intersection, range(xs.size), map(Point, xs.tolist(), ys.tolist()))
-    )
     lengths = np.fromiter(
         map(math.hypot, (xs[u] - xs[v]).tolist(), (ys[u] - ys[v]).tolist()),
         dtype=float,
@@ -61,28 +56,18 @@ def _build_network(
     if bad.size:
         k = int(bad[0])
         raise NetworkError(f"street ({int(u[k])}, {int(v[k])}) has zero length")
-    if speed_limits is None:
-        speed_limits = np.full(u.size, 13.9)
     # one segment per street, a second (reversed) one per two-way street
     street = np.repeat(np.arange(u.size), np.where(two_way, 2, 1))
     reverse = np.zeros(street.size, dtype=bool)
     reverse[1:] = street[1:] == street[:-1]
-    sources = np.where(reverse, v[street], u[street]).tolist()
-    targets = np.where(reverse, u[street], v[street]).tolist()
-    # positional: id, source, target, length, density, lanes, speed_limit
-    segments = list(
-        map(
-            RoadSegment,
-            range(street.size),
-            sources,
-            targets,
-            lengths[street].tolist(),
-            repeat(0.0),
-            repeat(1),
-            speed_limits[street].tolist(),
-        )
+    return RoadNetwork.from_arrays(
+        xs,
+        ys,
+        np.where(reverse, v[street], u[street]),
+        np.where(reverse, u[street], v[street]),
+        lengths[street],
+        speed_limit=None if speed_limits is None else speed_limits[street],
     )
-    return RoadNetwork(intersections, segments)
 
 
 def _grid_streets(n_rows: int, n_cols: int) -> Tuple[np.ndarray, np.ndarray]:

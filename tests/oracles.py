@@ -52,6 +52,40 @@ def segment_adjacency_reference(network: RoadNetwork) -> List[Tuple[int, int]]:
     return sorted(pairs)
 
 
+def road_graph_adjacency_coo(network: RoadNetwork) -> sp.csr_matrix:
+    """The road-graph adjacency through sorted COO pairs: the upper
+    triangle of ``B.T @ B`` as ``(u, v)`` arrays, lexsorted, then
+    mirrored into a CSR; the oracle for the CSR
+    :func:`repro.network.dual.build_road_graph` reads off the product."""
+    m = network.n_segments
+    n = network.n_intersections
+    src, tgt = network.segment_endpoint_ids()
+    if m == 0:
+        u = v = np.empty(0, dtype=np.int64)
+    else:
+        seg_ids = np.arange(m, dtype=np.int64)
+        incidence = sp.csr_matrix(
+            (
+                np.ones(2 * m, dtype=np.float64),
+                (np.concatenate([src, tgt]), np.concatenate([seg_ids, seg_ids])),
+            ),
+            shape=(n, m),
+        )
+        gram = (incidence.T @ incidence).tocoo()
+        upper = gram.row < gram.col
+        u = gram.row[upper].astype(np.int64)
+        v = gram.col[upper].astype(np.int64)
+        order = np.lexsort((v, u))
+        u, v = u[order], v[order]
+    return sp.csr_matrix(
+        (
+            np.ones(2 * u.size, dtype=np.float64),
+            (np.concatenate([u, v]), np.concatenate([v, u])),
+        ),
+        shape=(m, m),
+    )
+
+
 def kmeans_1d_reference(
     values: Sequence[float],
     kappa: int,

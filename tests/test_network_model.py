@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.datasets.large import melbourne_like
 from repro.exceptions import NetworkError
 from repro.network.geometry import Point
 from repro.network.model import Intersection, RoadNetwork, RoadSegment
+from repro.pipeline.framework import SpatialPartitioningFramework
+from repro.pipeline.incremental import IncrementalRepartitioner
+from repro.serve import SnapshotStore
+from repro.serve.snapshot import attach_repartitioner
 
 
 def _tiny_network():
@@ -124,3 +129,39 @@ class TestRoadNetwork:
 
     def test_area(self):
         assert _tiny_network().area_km2() == pytest.approx(0.01)
+
+
+class TestObjectsBuiltOnlyWhenRead:
+    """Generation, partitioning, incremental updates and epoch publishes
+    read the network's arrays only; a hot path that reads ``.segments``
+    or ``.intersections`` would build ~140k objects at table-3 scale."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        for cls in (RoadSegment, Intersection):
+
+            def counting(obj, _post_init=cls.__post_init__):
+                built.append(type(obj).__name__)
+                _post_init(obj)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        return built
+
+    def test_partition_update_and_publish_build_no_objects(self, built):
+        network, densities = melbourne_like("M1", 0.2)
+        framework = SpatialPartitioningFramework(k=4, seed=0)
+        framework.partition(network, densities)
+        repartitioner = IncrementalRepartitioner(framework.last_road_graph, k=4, seed=0)
+        store = SnapshotStore()
+        attach_repartitioner(store, repartitioner, network=network)
+        repartitioner.bootstrap(densities)
+        repartitioner.update(densities * np.linspace(0.2, 3.0, network.n_segments))
+        assert store.current().epoch == 2
+        store.close()
+        assert built == []
+
+        network.segment(0)
+        assert built == ["RoadSegment"] * network.n_segments
+        network.intersections
+        assert len(built) == network.n_segments + network.n_intersections
