@@ -9,7 +9,10 @@ item 1) and drives it with the pipelined load generator, exactly as
   acceptance floor is >= 10k lookups/s sustained with p99 < 10 ms on
   one core;
 * **batch mode** — ``POST /lookup/batch`` with 64-id batches, showing
-  the coalescing headroom (one vectorised label take per batch).
+  the coalescing headroom (one parse and one vectorised label take per
+  pipelined group of batches);
+* **point mode** — ``GET /lookup?x=..&y=..`` coordinate lookups, one
+  kd-tree query per pipelined group.
 
 The partition labels come from the kd-tree spatial sharder — the bench
 measures the serving layer, not the partitioning algorithms, and
@@ -88,7 +91,7 @@ def test_bench_serving(serving_stack):
     )
 
     rows = []
-    for mode in ("single", "batch"):
+    for mode in ("single", "batch", "point"):
         report = run_loadgen(
             "127.0.0.1",
             handle.port,

@@ -99,7 +99,7 @@ def partition_report(
         raise PartitioningError(
             f"densities shape {feats.shape} does not match labels {lab.shape}"
         )
-    lengths = np.array([seg.length for seg in network.segments])
+    lengths = network.segment_lengths()
 
     reports: List[RegionReport] = []
     for region in range(int(lab.max()) + 1):

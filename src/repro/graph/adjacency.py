@@ -97,9 +97,17 @@ class Graph:
             adj = adj.tocsr()
         if adj.nnz and adj.data.min() < 0:
             raise GraphError("adjacency matrix must be non-negative")
+        adj.eliminate_zeros()
+        return cls._trusted(adj, features)
+
+    @classmethod
+    def _trusted(cls, adj: sp.csr_matrix, features: Optional[Sequence[float]]) -> "Graph":
+        """A graph over ``adj`` as given: a float CSR matrix that is
+        symmetric, non-negative, zero-diagonal and without explicit
+        zeros by construction, so none of that is checked again. Only
+        the feature vector is checked (and copied)."""
         graph = cls.__new__(cls)
         graph._n = adj.shape[0]
-        adj.eliminate_zeros()
         graph._adj = adj
         graph._features = _node_features(features, graph._n)
         return graph
@@ -192,11 +200,7 @@ class Graph:
         when this graph was built; only the feature vector is checked
         (and copied).
         """
-        graph = Graph.__new__(Graph)
-        graph._n = self._n
-        graph._adj = self._adj
-        graph._features = _node_features(features, self._n)
-        return graph
+        return Graph._trusted(self._adj, features)
 
     def __repr__(self) -> str:
         return f"Graph(n_nodes={self._n}, n_edges={self.n_edges})"

@@ -29,9 +29,11 @@ median ms, dense ``eigh`` / ARPACK). On the alpha-Cut operator with
 the few-node meta-graph bipartitions stay on the dense path, where
 ARPACK is slower and can fail on degenerate (edgeless) inputs.
 
-Every ARPACK solve, the shift-invert retry included, runs with scipy's
-OpenBLAS on one thread, and the previous count is restored afterwards
-(:func:`_one_blas_thread`; a no-op when no OpenBLAS is found). ARPACK's
+Every solve, the shift-invert retry and the dense ``eigh`` included,
+runs with scipy's OpenBLAS (which ARPACK calls) and numpy's own copy
+(which ``eigh`` calls) on one thread, and the previous counts are
+restored afterwards (:func:`_one_blas_thread`; a no-op for a copy that
+is not found). ARPACK's
 kernels are too small to gain from a second thread, and an OpenBLAS
 worker keeps spinning after each call, so at the default two threads a
 solve bills about twice its wall time in CPU. On the alpha-Cut operator
@@ -42,7 +44,11 @@ vs 0.053/0.188 at 7,201, 0.197/0.198 vs 0.200/0.513 at 25,222 and
 0.461/0.462 vs 0.390/0.895 at 37,512. The pin also makes a solve
 independent of the host: up to 7,201 nodes the eigenvectors are
 bit-identical at one and two threads, from 25,222 nodes their bytes
-differ. Dense ``eigh`` runs on numpy's own BLAS and is not pinned.
+differ. A dense ``eigh`` at two threads stalls while the parked
+worker wakes: solves 10 ms apart (60 of each, 2-core host) took a
+median 13.9 ms at n=50 against 0.53 ms at one thread, up to 14.6 ms
+against at most 1.5 ms at n=98, and a median 5.0 against 4.4 ms at
+n=200.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ import sys
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 import scipy
@@ -74,10 +80,11 @@ def _start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(0).uniform(-1.0, 1.0, n)
 
 
-def _blas_libraries() -> Iterator[Path]:
-    """Where scipy's OpenBLAS may live: the copy a wheel bundles in
-    ``scipy.libs``, then a system or conda ``libopenblas``."""
-    bundled = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
+def _blas_libraries(package) -> Iterator[Path]:
+    """Where ``package``'s OpenBLAS may live: the copy its wheel bundles
+    (``scipy.libs``, ``numpy.libs``), then a system or conda
+    ``libopenblas``."""
+    bundled = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
     yield from sorted(bundled.glob("*openblas*"))
     found = ctypes.util.find_library("openblas")
     if found:
@@ -85,50 +92,59 @@ def _blas_libraries() -> Iterator[Path]:
     yield from sorted((Path(sys.prefix) / "lib").glob("libopenblas*.so*"))
 
 
-def _find_blas_controls() -> Optional[Tuple[Callable[[], int], Callable[[int], None]]]:
-    """``(get_num_threads, set_num_threads)`` of scipy's OpenBLAS, or None.
+def _find_blas_controls(package) -> Optional[Tuple[Callable[[], int], Callable[[int], None]]]:
+    """``(get_num_threads, set_num_threads)`` of ``package``'s OpenBLAS,
+    or None.
 
     Opening a library the process has already loaded returns that same
-    library, so the setters act on the copy ARPACK calls."""
-    for path in _blas_libraries():
+    library, so the setters act on the copy the package calls. numpy's
+    64-bit-integer build suffixes its symbols with ``64_``."""
+    for path in _blas_libraries(package):
         try:
             lib = ctypes.CDLL(str(path))
         except OSError:
             continue
         for prefix in ("scipy_openblas", "openblas"):
-            try:
-                get = getattr(lib, f"{prefix}_get_num_threads")
-                set_ = getattr(lib, f"{prefix}_set_num_threads")
-            except AttributeError:
-                continue
-            get.restype, get.argtypes = ctypes.c_int, []
-            set_.restype, set_.argtypes = None, [ctypes.c_int]
-            return get, set_
+            for suffix in ("", "64_"):
+                try:
+                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                    set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                except AttributeError:
+                    continue
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
     return None
 
 
-_BLAS_CONTROLS = _find_blas_controls()
+#: scipy's OpenBLAS, which ARPACK calls
+_BLAS_CONTROLS = _find_blas_controls(scipy)
+#: numpy's OpenBLAS, which dense ``eigh`` calls (a wheel bundles its own
+#: copy; without one this finds the system library, possibly scipy's)
+_NUMPY_BLAS_CONTROLS = _find_blas_controls(np)
 _blas_lock = threading.Lock()
 _blas_depth = 0
-_blas_saved = 1
+_blas_saved: List[Tuple[Callable[[int], None], int]] = []
 
 
 @contextmanager
 def _one_blas_thread() -> Iterator[None]:
-    """Run the body with scipy's OpenBLAS on one thread (a no-op when
-    no OpenBLAS was found).
+    """Run the body with scipy's and numpy's OpenBLAS on one thread (a
+    no-op for a copy that was not found).
 
-    The count is process-wide, so concurrent solves share one pin: the
-    first to enter saves and sets it, the last to leave restores it."""
+    The counts are process-wide, so concurrent solves share one pin:
+    the first to enter saves and sets them, the last to leave restores
+    them."""
     global _blas_depth, _blas_saved
-    if _BLAS_CONTROLS is None:
+    controls = [c for c in (_BLAS_CONTROLS, _NUMPY_BLAS_CONTROLS) if c is not None]
+    if not controls:
         yield
         return
-    get, set_ = _BLAS_CONTROLS
     with _blas_lock:
         if _blas_depth == 0:
-            _blas_saved = get()
-            set_(1)
+            _blas_saved = [(set_, get()) for get, set_ in controls]
+            for __, set_ in controls:
+                set_(1)
         _blas_depth += 1
     try:
         yield
@@ -136,7 +152,9 @@ def _one_blas_thread() -> Iterator[None]:
         with _blas_lock:
             _blas_depth -= 1
             if _blas_depth == 0:
-                set_(_blas_saved)
+                # in reverse, so a library found twice ends at its saved count
+                for set_, count in reversed(_blas_saved):
+                    set_(count)
 
 
 def _arpack(op, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -217,7 +235,8 @@ def smallest_eigenpairs(op, k: int) -> Tuple[np.ndarray, np.ndarray, Dict[str, A
     else:
         incr("eigensolver.dense_calls")
     if values is None:
-        values, vectors = np.linalg.eigh(op.toarray())
+        with _one_blas_thread():
+            values, vectors = np.linalg.eigh(op.toarray())
         values, vectors = values[:k], vectors[:, :k]
     outcome = {
         "solver": solver,

@@ -99,5 +99,7 @@ def build_road_graph(
     with own_timer.time("module1.adjacency"):
         adjacency = _road_graph_adjacency(network)
     with own_timer.time("module1.graph"):
-        graph = Graph.from_adjacency(adjacency, features=network.densities())
+        # symmetric 0/1 without a diagonal by construction (and pinned
+        # by tests), so from_adjacency's checks would only re-derive it
+        graph = Graph._trusted(adjacency, network.densities())
     return graph

@@ -361,6 +361,21 @@ class RoadNetwork:
         read-only int64 arrays indexed by segment id."""
         return self._source, self._target
 
+    def segment_lengths(self) -> np.ndarray:
+        """Length in metres of every segment, a read-only float array
+        indexed by segment id."""
+        return self._length
+
+    def segment_lanes(self) -> np.ndarray:
+        """Lane count of every segment, a read-only int64 array indexed
+        by segment id."""
+        return self._lanes
+
+    def segment_speed_limits(self) -> np.ndarray:
+        """Speed limit in m/s of every segment, a read-only float array
+        indexed by segment id."""
+        return self._speed_limit
+
     def segment_midpoints(self) -> np.ndarray:
         """Midpoint ``(x, y)`` of every segment, shape ``(m, 2)``.
 

@@ -204,21 +204,40 @@ class SegmentIndex:
 
     def regions_of(self, segments: Sequence[int]) -> np.ndarray:
         """Region ids of a batch of segments (one vectorised take)."""
-        ids = np.asarray(segments, dtype=np.int64)
+        out_of_range = f"batch contains segment ids outside [0, {self.n_segments})"
+        try:
+            ids = np.asarray(segments, dtype=np.int64)
+        except OverflowError:  # an id past int64 is out of range too
+            raise ServeError(out_of_range) from None
         if ids.ndim != 1:
             raise ServeError(f"batch must be a flat id list, got shape {ids.shape}")
         if ids.size and (ids.min() < 0 or ids.max() >= self.n_segments):
-            raise ServeError(
-                f"batch contains segment ids outside [0, {self.n_segments})"
-            )
+            raise ServeError(out_of_range)
         return self._labels[ids]
+
+    def nearest_segments(self, points: np.ndarray) -> np.ndarray:
+        """Segment whose midpoint is nearest to each row of the ``(n, 2)``
+        ``points``: one kd-tree query for the whole array (O(n log m)).
+
+        A point too far away for its distance to be finite (e.g.
+        ``(1e308, 1e308)``) has no nearest segment and raises
+        :class:`ServeError`; a non-finite coordinate raises ``ValueError``.
+        """
+        if self._kdtree is None:
+            raise ServeError("index was built without geometry: no point lookups")
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ServeError(f"points must have shape (n, 2), got {pts.shape}")
+        dist, idx = self._kdtree.query(pts)
+        finite = np.isfinite(dist)
+        if not finite.all():
+            x, y = pts[np.argmin(finite)].tolist()
+            raise ServeError(f"no segment at a finite distance from ({x}, {y})")
+        return idx
 
     def nearest_segment(self, x: float, y: float) -> int:
         """Segment whose midpoint is nearest to ``(x, y)`` (O(log m))."""
-        if self._kdtree is None:
-            raise ServeError("index was built without geometry: no point lookups")
-        __, idx = self._kdtree.query([float(x), float(y)])
-        return int(idx)
+        return int(self.nearest_segments([[float(x), float(y)]])[0])
 
     def lookup_point(self, x: float, y: float) -> Dict[str, int]:
         """Map a coordinate to its nearest segment and that segment's region."""

@@ -36,12 +36,17 @@ and every pipelined group of requests that arrives in one socket read
 from two epochs even when a publish lands mid-batch.
 
 Throughput: the hot path is ``asyncio.Protocol``-level. Pipelined
-requests in one ``data_received`` buffer are parsed together, answered
-from one pinned epoch (single-lookup coalescing — one label take per
-group), and written back as one ``transport.write``; ``TCP_NODELAY``
-keeps tail latency flat. The per-request overhead is a few tens of
-microseconds of pure Python, which sustains >10k lookups/s on a single
-core (see ``benchmarks/test_bench_serving.py``).
+requests in one ``data_received`` buffer are framed by offsets,
+answered from one pinned epoch and written back as one
+``transport.write``; ``TCP_NODELAY`` keeps tail latency flat. A group
+is answered in bulk: single lookups inline from byte templates, every
+strict-form point lookup by one kd-tree query, and every strict-form
+batch (GET or POST) by one JSON parse, one range check and one label
+take. Everything else, and any strict-form request that fails a check,
+is answered alone by ``_handle_slow``, so its status and message do
+not depend on its neighbours. A single or point lookup costs a few
+microseconds of Python, a 64-id batch under twenty (see
+``benchmarks/test_bench_serving.py``).
 
 Metrics (rendered by :func:`repro.obs.export.render_prometheus`, the
 quantile gauges via :func:`repro.obs.export.quantile_from_latencies`):
@@ -73,13 +78,16 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import random
 import socket
 import threading
 import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs
+
+import numpy as np
 
 from repro.exceptions import ServeError
 from repro.obs.export import quantiles_from_latencies, render_prometheus
@@ -144,12 +152,17 @@ def _error_response(
 class _HttpProtocol(asyncio.Protocol):
     """Minimal pipelining HTTP/1.1 protocol for one client connection."""
 
-    __slots__ = ("server", "transport", "buf", "tp_cache", "tel")
+    __slots__ = ("server", "transport", "buf", "need", "tp_cache", "tel")
 
     def __init__(self, server: "PartitionServer") -> None:
         self.server = server
         self.transport: Optional[asyncio.Transport] = None
-        self.buf = b""
+        # the one partial request left over from earlier reads (a
+        # bytearray, grown in place), or b"" when there is none
+        self.buf: Any = b""
+        # length ``buf`` must reach before its request can complete: the
+        # head plus the declared body, or 0 while the head is unfinished
+        self.need = 0
         # (head, (trace_id, parent_id)) of the last traceparent lookup;
         # pipelined clients replay one request template per connection,
         # so this one-entry cache turns per-group header parsing into a
@@ -179,18 +192,34 @@ class _HttpProtocol(asyncio.Protocol):
         self.server._protos.discard(self)
 
     def data_received(self, data: bytes) -> None:
-        buf = self.buf + data if self.buf else data
+        buf = self.buf
+        if buf:
+            # grow the partial request in place, and parse only once it
+            # can complete: a body near the cap is copied once, not on
+            # every read
+            seen = len(buf)
+            buf += data
+            if len(buf) < self.need:
+                return  # the body is still short
+            if not self.need and buf.find(b"\r\n\r\n", max(seen - 3, 0)) < 0:
+                if len(buf) > _MAX_HEAD_BYTES:
+                    self._fail([], 431, "request head too large")
+                return  # the head is still unfinished
+            data = bytes(buf)
+        # requests are framed by offsets into ``data``; only what a
+        # request holds is sliced out of it
         # (method, target, body, head) — head kept for traceparent
         # extraction, which only ever reads it when a tracer is attached
         requests: List[Tuple[bytes, bytes, bytes, bytes]] = []
-        while True:
-            head_end = buf.find(b"\r\n\r\n")
+        pos, end, need = 0, len(data), 0
+        while pos < end:
+            head_end = data.find(b"\r\n\r\n", pos)
             if head_end < 0:
-                if len(buf) > _MAX_HEAD_BYTES:
+                if end - pos > _MAX_HEAD_BYTES:
                     self._fail(requests, 431, "request head too large")
                     return
                 break
-            head = buf[:head_end]
+            head = data[pos:head_end]
             line_end = head.find(b"\r\n")
             request_line = head if line_end < 0 else head[:line_end]
             parts = request_line.split(b" ")
@@ -215,13 +244,18 @@ class _HttpProtocol(asyncio.Protocol):
                         requests, 413, f"body over {_MAX_BODY_BYTES} bytes"
                     )
                     return
-                if len(buf) - consumed < length:
+                if end - consumed < length:
+                    need = consumed + length - pos
                     break  # body not fully buffered yet
-                body = buf[consumed : consumed + length]
+                body = data[consumed : consumed + length]
                 consumed += length
             requests.append((method, target, body, head))
-            buf = buf[consumed:]
-        self.buf = buf
+            pos = consumed
+        if pos < end:
+            self.buf = bytearray(data[pos:])
+            self.need = need
+        else:
+            self.buf = b""
         if requests:
             self.server._handle_group(self, requests)
 
@@ -237,6 +271,54 @@ class _HttpProtocol(asyncio.Protocol):
         self.transport.write(_error_response(status, message))
         self.transport.close()
         self.buf = b""
+
+
+def _strict_point(target: bytes) -> Optional[Tuple[float, float]]:
+    """``(x, y)`` of a ``/lookup?x=X&y=Y`` target when both are finite
+    floats written without ``%`` or ``+``, else None.
+
+    Query-string decoding changes only ``%XX`` escapes and ``+`` (a
+    space), so for such a target ``float`` on the raw bytes reads what
+    the query-string parser would have read.
+    """
+    sep = target.find(b"&y=", 10)
+    if sep < 0 or b"%" in target or b"+" in target:
+        return None
+    try:
+        x = float(target[10:sep])
+        y = float(target[sep + 3 :])
+    except ValueError:
+        return None
+    if math.isfinite(x) and math.isfinite(y):
+        return x, y
+    return None
+
+
+def _strict_batch_query(target: bytes) -> Optional[bytes]:
+    """The ids of a ``/batch?segments=1,2,3`` target when they hold only
+    digits and commas, else None."""
+    if not target.startswith(b"/batch?segments="):
+        return None
+    ids = target[16:]
+    return None if ids.translate(None, b"0123456789,") else ids
+
+
+def _strict_batch_body(method: bytes, target: bytes, body: bytes) -> Optional[bytes]:
+    """The ids of a ``POST /lookup/batch`` whose body is
+    ``{"segments": [...]}`` or a bare ``[...]``, as the bytes between
+    the brackets without surrounding spaces, when they hold only digits,
+    commas and spaces; else None."""
+    if method != b"POST" or target != b"/lookup/batch":
+        return None
+    if body.startswith(b'{"segments": [') and body.endswith(b"]}"):
+        ids = body[14:-2]
+    elif body.startswith(b'{"segments":[') and body.endswith(b"]}"):
+        ids = body[13:-2]
+    elif body.startswith(b"[") and body.endswith(b"]"):
+        ids = body[1:-1]
+    else:
+        return None
+    return None if ids.translate(None, b"0123456789, ") else ids.strip(b" ")
 
 
 def _content_length(head: bytes) -> Optional[int]:
@@ -503,36 +585,58 @@ class PartitionServer:
             return
         n_ok = 0
         n_bad_request = 0
+        # strict-form point and batch lookups, answered in bulk after
+        # the loop: the slot of each in ``out``, and what it asks
+        point_slots: List[int] = []
+        points: List[Tuple[float, float]] = []
+        batch_slots: List[int] = []
+        batch_ids: List[bytes] = []
         try:
             labels = snap.index.labels
             n_segments = snap.index.n_segments
             epoch = snap.epoch
             for method, target, body, __ in requests:
-                # fast path: single-segment lookup (statuses counted in
-                # local ints; one dict update per group, not per request)
-                if method == b"GET" and target.startswith(b"/lookup?segment="):
-                    raw = target[16:]
-                    amp = raw.find(b"&")
-                    if amp >= 0:
-                        raw = raw[:amp]
-                    try:
-                        sid = int(raw)
-                    except ValueError:
-                        out.append(_error_response(400, "segment must be an integer"))
-                        n_bad_request += 1
-                        continue
-                    if 0 <= sid < n_segments:
-                        body_bytes = _LOOKUP_BODY % (sid, labels[sid], epoch)
-                        out.append(_JSON_HEAD % len(body_bytes) + body_bytes)
-                        n_lookups += 1
-                        n_ok += 1
-                    else:
-                        out.append(
-                            _error_response(
-                                400, f"segment {sid} out of range [0, {n_segments})"
+                if method == b"GET":
+                    # fast path: single-segment lookup (statuses counted in
+                    # local ints; one dict update per group, not per request)
+                    if target.startswith(b"/lookup?segment="):
+                        raw = target[16:]
+                        amp = raw.find(b"&")
+                        if amp >= 0:
+                            raw = raw[:amp]
+                        try:
+                            sid = int(raw)
+                        except ValueError:
+                            out.append(_error_response(400, "segment must be an integer"))
+                            n_bad_request += 1
+                            continue
+                        if 0 <= sid < n_segments:
+                            body_bytes = _LOOKUP_BODY % (sid, labels[sid], epoch)
+                            out.append(_JSON_HEAD % len(body_bytes) + body_bytes)
+                            n_lookups += 1
+                            n_ok += 1
+                        else:
+                            out.append(
+                                _error_response(
+                                    400, f"segment {sid} out of range [0, {n_segments})"
+                                )
                             )
-                        )
-                        n_bad_request += 1
+                            n_bad_request += 1
+                        continue
+                    if target.startswith(b"/lookup?x="):
+                        point = _strict_point(target)
+                        if point is not None:
+                            point_slots.append(len(out))
+                            points.append(point)
+                            out.append(b"")
+                            continue
+                    ids = _strict_batch_query(target)
+                else:
+                    ids = _strict_batch_body(method, target, body)
+                if ids is not None:
+                    batch_slots.append(len(out))
+                    batch_ids.append(ids)
+                    out.append(b"")
                     continue
                 response, served, status = self._handle_slow(
                     method, target, body, snap
@@ -540,6 +644,14 @@ class PartitionServer:
                 out.append(response)
                 n_lookups += served
                 statuses[status] = statuses.get(status, 0) + 1
+            if points:
+                n_lookups += self._bulk_points(
+                    requests, point_slots, points, out, snap, statuses
+                )
+            if batch_ids:
+                n_lookups += self._bulk_batches(
+                    requests, batch_slots, batch_ids, out, snap, statuses
+                )
         finally:
             self.store.unpin(snap)
         if n_ok:
@@ -682,8 +794,84 @@ class PartitionServer:
                 trace_id,
             )
 
+    def _bulk_points(self, requests, slots, points, out, snap, statuses) -> int:
+        """Answer a group's strict-form point lookups with one kd-tree
+        query into their ``out`` slots; returns the lookups served.
+
+        When the query fails (an index without geometry, a point with no
+        segment at a finite distance), each request is answered alone
+        by :meth:`_handle_slow`, so each gets its own status and error.
+        """
+        try:
+            segments = snap.index.nearest_segments(points)
+        except ServeError:
+            return self._answer_slow(requests, slots, out, snap, statuses)
+        regions = snap.index.labels[segments].tolist()
+        epoch = snap.epoch
+        for slot, segment, region in zip(slots, segments.tolist(), regions):
+            body = _LOOKUP_BODY % (segment, region, epoch)
+            out[slot] = _JSON_HEAD % len(body) + body
+        statuses[200] = statuses.get(200, 0) + len(slots)
+        return len(slots)
+
+    def _bulk_batches(self, requests, slots, id_lists, out, snap, statuses) -> int:
+        """Answer a group's strict-form batch lookups with one parse, one
+        range check and one label take into their ``out`` slots; returns
+        the lookups served.
+
+        ``id_lists`` holds each request's ids as comma-separated digits
+        (JSON-list bytes without the brackets). A group that does not
+        parse as one JSON list of int64 ids, and any request with an id
+        out of range, is answered per request by :meth:`_handle_slow`,
+        so the status and error message are the single path's.
+        """
+        counts = [ids.count(b",") + 1 if ids else 0 for ids in id_lists]
+        try:
+            flat = json.loads(b"[" + b",".join(filter(None, id_lists)) + b"]")
+            ids = np.array(flat, dtype=np.int64)
+        except (ValueError, OverflowError):
+            return self._answer_slow(requests, slots, out, snap, statuses)
+        index = snap.index
+        bad = set()  # positions of requests with an id out of range
+        if ids.size and ids.max() >= index.n_segments:
+            owners = np.repeat(np.arange(len(slots)), counts)
+            bad = set(owners[ids >= index.n_segments].tolist())
+        regions = index.labels.take(ids, mode="clip").tolist()
+        name = [b"%d" % region for region in range(index.k)].__getitem__
+        epoch = snap.epoch
+        served = n_ok = start = 0
+        for i, (slot, count) in enumerate(zip(slots, counts)):
+            stop = start + count
+            if i in bad:
+                served += self._answer_slow(requests, [slot], out, snap, statuses)
+            else:
+                body = b'{"epoch":%d,"regions":[%s]}' % (
+                    epoch, b",".join(map(name, regions[start:stop]))
+                )
+                out[slot] = _JSON_HEAD % len(body) + body
+                self.registry.observe("serve.batch_size", count)
+                served += count
+                n_ok += 1
+            start = stop
+        if n_ok:
+            statuses[200] = statuses.get(200, 0) + n_ok
+        return served
+
+    def _answer_slow(self, requests, slots, out, snap, statuses) -> int:
+        """Answer the requests at ``slots`` one at a time through
+        :meth:`_handle_slow`; returns the lookups served."""
+        served = 0
+        for slot in slots:
+            method, target, body, __ = requests[slot]
+            out[slot], n, status = self._handle_slow(method, target, body, snap)
+            served += n
+            statuses[status] = statuses.get(status, 0) + 1
+        return served
+
     def _handle_slow(self, method: bytes, target: bytes, body: bytes, snap):
-        """Everything that is not a single-segment GET; returns
+        """One request answered on its own: everything outside the
+        single-segment and strict point/batch forms, and any strict-form
+        request the bulk path declined. Returns
         ``(response_bytes, n_lookups_served, status)``."""
         try:
             path, __, query = target.partition(b"?")

@@ -59,12 +59,9 @@ def congested_speeds(
     if not 0.0 < min_fraction <= 1.0:
         raise DataError(f"min_fraction must be in (0, 1], got {min_fraction}")
 
-    speeds = np.empty(network.n_segments)
-    for seg in network.segments:
-        per_lane = dens[seg.id] / seg.lanes
-        fraction = max(1.0 - per_lane / jam_density, min_fraction)
-        speeds[seg.id] = seg.speed_limit * fraction
-    return speeds
+    per_lane = dens / network.segment_lanes()
+    fraction = np.maximum(1.0 - per_lane / jam_density, min_fraction)
+    return network.segment_speed_limits() * fraction
 
 
 def congested_travel_times(
@@ -77,8 +74,7 @@ def congested_travel_times(
     speeds = congested_speeds(
         network, densities, jam_density=jam_density, min_fraction=min_fraction
     )
-    lengths = np.array([seg.length for seg in network.segments])
-    return lengths / speeds
+    return network.segment_lengths() / speeds
 
 
 class CongestionAwareRouter:

@@ -50,17 +50,16 @@ class DensityMapper:
         if network.n_segments == 0:
             raise DataError("cannot build a DensityMapper over an empty network")
         self._network = network
-        lengths = [seg.length for seg in network.segments]
         if cell_size <= 0:
-            cell_size = max(25.0, float(np.median(lengths)))
+            cell_size = max(25.0, float(np.median(network.segment_lengths())))
         self._cell = float(cell_size)
         self._index: Dict[Tuple[int, int], List[int]] = defaultdict(list)
         self._coords = np.empty((network.n_segments, 4), dtype=float)
-        for seg in network.segments:
-            a, b = network.segment_endpoints(seg.id)
-            self._coords[seg.id] = (a.x, a.y, b.x, b.y)
+        for sid in range(network.n_segments):
+            a, b = network.segment_endpoints(sid)
+            self._coords[sid] = (a.x, a.y, b.x, b.y)
             for cell in self._cells_covering(a, b):
-                self._index[cell].append(seg.id)
+                self._index[cell].append(sid)
 
     def _cells_covering(self, a: Point, b: Point) -> Iterable[Tuple[int, int]]:
         """Grid cells intersecting the bounding box of segment (a, b)."""
@@ -119,5 +118,4 @@ def densities_from_counts(network: RoadNetwork, counts: Sequence[int]) -> np.nda
         )
     if arr.size and arr.min() < 0:
         raise DataError("counts must be non-negative")
-    lengths = np.array([seg.length for seg in network.segments])
-    return arr / lengths
+    return arr / network.segment_lengths()

@@ -267,3 +267,49 @@ class TestOneBlasThread:
     def test_dense_solve_is_not_tagged(self):
         __, __, outcome = smallest_eigenpairs(AlphaCutOperator(_chorded_ring(60)), 4)
         assert outcome["solver"] == "dense" and outcome["blas_threads"] is None
+
+
+class TestDenseOneBlasThread:
+    """The dense ``eigh`` runs on numpy's own OpenBLAS pinned to one
+    thread (at two, a parked worker stalls small solves by up to
+    ~100 ms), and the previous count comes back."""
+
+    @pytest.fixture
+    def numpy_threads(self):
+        if eigen_mod._NUMPY_BLAS_CONTROLS is None:
+            pytest.skip("numpy has no OpenBLAS thread controls of its own")
+        get, set_ = eigen_mod._NUMPY_BLAS_CONTROLS
+        original = get()
+        set_(2)  # a count the pin visibly changes
+        yield get
+        set_(original)
+
+    @staticmethod
+    def _spy(monkeypatch, get):
+        seen = []
+        real = np.linalg.eigh
+
+        def spy(matrix):
+            seen.append(get())
+            return real(matrix)
+
+        monkeypatch.setattr(eigen_mod.np.linalg, "eigh", spy)
+        return seen
+
+    def test_dense_solve_runs_at_one_thread_and_restores(self, numpy_threads, monkeypatch):
+        seen = self._spy(monkeypatch, numpy_threads)
+        __, __, outcome = smallest_eigenpairs(AlphaCutOperator(_chorded_ring(60)), 4)
+        assert seen == [1] and outcome["solver"] == "dense"
+        assert numpy_threads() == 2
+
+    def test_dense_fallback_runs_at_one_thread(
+        self, numpy_threads, arpack_regime, monkeypatch
+    ):
+        def fail(*args, **kwargs):
+            raise ArpackError(-9)
+
+        monkeypatch.setattr(eigen_mod, "eigsh", fail)
+        seen = self._spy(monkeypatch, numpy_threads)
+        __, __, outcome = smallest_eigenpairs(AlphaCutOperator(_chorded_ring(60)), 4)
+        assert seen == [1] and outcome["fallback_reason"] == "arpack_error_dense_fallback"
+        assert numpy_threads() == 2

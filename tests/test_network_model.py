@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.stats import partition_report
 from repro.datasets.large import melbourne_like
 from repro.exceptions import NetworkError
 from repro.network.geometry import Point
@@ -11,6 +12,8 @@ from repro.pipeline.framework import SpatialPartitioningFramework
 from repro.pipeline.incremental import IncrementalRepartitioner
 from repro.serve import SnapshotStore
 from repro.serve.snapshot import attach_repartitioner
+from repro.traffic.congestion import congested_speeds, congested_travel_times
+from repro.traffic.density import densities_from_counts
 
 
 def _tiny_network():
@@ -165,3 +168,27 @@ class TestObjectsBuiltOnlyWhenRead:
         assert built == ["RoadSegment"] * network.n_segments
         network.intersections
         assert len(built) == network.n_segments + network.n_intersections
+
+    def test_reports_build_no_objects_and_match_the_object_loops(self, built):
+        network, densities = melbourne_like("M1", 0.1)
+        labels = np.arange(network.n_segments) % 5
+        reports = partition_report(network, labels, densities)
+        speeds = congested_speeds(network, densities * 40)
+        times = congested_travel_times(network, densities * 40)
+        counts = np.arange(network.n_segments) % 4
+        per_metre = densities_from_counts(network, counts)
+        assert built == []
+
+        # the loops over RoadSegment objects these replaced, bit for bit
+        segments = network.segments
+        lengths = np.array([seg.length for seg in segments])
+        assert [r.total_length_km for r in reports] == [
+            float(lengths[labels == region].sum() / 1000.0) for region in range(5)
+        ]
+        expected = np.empty(network.n_segments)
+        for seg in segments:
+            fraction = max(1.0 - densities[seg.id] * 40 / seg.lanes / 0.15, 0.05)
+            expected[seg.id] = seg.speed_limit * fraction
+        assert speeds.tobytes() == expected.tobytes()
+        assert times.tobytes() == (lengths / expected).tobytes()
+        assert per_metre.tobytes() == (counts.astype(float) / lengths).tobytes()

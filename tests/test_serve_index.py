@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ServeError
 from repro.network.dual import build_road_graph
+from repro.network.generators import grid_network
 from repro.pipeline.incremental import IncrementalRepartitioner
 from repro.pipeline.schemes import SCHEMES, run_scheme
 from repro.serve import SegmentIndex, SnapshotStore
@@ -74,6 +75,56 @@ class TestLookupCorrectness:
         # and the index is isolated from mutation of the source array
         result.labels[0] = 99
         assert index.region_of(0) != 99 or int(result.labels[0]) == 99
+
+
+_GRID_MIDPOINTS = segment_midpoints(grid_network(5, 5, spacing=100.0, two_way=True))
+_GRID_INDEX = SegmentIndex(
+    np.arange(len(_GRID_MIDPOINTS)) % 3, points=_GRID_MIDPOINTS
+)
+
+
+@st.composite
+def _query_point(draw):
+    """A midpoint exactly (the two directions of a street share it), the
+    point halfway between two midpoints, or any point near the grid."""
+    i, j = draw(st.tuples(*[st.integers(0, len(_GRID_MIDPOINTS) - 1)] * 2))
+    kind = draw(st.sampled_from(["midpoint", "halfway", "anywhere"]))
+    if kind == "midpoint":
+        return tuple(_GRID_MIDPOINTS[i].tolist())
+    if kind == "halfway":
+        return tuple(((_GRID_MIDPOINTS[i] + _GRID_MIDPOINTS[j]) / 2).tolist())
+    coordinate = st.floats(-100.0, 500.0, allow_nan=False)
+    return draw(coordinate), draw(coordinate)
+
+
+class TestNearestSegments:
+    """The bulk point query answers every row as the one-point query
+    does, ties included, and a point with no segment at a finite
+    distance is an error in both."""
+
+    @given(points=st.lists(_query_point(), min_size=1, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_bulk_rows_equal_one_point_queries(self, points):
+        bulk = _GRID_INDEX.nearest_segments(np.array(points))
+        assert bulk.shape == (len(points),)
+        assert bulk.tolist() == [_GRID_INDEX.nearest_segment(x, y) for x, y in points]
+
+    @pytest.mark.parametrize("x, y", [(1e308, 1e308), (-1e308, 1e308), (1e200, 0.0)])
+    def test_far_point_has_no_nearest_segment(self, x, y):
+        with pytest.raises(ServeError, match="finite distance"):
+            _GRID_INDEX.nearest_segments(np.array([[0.0, 0.0], [x, y]]))
+        with pytest.raises(ServeError, match="finite distance"):
+            _GRID_INDEX.lookup_point(x, y)
+
+    def test_rejects_wrong_shapes_and_missing_geometry(self):
+        with pytest.raises(ServeError, match="shape"):
+            _GRID_INDEX.nearest_segments(np.zeros((3, 3)))
+        with pytest.raises(ServeError, match="geometry"):
+            SegmentIndex([0, 1]).nearest_segments(np.zeros((1, 2)))
+
+    def test_id_past_int64_is_out_of_range(self):
+        with pytest.raises(ServeError, match="outside"):
+            _GRID_INDEX.regions_of([0, 10**20])
 
 
 class TestRegionQueries:

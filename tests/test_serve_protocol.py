@@ -1,17 +1,25 @@
-"""Socket-free tests of the server's HTTP/1.1 request parser.
+"""Socket-free tests of the server's HTTP/1.1 request parser and of its
+bulk answers to pipelined groups.
 
 ``_HttpProtocol`` is driven directly with a fake transport and a fake
 server, so every test is a pure function of the bytes fed in: the
 parsed requests the server would answer, the bytes written back, and
-whether the connection was closed.
+whether the connection was closed. The bulk-group tests put a real
+:class:`PartitionServer` behind the same fake transport.
 """
 
+import json
+import re
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.obs.slo import SLOTracker, default_objectives
+from repro.obs.trace import Tracer
+from repro.serve import PartitionServer, SegmentIndex, SnapshotStore
 from repro.serve.server import _MAX_BODY_BYTES, _MAX_HEAD_BYTES, _HttpProtocol
 
 
@@ -192,3 +200,189 @@ class TestPipelinedSplits:
         assert proto.buf == b""
         assert proto.transport.written == []
         assert not proto.transport.closed
+
+
+# ----------------------------------------------------------------------
+# A real PartitionServer behind the fake transport: the bulk group path
+
+
+def _live_server(telemetry=False):
+    """A server over 40 scattered segments in 5 regions, and a protocol
+    wired to it with a fake transport (no sockets, no event loop)."""
+    points = np.random.default_rng(0).uniform(0.0, 100.0, (40, 2))
+    store = SnapshotStore()
+    store.publish(SegmentIndex(np.arange(40) % 5, points=points))
+    extra = {}
+    if telemetry:
+        extra = dict(slo=SLOTracker(default_objectives(0.01)), tracer=Tracer())
+    server = PartitionServer(store, **extra)
+    proto = _HttpProtocol(server)
+    proto.transport = FakeTransport()
+    return server, store, proto
+
+
+def _responses(stream: bytes):
+    """``(status, body)`` of every response in ``stream``."""
+    out, pos = [], 0
+    while pos < len(stream):
+        head_end = stream.index(b"\r\n\r\n", pos)
+        head = stream[pos:head_end]
+        length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+        body = stream[head_end + 4 : head_end + 4 + length]
+        out.append((_status(head), body))
+        pos = head_end + 4 + length
+    return out
+
+
+def _alone(server, request):
+    """``(status, parsed body)`` of ``request`` answered on its own: by
+    the single-lookup fast path for ``/lookup?segment=``, else by
+    ``_handle_slow``."""
+    method, target, body, __ = request
+    if method == b"GET" and target.startswith(b"/lookup?segment="):
+        proto = _HttpProtocol(server)
+        proto.transport = FakeTransport()
+        server._handle_group(proto, [request])
+        ((status, answer),) = _responses(b"".join(proto.transport.written))
+        return status, json.loads(answer)
+    with server.store.pinned() as snap:
+        response, __, __ = server._handle_slow(method, target, body, snap)
+    ((status, answer),) = _responses(response)
+    return status, json.loads(answer)
+
+
+def _serve_counters(server):
+    """Every ``serve.*`` counter, and the batch-size histogram's count
+    and sum."""
+    metrics = server.registry.to_dict()
+    counters = {
+        name: value for name, value in metrics["counters"].items() if name.startswith("serve.")
+    }
+    sizes = metrics["histograms"].get("serve.batch_size", {})
+    return counters, sizes.get("count", 0), sizes.get("sum", 0)
+
+
+class TestFarPoint:
+    def test_far_point_gets_a_400_between_answered_lookups(self):
+        server, store, proto = _live_server()
+        proto.data_received(
+            b"GET /lookup?segment=1 HTTP/1.1\r\n\r\n"
+            b"GET /lookup?x=1e308&y=1e308 HTTP/1.1\r\n\r\n"
+            b"GET /lookup?x=5&y=5 HTTP/1.1\r\n\r\n"
+            b"GET /lookup?segment=2 HTTP/1.1\r\n\r\n"
+        )
+        answers = _responses(b"".join(proto.transport.written))
+        assert [status for status, __ in answers] == [200, 400, 200, 200]
+        assert b"finite distance" in answers[1][1]
+        assert json.loads(answers[3][1])["segment"] == 2
+        assert not proto.transport.closed
+        assert store.pinned_epochs() == {}
+
+
+_COORDINATES = st.one_of(
+    st.floats(-10.0, 110.0, allow_nan=False).map(lambda v: repr(v).encode()),
+    st.sampled_from([b"1e308", b"-1e308", b"nan", b"inf", b"1e+2", b"%35", b"1_0", b"", b"x"]),
+)
+_IDS = st.lists(
+    st.one_of(st.integers(0, 39), st.sampled_from([40, 10**20, -1])), max_size=6
+)
+
+
+@st.composite
+def _mixed_request(draw):
+    """One request of the bulk path's kinds, valid or not, as
+    (wire bytes, parsed (method, target, body, head))."""
+    kind = draw(
+        st.sampled_from(["single", "point", "get-batch", "post-batch", "route", "garbage"])
+    )
+    body = b""
+    method = b"GET"
+    if kind == "single":
+        sid = draw(st.one_of(st.integers(-2, 42).map(b"%d".__mod__), st.just(b"x")))
+        target = b"/lookup?segment=" + sid
+    elif kind == "point":
+        x, y = draw(_COORDINATES), draw(_COORDINATES)
+        target = b"/lookup?x=" + x + b"&y=" + y + draw(st.sampled_from([b"", b"&z=1"]))
+    elif kind == "get-batch":
+        ids = [b"%d" % i for i in draw(_IDS)]
+        text = b",".join(ids) + draw(st.sampled_from([b"", b",", b",,7", b",007"]))
+        target = b"/batch?segments=" + text
+    elif kind == "post-batch":
+        method, target = b"POST", b"/lookup/batch"
+        ids = draw(_IDS)
+        body = draw(
+            st.sampled_from(
+                [
+                    json.dumps({"segments": ids}).encode(),
+                    json.dumps(ids).encode(),
+                    json.dumps({"segments": ids}, separators=(",", ":")).encode(),
+                    json.dumps({"segments": ids}).encode() + b" ",
+                    json.dumps({"segments": [str(i) for i in ids]}).encode(),
+                    b'{"segments": [1 2]}',
+                    b"[01]",
+                    b"not json",
+                ]
+            )
+        )
+    elif kind == "route":
+        target = draw(st.sampled_from([b"/healthz", b"/region/1", b"/region/9", b"/nope"]))
+    else:
+        method = draw(st.sampled_from([b"GET", b"PUT"]))
+        target = b"/" + draw(st.binary(max_size=24)).translate(None, b" \r\n")
+    head = method + b" " + target + b" HTTP/1.1\r\nHost: a"
+    if body or method == b"POST":
+        head += b"\r\nContent-Length: %d" % len(body)
+    return head + b"\r\n\r\n" + body, (method, target, body, head)
+
+
+_FATAL = st.sampled_from(
+    [
+        (b"", None),
+        (b"POST /lookup/batch HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (_MAX_BODY_BYTES + 1), 413),
+        (b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * (_MAX_HEAD_BYTES + 1), 431),
+        (b"GARBAGE\r\n\r\n", 400),
+    ]
+)
+
+
+class TestBulkGroups:
+    """A pipelined group answered in bulk answers every request as it
+    would be answered alone, and keeps every counter and pin balanced."""
+
+    @given(
+        requests=st.lists(_mixed_request(), min_size=1, max_size=16),
+        fatal=_FATAL,
+        telemetry=st.booleans(),
+    )
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_group_answers_equal_single_answers(self, requests, fatal, telemetry):
+        server, store, proto = _live_server(telemetry)
+        tail, fatal_status = fatal
+        proto.data_received(b"".join(wire for wire, __ in requests) + tail)
+        answers = _responses(b"".join(proto.transport.written))
+        parsed = [request for __, request in requests]
+
+        oracle, __, __ = _live_server()
+        expected = [_alone(oracle, request) for request in parsed]
+        assert [(status, json.loads(body)) for status, body in answers[: len(parsed)]] == expected
+        if fatal_status is None:
+            assert len(answers) == len(parsed) and not proto.transport.closed
+        else:
+            assert [status for status, __ in answers[len(parsed) :]] == [fatal_status]
+            assert proto.transport.closed
+        assert store.pinned_epochs() == {}
+
+        # the same counters as when each request came in a group of its own
+        alone, __, __ = _live_server(telemetry)
+        for request in parsed:
+            single = _HttpProtocol(alone)
+            single.transport = FakeTransport()
+            alone._handle_group(single, [request])
+        assert _serve_counters(server) == _serve_counters(alone)
+        if telemetry:
+            server._emit_tel(proto)
+            assert sum(span[5] for span in server._span_ring) == len(parsed)

@@ -5,9 +5,11 @@ The ARPACK eigensolve runs on supergraphs above ``DENSE_CUTOFF`` (200)
 supernodes; the M3x0.3 input below mines about 3,000. Each case runs
 in a fresh child process whose environment alone sets the OpenBLAS
 thread count, and compares the results: the partition labels of that
-input, and the eigenvector bytes of a 25,000-node solve. At that size
-a multi-threaded OpenBLAS sums ARPACK's dense kernels in another order
-and the bytes differ, unless every solve pins it to one thread.
+input, the eigenvector bytes of a 25,000-node solve, and those of dense
+solves at 50 and 200 nodes. At 25,000 nodes a multi-threaded OpenBLAS
+sums ARPACK's dense kernels in another order and the bytes differ,
+unless every solve pins it to one thread; the dense ``eigh`` runs on
+numpy's own OpenBLAS, which the solve pins too.
 """
 
 import json
@@ -58,6 +60,25 @@ print(json.dumps({
 """
 
 
+DENSE_CHILD = """
+import hashlib, json
+import numpy as np
+import scipy.sparse as sp
+from repro.graph.eigen import smallest_eigenpairs
+from repro.graph.laplacian import AlphaCutOperator
+
+out = {}
+for n in (50, 200):
+    rng = np.random.default_rng(n)
+    rows = np.r_[np.arange(n), np.arange(n)]
+    cols = np.r_[(np.arange(n) + 1) % n, (np.arange(n) + 17) % n]
+    upper = sp.coo_matrix((rng.uniform(0.5, 2.0, rows.size), (rows, cols)), shape=(n, n))
+    __, vectors, outcome = smallest_eigenpairs(AlphaCutOperator((upper + upper.T).tocsr()), 8)
+    out[n] = [outcome["solver"], hashlib.sha1(np.ascontiguousarray(vectors).tobytes()).hexdigest()]
+print(json.dumps(out))
+"""
+
+
 def _run_with_threads(child: str, n_threads: int) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(n_threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -86,4 +107,11 @@ def test_large_solve_eigenvectors_identical_for_one_and_two_blas_threads():
     one = _run_with_threads(SOLVE_CHILD, 1)
     two = _run_with_threads(SOLVE_CHILD, 2)
     assert one["solver"] == "arpack"
+    assert one == two
+
+
+def test_dense_solve_eigenvectors_identical_for_one_and_two_blas_threads():
+    one = _run_with_threads(DENSE_CHILD, 1)
+    two = _run_with_threads(DENSE_CHILD, 2)
+    assert [solver for solver, __ in one.values()] == ["dense", "dense"]
     assert one == two
