@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install test bench bench-full bench-hotpaths bench-obs bench-scaling bench-scaling-full bench-serving bench-compare serve-demo slo-demo trace-demo analyze-demo examples all
+.PHONY: install test bench bench-full bench-hotpaths bench-obs bench-serving bench-compare serve-demo slo-demo trace-demo analyze-demo examples all
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -19,14 +19,6 @@ bench-hotpaths:
 
 bench-obs:
 	pytest benchmarks/test_bench_obs_overhead.py -s
-
-# Multiprocess scaling curve (1/2/4/8 workers, 8 shards mined in processes);
-# the full-scale variant runs the ~1M-segment metropolis.
-bench-scaling:
-	pytest benchmarks/test_bench_scaling.py -s
-
-bench-scaling-full:
-	REPRO_FULL_SCALE=1 pytest benchmarks/test_bench_scaling.py -s
 
 # Serving throughput/latency bench on the full-scale M2 network
 # (writes BENCH_serving.json; the >=10k lookups/s + p99<10ms floors).

@@ -60,7 +60,6 @@ from repro.graph.components import edge_list
 from repro.network.dual import build_road_graph
 from repro.network.generators import grid_network, urban_network
 from repro.serve.index import SegmentIndex
-from repro.shard.spatial import segment_midpoints
 from repro.supergraph.builder import SupergraphBuilder
 from repro.supergraph.model import Supergraph
 from repro.supergraph.stability import stability_check
@@ -231,7 +230,7 @@ def test_bench_hotpaths(synthetic_city):
     }
 
     # --- epoch publish: fresh index vs relabel ------------------------
-    mids = segment_midpoints(network)
+    mids = network.segment_midpoints()
     previous = SegmentIndex(part_labels, points=mids, adjacency=adjacency, features=densities)
     epoch_labels = kmeans_1d(densities, 16).labels
     epoch_densities = densities * rng.uniform(0.8, 1.25, size=densities.size)

@@ -186,87 +186,3 @@ def test_bench_obs_overhead(synthetic_city):
         f"obs overhead {overhead * 100:.1f}% "
         f"exceeds 1% ({best_on:.3f}s vs {best_off:.3f}s)"
     )
-
-
-# ---------------------------------------------------------------------
-# process-pool variant: tracing across the pool boundary
-PROCESS_WORKERS = 2
-PROCESS_SHARDS = 4
-
-
-def _run_sharded(graph, obs=None):
-    """One sharded ASG run (module 2 mined in a process pool)."""
-    kwargs = dict(
-        seed=0,
-        workers=PROCESS_WORKERS,
-        n_shards=PROCESS_SHARDS,
-    )
-    if obs is None:
-        return run_scheme("ASG", graph, K, **kwargs)
-    with obs.activate():
-        with obs.tracer.span("run", scheme="ASG", k=K):
-            return run_scheme("ASG", graph, K, **kwargs)
-
-
-def test_bench_obs_overhead_process(synthetic_city):
-    """Cross-process tracing must stay under 5% at 2 workers.
-
-    The worker-side tracers, span serialization and grafting ride on
-    every process-pool task when tracing is on; this interleaved
-    best-of run bounds their cost against the same sharded pipeline
-    with observability off.
-    """
-    graph = synthetic_city
-
-    off_times, on_times = [], []
-    observed = None
-    baseline = None
-    for __ in range(REPEATS):
-        start = time.perf_counter()
-        baseline = _run_sharded(graph)
-        off_times.append(time.perf_counter() - start)
-
-        observed = ObsContext(dataset="grid-115", scheme="ASG")
-        start = time.perf_counter()
-        result = _run_sharded(graph, obs=observed)
-        on_times.append(time.perf_counter() - start)
-        assert np.array_equal(result.labels, baseline.labels)
-
-    trace = observed.chrome_trace()
-    validate_chrome_trace(trace)
-    events = [ev for ev in trace["traceEvents"] if ev["ph"] == "X"]
-    pids = {ev["pid"] for ev in events}
-    assert len(pids) >= 2, "trace recorded no worker-process lanes"
-    worker_spans = [ev for ev in events if ev["name"].startswith("worker:")]
-    assert worker_spans, "no grafted worker spans in the merged trace"
-
-    best_off, best_on = min(off_times), min(on_times)
-    overhead = best_on / best_off - 1.0
-    payload = {
-        "n_segments": graph.n_nodes,
-        "k": K,
-        "workers": PROCESS_WORKERS,
-        "n_shards": PROCESS_SHARDS,
-        "repeats": REPEATS,
-        "off_s": off_times,
-        "on_s": on_times,
-        "best_off_s": best_off,
-        "best_on_s": best_on,
-        "overhead_fraction": overhead,
-        "n_trace_events": len(trace["traceEvents"]),
-        "n_worker_spans": len(worker_spans),
-        "n_worker_pids": len(pids) - 1,
-    }
-    print_table(
-        f"Process-pool obs overhead on {graph.n_nodes}-node graph "
-        f"({PROCESS_WORKERS} workers, best of {REPEATS})",
-        ["variant", "best_s"],
-        [["obs off", best_off], ["obs on", best_on]],
-    )
-    print(f"overhead: {overhead * 100:.2f}%")
-    save_results("bench_obs_overhead_process", payload)
-
-    assert best_on <= best_off * 1.05 + ABS_SLACK_S, (
-        f"process-pool observability overhead {overhead * 100:.1f}% "
-        f"exceeds 5% ({best_on:.3f}s vs {best_off:.3f}s)"
-    )

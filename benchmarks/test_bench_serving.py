@@ -14,7 +14,8 @@ item 1) and drives it with the pipelined load generator, exactly as
 * **point mode** — ``GET /lookup?x=..&y=..`` coordinate lookups, one
   kd-tree query per pipelined group.
 
-The partition labels come from the kd-tree spatial sharder — the bench
+The partition labels come from a kd-tree spatial split
+(``tests/oracles.py::spatial_shards``) — the bench
 measures the serving layer, not the partitioning algorithms, and
 ``spatial_shards`` gives a valid balanced labelling of 52k segments in
 milliseconds.
@@ -22,9 +23,9 @@ milliseconds.
 Writes ``BENCH_serving.json`` at the repo root (plus the usual
 ``benchmarks/results`` copy + history append, which is what the CI
 ``serve-smoke`` job gates p99 regressions against). The throughput and
-latency floors are always asserted — unlike the scaling bench there is
-no multi-core requirement; the target is explicitly single-machine,
-and this box may well have one core (``n_cores`` is recorded).
+latency floors are always asserted; there is no multi-core
+requirement — the target is explicitly single-machine, and the host
+may well have one core (``n_cores`` is recorded).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from statistics import median
 
 import pytest
 
@@ -39,7 +41,7 @@ from benchmarks.conftest import print_table, save_results
 from repro.datasets.registry import load_dataset
 from repro.network.dual import build_road_graph
 from repro.serve import PartitionServer, SegmentIndex, SnapshotStore, run_loadgen
-from repro.shard.spatial import segment_midpoints, spatial_shards
+from tests.oracles import spatial_shards
 
 ROOT_RESULTS = Path(__file__).parent.parent / "BENCH_serving.json"
 
@@ -53,12 +55,19 @@ BATCH_SIZE = 64
 LOOKUPS_PER_S_FLOOR = 10_000
 P99_CEILING_S = 0.010
 
+# the telemetry gate compares medians of this many alternating
+# untraced/traced runs: one run per side is at the mercy of the host
+# (untraced throughput of one tree moved between 107k and 198k
+# lookups/s over 11 runs)
+OVERHEAD_PAIRS = 5
+OVERHEAD_RUN_S = 1.0
+
 
 @pytest.fixture(scope="module")
 def serving_stack():
     """(handle, store, n_segments) — a live server over M2 labels."""
     network, densities = load_dataset(DATASET, seed=3)
-    points = segment_midpoints(network)
+    points = network.segment_midpoints()
     labels = spatial_shards(points, K)
     graph = build_road_graph(network)
     index = SegmentIndex(
@@ -143,7 +152,8 @@ def test_bench_serving(serving_stack):
     # --- telemetry overhead: the same single-lookup traffic against a
     # server with the full request-telemetry plane attached (SLO
     # tracker + request tracing). The batched per-group design must
-    # keep the fast path within 5% of the untraced throughput.
+    # keep the fast path within 5% of the untraced throughput, compared
+    # median to median over alternating runs.
     from repro.obs.slo import SLOTracker, default_objectives
     from repro.obs.trace import Tracer
 
@@ -151,40 +161,56 @@ def test_bench_serving(serving_stack):
         store, slo=SLOTracker(default_objectives(P99_CEILING_S)), tracer=Tracer()
     )
     traced_handle = traced_server.start_background()
+    runs = {"untraced": [], "traced": []}
     try:
         run_loadgen(  # warm-up, same as the untraced server got
             "127.0.0.1", traced_handle.port, n_segments=n_segments,
             mode="single", duration_s=0.5, connections=CONNECTIONS, depth=DEPTH,
         )
-        traced = run_loadgen(
-            "127.0.0.1",
-            traced_handle.port,
-            n_segments=n_segments,
-            mode="single",
-            duration_s=DURATION_S,
-            connections=CONNECTIONS,
-            depth=DEPTH,
-            seed=1,
-        )
-        assert traced.n_errors == 0
+        for __ in range(OVERHEAD_PAIRS):
+            for side, server in (("untraced", handle), ("traced", traced_handle)):
+                report = run_loadgen(
+                    "127.0.0.1",
+                    server.port,
+                    n_segments=n_segments,
+                    mode="single",
+                    duration_s=OVERHEAD_RUN_S,
+                    connections=CONNECTIONS,
+                    depth=DEPTH,
+                    seed=1,
+                )
+                assert report.n_errors == 0, f"{side}: {report.n_errors} failed requests"
+                runs[side].append(report)
         assert traced_server.slo.burning() is False  # fast path within SLO
     finally:
         traced_handle.stop()
-    payload["traced"] = traced.to_dict()
-    overhead = 1.0 - traced.lookups_per_s / max(single["lookups_per_s"], 1e-9)
+    rates = {side: [r.lookups_per_s for r in reports] for side, reports in runs.items()}
+    untraced, traced = median(rates["untraced"]), median(rates["traced"])
+    # the traced run at the median stands for the side in the history
+    payload["traced"] = sorted(runs["traced"], key=lambda r: r.lookups_per_s)[
+        OVERHEAD_PAIRS // 2
+    ].to_dict()
+    payload["telemetry_runs"] = {
+        "run_s": OVERHEAD_RUN_S,
+        "untraced_lookups_per_s": rates["untraced"],
+        "traced_lookups_per_s": rates["traced"],
+        "untraced_median_lookups_per_s": untraced,
+        "traced_median_lookups_per_s": traced,
+    }
+    overhead = 1.0 - traced / max(untraced, 1e-9)
     payload["traced_overhead_frac"] = overhead
     print_table(
-        "request-telemetry overhead (single mode)",
-        ["server", "lookups/s", "p99_ms"],
+        f"request-telemetry overhead (single mode, {OVERHEAD_PAIRS} alternating "
+        f"{OVERHEAD_RUN_S:g} s runs per side)",
+        ["server", "median lookups/s", "min", "max"],
         [
-            ["untraced", round(single["lookups_per_s"]),
-             single["latency_p99_s"] * 1e3],
-            ["traced+slo", round(traced.lookups_per_s), traced.p99_s * 1e3],
+            [side, round(median(values)), round(min(values)), round(max(values))]
+            for side, values in rates.items()
         ],
     )
-    assert traced.lookups_per_s >= 0.95 * single["lookups_per_s"], (
+    assert traced >= 0.95 * untraced, (
         f"telemetry overhead {overhead:.1%} exceeds the 5% budget "
-        f"({traced.lookups_per_s:.0f} vs {single['lookups_per_s']:.0f} lookups/s)"
+        f"(median {traced:.0f} vs {untraced:.0f} lookups/s)"
     )
 
     results_path = save_results("bench_serving", payload)

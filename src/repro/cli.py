@@ -105,22 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="supernode stability threshold epsilon_eta in [0, 1]",
     )
     part.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker count for the parallel mining loops (0 = all "
-        "cores; default: the REPRO_NUM_WORKERS env var, serial when "
-        "unset); threads, or processes with --shards",
-    )
-    part.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="mine this many geographic shards in parallel and stitch "
-        "the boundaries (supergraph schemes only; 1 = whole-graph "
-        "serial builder)",
-    )
-    part.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
     )
     part.add_argument(
@@ -364,8 +348,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         scheme=args.scheme,
         epsilon_eta=args.stability,
         seed=args.seed,
-        workers=args.workers,
-        n_shards=args.shards,
         obs=obs,
     )
     result = framework.partition(network, densities)
@@ -673,7 +655,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.pipeline.incremental import IncrementalRepartitioner
     from repro.serve import PartitionServer, SegmentIndex, SnapshotStore
     from repro.serve.snapshot import attach_repartitioner
-    from repro.shard.spatial import segment_midpoints
 
     if args.dataset in dataset_names():
         network, densities = load_dataset(args.dataset, seed=args.seed)
@@ -681,7 +662,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         network = load_network_json(args.dataset)
         densities = network.densities()
     graph = build_road_graph(network).with_features(densities)
-    points = segment_midpoints(network)
+    points = network.segment_midpoints()
 
     store = SnapshotStore()
     if args.result:

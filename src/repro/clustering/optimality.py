@@ -41,7 +41,6 @@ import numpy as np
 from repro.clustering.kmeans import KMeansResult, kmeans_1d_batch
 from repro.exceptions import ClusteringError
 from repro.obs.metrics import incr, set_gauge
-from repro.util.parallel import map_parallel
 from repro.util.rng import RngLike, ensure_rng
 from repro.util.timer import ModuleTimer
 
@@ -190,17 +189,13 @@ def scan_kappa(
     kappa_min: int = 2,
     sample_size: Optional[int] = None,
     seed: RngLike = None,
-    workers: Optional[int] = None,
     timer: Optional[ModuleTimer] = None,
 ) -> KappaScan:
     """Run 1-D k-means for each kappa and record the MCG curve.
 
     Every kappa is fitted in one :func:`kmeans_1d_batch` call, which
     shares one sort of the (sampled) density vector and one Lloyd loop
-    across all fits. The per-kappa MCG scores are independent and run
-    on threads through :func:`repro.util.parallel.map_parallel` (numpy
-    releases the GIL in them), so the curve is identical for every
-    worker count.
+    across all fits; the per-kappa MCG scores follow in order.
 
     Parameters
     ----------
@@ -217,9 +212,6 @@ def scan_kappa(
         large datasets.
     seed:
         Seed for the sampling step (k-means itself is deterministic).
-    workers:
-        Worker count for the per-kappa MCG scores; ``None`` defers to the
-        ``REPRO_NUM_WORKERS`` environment variable (serial when unset).
     timer:
         Optional :class:`ModuleTimer` receiving the ``module2.scan``
         timing.
@@ -253,11 +245,10 @@ def scan_kappa(
     with own_timer.time("module2.scan"):
         scan.kappas = list(range(kappa_min, kappa_max + 1))
         scan.results = kmeans_1d_batch(scan_data, scan.kappas)
-        scan.mcg = map_parallel(
-            lambda result: moderated_clustering_gain(scan_data, result.labels),
-            scan.results,
-            workers=workers,
-        )
+        scan.mcg = [
+            moderated_clustering_gain(scan_data, result.labels)
+            for result in scan.results
+        ]
     incr("kappa_scan.candidates", len(scan.kappas))
     set_gauge("kappa_scan.sampled", 1.0 if sampled else 0.0)
     set_gauge("kappa_scan.best_kappa", scan.best_kappa)
@@ -272,7 +263,6 @@ def shortlist_kappa(
     kappa_max: Optional[int] = None,
     sample_size: Optional[int] = None,
     seed: RngLike = None,
-    workers: Optional[int] = None,
     timer: Optional[ModuleTimer] = None,
 ) -> Tuple[List[int], KappaScan]:
     """Scan kappa and shortlist values clearing the MCG threshold.
@@ -280,15 +270,13 @@ def shortlist_kappa(
     When ``epsilon_theta`` (the paper's absolute threshold) is not
     given, the scale-free ``epsilon_fraction`` of the maximum MCG is
     used instead. Always returns at least the best kappa.
-    ``workers``/``timer`` are forwarded to
-    :func:`scan_kappa`.
+    ``timer`` is forwarded to :func:`scan_kappa`.
     """
     scan = scan_kappa(
         values,
         kappa_max=kappa_max,
         sample_size=sample_size,
         seed=seed,
-        workers=workers,
         timer=timer,
     )
     if epsilon_theta is not None:

@@ -49,6 +49,25 @@ worker wakes: solves 10 ms apart (60 of each, 2-core host) took a
 median 13.9 ms at n=50 against 0.53 ms at one thread, up to 14.6 ms
 against at most 1.5 ms at n=98, and a median 5.0 against 4.4 ms at
 n=200.
+
+ARPACK runs at ``tol=0`` (machine precision) with scipy's default
+``ncv``. The alternatives were measured on the nine ``table3`` seed-1
+supergraphs (6.6k-38k nodes, k=8; 2.45 s summed over min-of-3 solves)
+and none is taken:
+
+* ``tol=1e-9`` cuts the solves to 1.76 s (-28%), but at ``1e-8`` and
+  ``1e-9`` ARPACK misses one copy of a double eigenvalue: on the
+  chorded 60-node ring of ``tests/test_core_spectral.py`` two of three
+  eigenvalues come back off by up to 0.31. At ``1e-8`` the 200-node
+  ring of ``tests/test_graph_eigen.py`` also ends at residual 3.3e-8,
+  over that test's 1e-8 bound.
+* Another ``ncv`` is no faster: at ``tol=1e-9``, 12/14/16 take
+  4.77/2.76/2.10 s against 1.76 s at the default and 24 takes 1.73 s;
+  at ``tol=0``, 30 and 48 do not beat the default.
+* A Chebyshev-filtered start vector (degree 10-40) saves 4-6%.
+* Shift-invert at ``sigma = -(max degree)``, SuperLU plus
+  Sherman-Morrison for the rank-one term, is 3-7x slower; ``splu``
+  alone takes 340 ms at 25k nodes and 627 ms at 38k.
 """
 
 from __future__ import annotations

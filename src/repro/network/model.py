@@ -356,6 +356,12 @@ class RoadNetwork:
         a, b = self.segment_endpoints(sid)
         return a.midpoint(b)
 
+    def intersection_coordinates(self) -> Tuple[np.ndarray, np.ndarray]:
+        """x and y of every intersection, as two read-only arrays indexed
+        by intersection id (int64 when the coordinates are integers,
+        float otherwise, as :class:`Point` keeps them)."""
+        return self._x, self._y
+
     def segment_endpoint_ids(self) -> Tuple[np.ndarray, np.ndarray]:
         """Source and target intersection ids of every segment, as two
         read-only int64 arrays indexed by segment id."""

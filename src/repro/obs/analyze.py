@@ -2,8 +2,7 @@
 
 This module *reads* a trace. Given a span forest — a live
 :class:`repro.obs.trace.Tracer`, its nested-JSON export, or a Chrome
-trace-event document (including merged multi-process traces grafted by
-:meth:`Tracer.graft`) — :func:`analyze_trace` produces an
+trace-event document — :func:`analyze_trace` produces an
 :class:`AnalysisReport` answering the questions a timeline forces you
 to eyeball:
 
@@ -14,8 +13,7 @@ to eyeball:
   (robust to overlapping parallel children), so for a serial trace the
   per-stage self times sum back to the wall clock;
 * **parallel slack** — for every region where ≥2 spans overlap
-  (parallel map children, worker-thread roots, grafted worker
-  processes), the achieved vs ideal speedup and an Amdahl ceiling from
+  (overlapping children, roots opened on other threads), the achieved vs ideal speedup and an Amdahl ceiling from
   the serial fraction of the run;
 * **optimization targets** — stages ranked by self time, annotated
   with parallel efficiency and solver-convergence caveats;
@@ -469,8 +467,7 @@ def analyze_trace(trace: Any, top: int = 10) -> AnalysisReport:
         raise DataError("trace spans have zero extent; nothing to analyze")
 
     # main tree = the longest root; every other root is a detached lane
-    # (worker threads, grafted worker processes whose parent link was
-    # severed by the transport)
+    # (spans opened on other threads)
     main_root = max(forest, key=lambda r: r.duration)
     detached = [r for r in forest if r is not main_root]
     main_roots = [main_root]

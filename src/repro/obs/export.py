@@ -150,9 +150,10 @@ def render_prometheus(
         for labels, value in sorted(gauges[family], key=lambda lv: sorted(lv[0].items())):
             lines.append(f"{family}{_format_labels(labels)} {_format_value(value)}")
 
-    # labelled series of one family (e.g. parallel.worker_busy_seconds
-    # [worker=N]) must share a single HELP/TYPE block — the exposition
-    # format forbids repeating TYPE for a family — so group first
+    # labelled histogram series of one family (e.g. a latency
+    # histogram per [endpoint=..]) must share a single HELP/TYPE block
+    # — the exposition format forbids repeating TYPE for a family — so
+    # group first
     histograms: Dict[str, List[Tuple[Labels, Dict[str, Any]]]] = {}
     for name, hist in snapshot.get("histograms", {}).items():
         base, labels = _split_labels(name)

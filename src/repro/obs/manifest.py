@@ -1,8 +1,8 @@
 """Run manifests: everything needed to reproduce (or audit) a run.
 
 :func:`run_manifest` captures the execution environment — package
-versions, platform, git SHA, worker configuration — plus the caller's
-config and seed, as a JSON-serialisable dict. The framework attaches
+versions, platform, git SHA, ``REPRO_*`` environment knobs — plus
+the caller's config and seed, as a JSON-serialisable dict. The framework attaches
 one to every :class:`repro.pipeline.results.PartitioningResult`; the
 CLI and the benchmark writers embed one in their JSON outputs, so any
 recorded number can be traced back to the code and environment that
@@ -113,10 +113,6 @@ def run_manifest(
     seed: Any = None,
     run_id: Optional[str] = None,
     extra: Optional[Dict[str, Any]] = None,
-    workers: Optional[int] = None,
-    n_shards: Optional[int] = None,
-    n_shards_resolved: Optional[int] = None,
-    stages: Optional[Dict[str, Dict[str, Any]]] = None,
 ) -> Dict[str, Any]:
     """Build a reproducibility manifest for one run.
 
@@ -133,23 +129,6 @@ def run_manifest(
         fresh one is generated when omitted.
     extra:
         Additional top-level fields (e.g. dataset name).
-    workers:
-        The run's requested worker count (``None``/``0`` included);
-        the manifest records both the request and the **resolved**
-        count (``workers_resolved``) — ``workers=0`` means "all
-        cores", so the resolved number is what actually ran and what a
-        reproduction on different hardware needs to know.
-    n_shards:
-        The requested shard count for sharded supergraph mining
-        (``n_shards_requested`` in the manifest; None when unsharded).
-    n_shards_resolved:
-        The shard count that actually ran, after the minimum-size
-        clamp — resolution needs the graph, so the caller passes it in
-        (None when unknown or unsharded).
-    stages:
-        Optional per-stage execution record
-        (``{stage: {"pool": ..., "workers": ..., ...}}``)
-        for pipelines whose stages resolve differently.
 
     Returns
     -------
@@ -158,31 +137,20 @@ def run_manifest(
         ``created_utc``, ``run_id``, ``seed``, ``config``,
         ``versions``, ``platform``, ``git_sha``, ``argv`` and ``env``
         keys. ``env`` holds **every** ``REPRO_*`` environment knob set
-        at manifest time (plus the always-present worker/scale keys),
+        at manifest time (plus the always-present scale key),
         and ``argv`` the full command line — together they make a
         recorded profile or benchmark re-runnable from the manifest
         alone.
     """
     env = _environment()
-    # the worker/scale knobs are always present (None when unset) so
-    # consumers can rely on the keys; any other REPRO_* knob rides along
+    # the scale knob is always present (None when unset) so consumers
+    # can rely on the key; any other REPRO_* knob rides along
     env_knobs: Dict[str, Optional[str]] = {
-        "REPRO_NUM_WORKERS": os.environ.get("REPRO_NUM_WORKERS") or None,
         "REPRO_FULL_SCALE": os.environ.get("REPRO_FULL_SCALE") or None,
     }
     for key in sorted(os.environ):
         if key.startswith("REPRO_") and key not in env_knobs:
             env_knobs[key] = os.environ[key]
-
-    # the resolved count is what actually ran (argument wins over the
-    # env var, 0 expands to the core count); resolution failures must
-    # not take down manifest creation, so fall back to the raw value
-    try:
-        from repro.util.parallel import resolve_workers
-
-        workers_resolved: Optional[int] = resolve_workers(workers)
-    except Exception:  # pragma: no cover - invalid knob at manifest time
-        workers_resolved = None
 
     manifest: Dict[str, Any] = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
@@ -195,11 +163,6 @@ def run_manifest(
         "git_sha": _git_sha(),
         "argv": list(sys.argv),
         "env": env_knobs,
-        "workers_requested": workers,
-        "workers_resolved": workers_resolved,
-        "n_shards_requested": n_shards,
-        "n_shards_resolved": n_shards_resolved,
-        "stages": dict(stages) if stages else {},
     }
     if extra:
         manifest.update(extra)

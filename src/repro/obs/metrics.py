@@ -13,16 +13,8 @@ ambient :class:`MetricsRegistry` through a contextvar:
   effectively free;
 * a registry active (via :func:`use_registry` or
   :class:`repro.obs.ObsContext`) — the fact is recorded, under a lock,
-  so thread-pool workers (:func:`repro.util.parallel.map_parallel`
-  propagates the ambient context into its workers) can record safely.
-
-Process-pool workers run in separate interpreters, so they record into
-a fresh worker-side registry whose snapshot travels back with each
-result; :func:`repro.util.parallel.map_parallel` merges those deltas
-into the caller's registry via :meth:`MetricsRegistry.merge_snapshot`
-— counters add up, gauges take the last write in input order, and
-histograms combine their summaries, so process-pool maps lose nothing
-relative to in-process recording.
+  so threads sharing one registry (the serving layer's) can record
+  safely.
 """
 
 from __future__ import annotations
@@ -84,26 +76,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def merge_dict(self, data: Dict[str, Any]) -> None:
-        """Fold another histogram's :meth:`to_dict` snapshot into this one.
-
-        Used to merge process-pool worker histograms back into the
-        caller's registry; count/sum add, min/max combine, and the
-        power-of-two buckets accumulate.
-        """
-        count = int(data.get("count", 0))
-        if count <= 0:
-            return
-        self.count += count
-        self.total += float(data.get("sum", 0.0))
-        lo, hi = data.get("min"), data.get("max")
-        if lo is not None and float(lo) < self.min:
-            self.min = float(lo)
-        if hi is not None and float(hi) > self.max:
-            self.max = float(hi)
-        for key, bucket_count in (data.get("buckets") or {}).items():
-            self.buckets[key] = self.buckets.get(key, 0) + int(bucket_count)
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "count": self.count,
@@ -143,26 +115,6 @@ class MetricsRegistry:
             if hist is None:
                 hist = self._histograms[name] = Histogram()
             hist.observe(value)
-
-    def merge_snapshot(self, snapshot: Dict[str, Any]) -> None:
-        """Fold a :meth:`to_dict` snapshot from another registry in.
-
-        The merge semantics match what in-process recording would have
-        produced: counters are summed, gauges take the incoming value
-        (last write wins — callers merge worker snapshots in input
-        order), histogram summaries combine. This is how process-pool
-        worker metrics survive the interpreter boundary.
-        """
-        with self._lock:
-            for name, value in (snapshot.get("counters") or {}).items():
-                self._counters[name] = self._counters.get(name, 0.0) + float(value)
-            for name, value in (snapshot.get("gauges") or {}).items():
-                self._gauges[name] = float(value)
-            for name, data in (snapshot.get("histograms") or {}).items():
-                hist = self._histograms.get(name)
-                if hist is None:
-                    hist = self._histograms[name] = Histogram()
-                hist.merge_dict(data)
 
     # ------------------------------------------------------------------
     # reading

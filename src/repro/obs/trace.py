@@ -45,8 +45,6 @@ from repro.exceptions import DataError
 __all__ = [
     "Span",
     "Tracer",
-    "SPAN_WIRE_SCHEMA_VERSION",
-    "span_from_wire",
     "current_tracer",
     "activate_tracer",
     "traced",
@@ -54,10 +52,6 @@ __all__ = [
     "make_traceparent",
     "parse_traceparent",
 ]
-
-#: Bump when the cross-process span wire format changes incompatibly.
-SPAN_WIRE_SCHEMA_VERSION = 1
-
 
 class Span:
     """One timed region: name, start offset, duration, attributes, children.
@@ -103,50 +97,11 @@ class Span:
             out["children"] = [child.to_dict() for child in self.children]
         return out
 
-    def to_wire(self) -> Dict[str, Any]:
-        """Picklable/JSON-able form of this subtree for cross-process transport.
-
-        Like :meth:`to_dict` but lossless: ``start_s`` keeps full float
-        precision (grafting realigns it against the receiving tracer's
-        epoch) and the ``tid`` lane survives the trip.
-        """
-        out: Dict[str, Any] = {
-            "name": self.name,
-            "start_s": self.start,
-            "duration_s": self.duration,
-            "tid": self.tid,
-        }
-        if self.attrs:
-            out["attrs"] = {k: _jsonable(v) for k, v in self.attrs.items()}
-        if self.children:
-            out["children"] = [child.to_wire() for child in self.children]
-        return out
-
     def __repr__(self) -> str:
         return (
             f"Span({self.name!r}, duration={self.duration:.6f}s, "
             f"children={len(self.children)})"
         )
-
-
-def span_from_wire(payload: Dict[str, Any], offset_s: float = 0.0) -> Span:
-    """Rebuild a :class:`Span` subtree from its :meth:`Span.to_wire` form.
-
-    ``offset_s`` is added to every start in the subtree — the graft
-    path uses it to realign worker-relative starts onto the parent
-    tracer's epoch.
-    """
-    span = Span(
-        payload["name"],
-        float(payload["start_s"]) + offset_s,
-        tid=int(payload.get("tid", 0)),
-        **dict(payload.get("attrs") or {}),
-    )
-    span.duration = float(payload["duration_s"])
-    span.children = [
-        span_from_wire(child, offset_s) for child in payload.get("children", [])
-    ]
-    return span
 
 
 class _ActiveSpan:
@@ -216,59 +171,6 @@ class Tracer:
         return stack[-1] if stack else None
 
     # ------------------------------------------------------------------
-    # cross-process transport
-    def to_wire(self) -> Dict[str, Any]:
-        """Serialise the whole forest for transport to another process.
-
-        The payload is a plain JSON-able dict (see ``docs/api.md``):
-        schema version, the producing pid, the tracer's wall-clock
-        epoch, and the root spans in :meth:`Span.to_wire` form. The
-        receiving tracer grafts it with :meth:`graft`, using the wall
-        clocks (shared across processes on one host) to realign the
-        producer-relative span starts.
-        """
-        return {
-            "schema_version": SPAN_WIRE_SCHEMA_VERSION,
-            "pid": os.getpid(),
-            "epoch_unix_s": self._epoch_wall,
-            "spans": [span.to_wire() for span in self.roots],
-        }
-
-    def graft(self, wire: Dict[str, Any], **attrs: Any) -> List[Span]:
-        """Attach a :meth:`to_wire` payload under the caller's current span.
-
-        Start offsets are realigned from the producer's epoch onto this
-        tracer's epoch via the wall-clock delta (clamped at zero so
-        clock skew can never produce negative timestamps). ``attrs``
-        (typically ``pid``/``worker``/``item``) are merged into each
-        root span of the payload without overwriting attributes the
-        worker already set. Returns the grafted root spans.
-        """
-        version = wire.get("schema_version")
-        if version != SPAN_WIRE_SCHEMA_VERSION:
-            raise ValueError(
-                f"span wire payload has schema_version {version!r}, "
-                f"expected {SPAN_WIRE_SCHEMA_VERSION}"
-            )
-        offset = max(float(wire.get("epoch_unix_s", self._epoch_wall)) - self._epoch_wall, 0.0)
-        pid = wire.get("pid")
-        grafted: List[Span] = []
-        for payload in wire.get("spans", []):
-            span = span_from_wire(payload, offset)
-            if pid is not None:
-                span.attrs.setdefault("pid", int(pid))
-            for key, value in attrs.items():
-                span.attrs.setdefault(key, value)
-            parent = self.current
-            if parent is not None:
-                parent.children.append(span)
-            else:
-                with self._lock:
-                    self.roots.append(span)
-            grafted.append(span)
-        return grafted
-
-    # ------------------------------------------------------------------
     # exports
     def to_dict(self) -> Dict[str, Any]:
         """Nested-JSON summary of the whole trace forest."""
@@ -281,11 +183,8 @@ class Tracer:
     def to_chrome_trace(self, metadata: Optional[Dict[str, Any]] = None) -> Dict:
         """The trace as a Chrome trace-event document (Perfetto-loadable).
 
-        Spans grafted from worker processes (a ``pid`` attribute set by
-        :meth:`graft`) land on their own process lane, with one
-        ``process_name`` metadata event per worker pid; their children
-        inherit the lane. A trace with no grafted spans emits exactly
-        the single-process document of earlier releases.
+        Every span lands on process lane 1, on its thread's ``tid``
+        track.
         """
         events: List[Dict[str, Any]] = [
             {
@@ -296,40 +195,24 @@ class Tracer:
                 "args": {"name": "repro partitioning pipeline"},
             }
         ]
-        worker_pids: List[int] = []
 
-        def emit(span: Span, lane: int) -> None:
-            pid = span.attrs.get("pid")
-            if isinstance(pid, int) and not isinstance(pid, bool) and pid >= 0:
-                lane = pid
-                if pid != 1 and pid not in worker_pids:
-                    worker_pids.append(pid)
+        def emit(span: Span) -> None:
             event: Dict[str, Any] = {
                 "name": span.name,
                 "ph": "X",
                 "ts": round(span.start * 1e6, 3),
                 "dur": round(span.duration * 1e6, 3),
-                "pid": lane,
+                "pid": 1,
                 "tid": span.tid,
             }
             if span.attrs:
                 event["args"] = {k: _jsonable(v) for k, v in span.attrs.items()}
             events.append(event)
             for child in span.children:
-                emit(child, lane)
+                emit(child)
 
         for root in self.roots:
-            emit(root, 1)
-        events[1:1] = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": f"repro worker (pid {pid})"},
-            }
-            for pid in sorted(worker_pids)
-        ]
+            emit(root)
         doc: Dict[str, Any] = {"traceEvents": events, "displayTimeUnit": "ms"}
         if metadata:
             doc["otherData"] = {k: _jsonable(v) for k, v in metadata.items()}

@@ -61,19 +61,6 @@ class SpatialPartitioningFramework:
         :class:`repro.supergraph.SupergraphBuilder`).
     seed:
         Reproducibility seed.
-    workers:
-        Worker count for the parallel supergraph-mining loops;
-        ``None`` defers to the ``REPRO_NUM_WORKERS`` environment
-        variable (serial when unset), ``0`` means one worker per
-        core. Results are identical for every worker count. Unsharded
-        mining runs its loops on threads; with ``n_shards`` the
-        per-shard mining runs in processes.
-    n_shards:
-        When given, supergraph schemes mine geographic shards in
-        separate workers and stitch the boundaries (see
-        :class:`repro.shard.ShardedSupergraphBuilder`); ``partition``
-        derives the spatial split from the network's segment
-        midpoints. ``None`` keeps the whole-graph builder.
     obs:
         Optional :class:`repro.obs.ObsContext`. When given, every
         ``partition`` call runs inside the context — hierarchical
@@ -102,8 +89,6 @@ class SpatialPartitioningFramework:
         kappa_max: Optional[int] = None,
         sample_size: Optional[int] = None,
         seed: RngLike = None,
-        workers: Optional[int] = None,
-        n_shards: Optional[int] = None,
         obs: Optional[ObsContext] = None,
     ) -> None:
         if k < 1:
@@ -121,8 +106,6 @@ class SpatialPartitioningFramework:
         self._kappa_max = kappa_max
         self._sample_size = sample_size
         self._seed = seed
-        self._workers = workers
-        self._n_shards = n_shards
         self._obs = obs
         self.last_road_graph: Optional[Graph] = None
 
@@ -141,8 +124,6 @@ class SpatialPartitioningFramework:
             "epsilon_fraction": self._epsilon_fraction,
             "kappa_max": self._kappa_max,
             "sample_size": self._sample_size,
-            "workers": self._workers,
-            "n_shards": self._n_shards,
         }
 
     def partition(
@@ -186,12 +167,7 @@ class SpatialPartitioningFramework:
                     if densities is not None:
                         road_graph = road_graph.with_features(densities)
                 self.last_road_graph = road_graph
-                shard_points = None
-                if self._n_shards is not None and self._n_shards != 1:
-                    from repro.shard.spatial import segment_midpoints
-
-                    shard_points = segment_midpoints(network)
-                result = self._run(road_graph, timer, shard_points=shard_points)
+                result = self._run(road_graph, timer)
                 logger.info(
                     "run finished: k=%d in %.3fs (%s)",
                     result.k,
@@ -223,12 +199,7 @@ class SpatialPartitioningFramework:
                 result = self._run(road_graph, ModuleTimer())
         return result
 
-    def _run(
-        self,
-        road_graph: Graph,
-        timer: ModuleTimer,
-        shard_points: Optional[np.ndarray] = None,
-    ) -> PartitioningResult:
+    def _run(self, road_graph: Graph, timer: ModuleTimer) -> PartitioningResult:
         result = run_scheme(
             self._scheme,
             road_graph,
@@ -240,19 +211,12 @@ class SpatialPartitioningFramework:
             sample_size=self._sample_size,
             seed=self._seed,
             timer=timer,
-            workers=self._workers,
-            n_shards=self._n_shards,
-            shard_points=shard_points,
         )
         result.timings = timer.timings
         result.manifest = run_manifest(
             config=self.config_dict(),
             seed=self._seed,
             run_id=self._obs.run_id if self._obs is not None else None,
-            workers=self._workers,
-            n_shards=self._n_shards,
-            n_shards_resolved=result.n_shards_resolved,
-            stages=self._stage_record(result),
             extra=(
                 {"eigensolver": dict(result.eigensolver)}
                 if result.eigensolver is not None
@@ -260,28 +224,3 @@ class SpatialPartitioningFramework:
             ),
         )
         return result
-
-    def _stage_record(self, result: PartitioningResult) -> Dict[str, Dict]:
-        """Per-stage execution record for the run manifest.
-
-        Modules 1 and 3 always run serially in the calling process;
-        module 2 (supergraph mining) is the stage the worker and shard
-        counts drive, so its entry records the pool the run used: only
-        mining over more than one shard asks its map for processes.
-        """
-        from repro.util.parallel import pool_kind, resolve_workers
-
-        stages: Dict[str, Dict] = {
-            "module1": {"pool": "serial", "workers": 1},
-            "module3": {"pool": "serial", "workers": 1},
-        }
-        if self._scheme in ("ASG", "NSG"):
-            workers = resolve_workers(self._workers)
-            n_shards = result.n_shards_resolved
-            sharded = n_shards is not None and n_shards > 1
-            stages["module2"] = {
-                "pool": pool_kind(workers, sharded),
-                "workers": workers,
-                "n_shards": n_shards,
-            }
-        return stages

@@ -36,10 +36,6 @@ class PartitioningResult:
         contained in their module's total.
     n_supernodes:
         Supergraph order, for supergraph-based schemes.
-    n_shards_resolved:
-        Shard count the sharded supergraph builder actually used
-        (after the minimum-size clamp), or None when the run was not
-        sharded. Recorded into the run manifest by the framework.
     eigensolver:
         Outcome record of the alpha-Cut embedding eigensolve (solver
         used, n and k, residual at exit, converged flag, fallback
@@ -56,7 +52,6 @@ class PartitioningResult:
     k: int = 0
     timings: Dict[str, float] = field(default_factory=dict)
     n_supernodes: Optional[int] = None
-    n_shards_resolved: Optional[int] = None
     eigensolver: Optional[Dict] = None
     manifest: Optional[Dict] = None
 

@@ -29,7 +29,6 @@ from repro.graph.affinity import congestion_affinity
 from repro.obs.logs import get_logger
 from repro.obs.metrics import set_gauge
 from repro.pipeline.results import PartitioningResult
-from repro.shard.pipeline import ShardedSupergraphBuilder
 from repro.supergraph.builder import SupergraphBuilder
 from repro.util.rng import RngLike, ensure_rng
 from repro.util.timer import ModuleTimer
@@ -52,9 +51,6 @@ def run_scheme(
     kmeans_method: str = "lloyd",
     seed: RngLike = None,
     timer: Optional[ModuleTimer] = None,
-    workers: Optional[int] = None,
-    n_shards: Optional[int] = None,
-    shard_points: Optional[np.ndarray] = None,
 ) -> PartitioningResult:
     """Run one evaluation scheme on a road graph.
 
@@ -80,21 +76,6 @@ def run_scheme(
         Optional :class:`repro.util.timer.ModuleTimer` receiving
         ``module2`` (supergraph mining) and ``module3`` (partitioning)
         timings, plus the fine-grained ``module2.*`` breakdown.
-    workers:
-        Worker count for the parallel supergraph-mining loops;
-        ``None`` defers to the ``REPRO_NUM_WORKERS`` environment
-        variable (serial when unset). Unsharded mining runs them on
-        threads, sharded mining in processes.
-    n_shards:
-        When given, supergraph schemes mine the graph through
-        :class:`repro.shard.ShardedSupergraphBuilder` — geographic
-        shards in separate workers, stitched at the boundaries
-        (``n_shards=1`` delegates to the serial builder, so it is
-        always safe to pass). Direct schemes ignore it.
-    shard_points:
-        Optional ``(n, 2)`` node coordinates for the spatial sharder
-        (see :func:`repro.shard.segment_midpoints`); ignored without
-        ``n_shards``.
 
     Returns
     -------
@@ -113,7 +94,6 @@ def run_scheme(
     )
 
     n_supernodes: Optional[int] = None
-    n_shards_resolved: Optional[int] = None
     eigensolver: Optional[Dict] = None  # set by the alpha-Cut schemes
 
     if scheme in ("AG", "NG"):
@@ -129,37 +109,18 @@ def run_scheme(
             labels = JiGeroliminisPartitioner(k, seed=rng).partition(road_graph)
     else:  # ASG / NSG
         with own_timer.time("module2"):
-            if n_shards is not None:
-                sharded = ShardedSupergraphBuilder(
-                    n_shards=n_shards,
-                    epsilon_theta=epsilon_theta,
-                    epsilon_fraction=epsilon_fraction,
-                    epsilon_eta=epsilon_eta,
-                    kappa_max=kappa_max,
-                    sample_size=sample_size,
-                    superlink_mode=superlink_mode,
-                    kmeans_method=kmeans_method,
-                    seed=rng,
-                    workers=workers,
-                    timer=own_timer,
-                )
-                supergraph = sharded.build(road_graph, points=shard_points)
-                if sharded.report is not None:
-                    n_shards_resolved = int(sharded.report.n_shards)
-            else:
-                builder = SupergraphBuilder(
-                    epsilon_theta=epsilon_theta,
-                    epsilon_fraction=epsilon_fraction,
-                    epsilon_eta=epsilon_eta,
-                    kappa_max=kappa_max,
-                    sample_size=sample_size,
-                    superlink_mode=superlink_mode,
-                    kmeans_method=kmeans_method,
-                    seed=rng,
-                    workers=workers,
-                    timer=own_timer,
-                )
-                supergraph = builder.build(road_graph)
+            builder = SupergraphBuilder(
+                epsilon_theta=epsilon_theta,
+                epsilon_fraction=epsilon_fraction,
+                epsilon_eta=epsilon_eta,
+                kappa_max=kappa_max,
+                sample_size=sample_size,
+                superlink_mode=superlink_mode,
+                kmeans_method=kmeans_method,
+                seed=rng,
+                timer=own_timer,
+            )
+            supergraph = builder.build(road_graph)
             n_supernodes = supergraph.n_supernodes
         with own_timer.time("module3"):
             if supergraph.n_supernodes <= k:
@@ -179,6 +140,5 @@ def run_scheme(
         scheme=scheme,
         timings=own_timer.timings,
         n_supernodes=n_supernodes,
-        n_shards_resolved=n_shards_resolved,
         eigensolver=eigensolver,
     )

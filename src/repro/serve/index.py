@@ -56,7 +56,7 @@ class SegmentIndex:
     points:
         Optional ``(m, 2)`` segment midpoints — enables point lookups
         and region bounding boxes (see
-        :func:`repro.shard.spatial.segment_midpoints`).
+        :meth:`repro.network.model.RoadNetwork.segment_midpoints`).
     adjacency:
         Optional road-graph adjacency (CSR) — enables region-boundary
         queries.
@@ -165,11 +165,7 @@ class SegmentIndex:
         road graph) supplies adjacency and — unless ``features``
         overrides them — the densities the partition was computed on.
         """
-        points = None
-        if network is not None:
-            from repro.shard.spatial import segment_midpoints
-
-            points = segment_midpoints(network)
+        points = network.segment_midpoints() if network is not None else None
         adjacency = graph.adjacency if graph is not None else None
         if features is None and graph is not None:
             features = graph.features

@@ -304,9 +304,7 @@ def attach_repartitioner(
     Returns the unsubscribe function.
     """
     if points is None and network is not None:
-        from repro.shard.spatial import segment_midpoints
-
-        points = segment_midpoints(network)
+        points = network.segment_midpoints()
     adjacency = repartitioner.graph.adjacency
     last: Optional[SegmentIndex] = None
 

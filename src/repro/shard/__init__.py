@@ -1,36 +1,6 @@
-"""Spatial sharding: split a metropolis network, mine shards in parallel.
+"""Compatibility home of :func:`repro.shard.spatial.segment_midpoints`.
 
-The paper's pipeline is modular by construction — the dual transform,
-the supergraph mining of Algorithm 1, and the alpha-cut partitioning
-are separate modules over the same road graph. This package exploits
-that modularity at city scale: the segment set is split into
-geographically compact shards (:mod:`repro.shard.spatial`), each shard
-is mined into supernodes in its own process
-(:class:`repro.shard.pipeline.ShardedSupergraphBuilder`), and the
-per-shard supergraphs are stitched along the boundary zones before the
-single global alpha-cut runs on the merged supergraph.
+Supergraph mining runs as one serial pass over the whole road graph;
+nothing here shards it. The one function left is kept importable from
+its old path for callers that still use it.
 """
-
-from repro.shard.pipeline import (
-    ShardedBuildReport,
-    ShardedSupergraphBuilder,
-    build_supergraph_sharded,
-)
-from repro.shard.spatial import (
-    graph_shards,
-    segment_midpoints,
-    shard_order,
-    spatial_shards,
-    structural_shards,
-)
-
-__all__ = [
-    "ShardedBuildReport",
-    "ShardedSupergraphBuilder",
-    "build_supergraph_sharded",
-    "graph_shards",
-    "segment_midpoints",
-    "shard_order",
-    "spatial_shards",
-    "structural_shards",
-]

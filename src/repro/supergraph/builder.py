@@ -38,7 +38,6 @@ from repro.supergraph.model import Supergraph
 from repro.supergraph.stability import stability_check
 from repro.supergraph.superlink import superlink_weights
 from repro.supergraph.supernode import supernode_features
-from repro.util.parallel import map_parallel
 from repro.util.rng import RngLike
 from repro.util.timer import ModuleTimer
 
@@ -51,7 +50,6 @@ def _shortlist_outcomes(
     scan: KappaScan,
     shortlisted: List[int],
     kmeans_method: str,
-    workers: Optional[int],
 ) -> List[Tuple[KMeansResult, Tuple[int, np.ndarray]]]:
     """(fit, (supernode count, raw component ids)) per shortlisted kappa,
     in shortlist order (the ids as :func:`label_components` returns them).
@@ -60,25 +58,17 @@ def _shortlist_outcomes(
     these densities, so only the counts remain. After a sampled scan
     the Lloyd candidates are refitted on the full set in one
     :func:`kmeans_1d_batch` call; the exact-DP variant fits each
-    candidate on its own. The counts (and the DP fits) run as one
-    order-keeping map_parallel on threads. Every count filters the
-    build's one int32 edge list by its labels.
+    candidate on its own. Every count filters the build's one int32
+    edge list by its labels.
     """
     if kmeans_method == "optimal":
-        results = map_parallel(
-            lambda kappa: kmeans_1d_optimal(features, kappa), shortlisted, workers=workers
-        )
+        results = [kmeans_1d_optimal(features, kappa) for kappa in shortlisted]
     elif scan.sampled:
         results = kmeans_1d_batch(features, shortlisted)
     else:
         fits = dict(zip(scan.kappas, scan.results))
         results = [fits[kappa] for kappa in shortlisted]
-    components = map_parallel(
-        lambda result: label_components(edges, result.labels),
-        results,
-        workers=workers,
-    )
-    return list(zip(results, components))
+    return [(result, label_components(edges, result.labels)) for result in results]
 
 
 @dataclass
@@ -138,12 +128,6 @@ class SupergraphBuilder:
         larger kappa).
     seed:
         Seed for the sampling step.
-    workers:
-        Worker count for the per-kappa scan MCG scores and the
-        shortlist counts or exact-DP refits (all embarrassingly
-        parallel, run on threads); ``None`` defers to the
-        ``REPRO_NUM_WORKERS`` environment variable (serial when unset). The build result is
-        identical for every worker count.
     timer:
         Optional :class:`ModuleTimer` receiving fine-grained
         ``module2.*`` timings (scan, shortlist fits, supernodes,
@@ -160,7 +144,6 @@ class SupergraphBuilder:
         superlink_mode: str = "supernode",
         kmeans_method: str = "lloyd",
         seed: RngLike = None,
-        workers: Optional[int] = None,
         timer: Optional[ModuleTimer] = None,
     ) -> None:
         if not 0.0 <= epsilon_eta <= 1.0:
@@ -177,7 +160,6 @@ class SupergraphBuilder:
         self._superlink_mode = superlink_mode
         self._kmeans_method = kmeans_method
         self._seed = seed
-        self._workers = workers
         self._timer = timer
         self.report: Optional[SupergraphBuildReport] = None
 
@@ -198,7 +180,6 @@ class SupergraphBuilder:
             kappa_max=self._kappa_max,
             sample_size=self._sample_size,
             seed=self._seed,
-            workers=self._workers,
             timer=timer,
         )
 
@@ -209,7 +190,7 @@ class SupergraphBuilder:
         edges = edge_list(adjacency)
         with timer.time("module2.shortlist_fits"):
             outcomes = _shortlist_outcomes(
-                edges, features, scan, shortlisted, self._kmeans_method, self._workers
+                edges, features, scan, shortlisted, self._kmeans_method
             )
         incr("supergraph.shortlist_fits", len(shortlisted))
         best_kappa = -1
@@ -290,7 +271,6 @@ def build_supergraph(
     kappa_max: Optional[int] = None,
     sample_size: Optional[int] = None,
     seed: RngLike = None,
-    workers: Optional[int] = None,
 ) -> Supergraph:
     """One-shot convenience wrapper around :class:`SupergraphBuilder`."""
     builder = SupergraphBuilder(
@@ -300,6 +280,5 @@ def build_supergraph(
         kappa_max=kappa_max,
         sample_size=sample_size,
         seed=seed,
-        workers=workers,
     )
     return builder.build(road_graph)

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import DataError
+from repro.exceptions import DataError, NetworkError
 from repro.network.model import RoadNetwork
 from repro.traffic.mntg import Trajectory
 from repro.traffic.routing import Router
@@ -78,11 +78,15 @@ class ODMatrix:
 
 def zone_centroids(network: RoadNetwork, zones: Sequence[Sequence[int]]) -> np.ndarray:
     """(x, y) centroid per zone from its member intersections."""
+    xs, ys = network.intersection_coordinates()
+    n = network.n_intersections
     out = np.empty((len(zones), 2))
     for i, zone in enumerate(zones):
-        xs = [network.intersection(j).location.x for j in zone]
-        ys = [network.intersection(j).location.y for j in zone]
-        out[i] = (float(np.mean(xs)), float(np.mean(ys)))
+        ids = np.array(zone, dtype=np.int64)
+        bad = ids[(ids < -n) | (ids >= n)]
+        if bad.size:
+            raise NetworkError(f"no intersection with id {int(bad[0])}")
+        out[i] = (float(np.mean(xs[ids])), float(np.mean(ys[ids])))
     return out
 
 

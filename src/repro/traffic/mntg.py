@@ -75,11 +75,14 @@ class MNTGenerator:
         self._rng = ensure_rng(seed)
         self._router = Router(network, weight="time")
         self._weights = self._gravity_weights(centre_bias)
+        # free-flow traversal seconds per segment
+        self._travel = (
+            network.segment_lengths() / network.segment_speed_limits()
+        ).tolist()
 
     def _gravity_weights(self, bias: float) -> np.ndarray:
         """Sampling weight per intersection, higher toward the centroid."""
-        xs = np.array([i.location.x for i in self._network.intersections])
-        ys = np.array([i.location.y for i in self._network.intersections])
+        xs, ys = self._network.intersection_coordinates()
         cx, cy = xs.mean(), ys.mean()
         dist = np.hypot(xs - cx, ys - cy)
         scale = dist.max() if dist.max() > 0 else 1.0
@@ -170,8 +173,7 @@ class MNTGenerator:
             return None
         elapsed = (t - trip.depart_time) * dt
         for pos, sid in enumerate(trip.segments):
-            seg = self._network.segment(sid)
-            travel = seg.length / seg.speed_limit
+            travel = self._travel[sid]
             if elapsed < travel:
                 return pos, elapsed / travel
             elapsed -= travel

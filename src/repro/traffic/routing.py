@@ -36,9 +36,14 @@ class Router:
         self._n = network.n_intersections
         # adjacency: for each intersection, list of (neighbor, segment_id, cost)
         self._adj: List[List[Tuple[int, int, float]]] = [[] for __ in range(self._n)]
-        for seg in network.segments:
-            cost = seg.length if weight == "length" else seg.length / seg.speed_limit
-            self._adj[seg.source].append((seg.target, seg.id, cost))
+        source, target = network.segment_endpoint_ids()
+        costs = network.segment_lengths()
+        if weight == "time":
+            costs = costs / network.segment_speed_limits()
+        for sid, (u, v, cost) in enumerate(
+            zip(source.tolist(), target.tolist(), costs.tolist())
+        ):
+            self._adj[u].append((v, sid, cost))
 
     @property
     def network(self) -> RoadNetwork:

@@ -125,8 +125,8 @@ def signalize(
         raise DataError(f"min_approaches must be >= 2, got {min_approaches}")
 
     signals: Dict[int, TrafficSignal] = {}
-    for inter in network.intersections:
-        incoming = list(network.incoming(inter.id))
+    for iid in range(network.n_intersections):
+        incoming = list(network.incoming(iid))
         if len(incoming) < min_approaches:
             continue
         # split approaches into EW-ish vs NS-ish by bearing
@@ -138,10 +138,10 @@ def signalize(
             (ew if is_ew else ns).append(sid)
         if not ew or not ns:
             continue  # all approaches aligned: no conflict to arbitrate
-        offset = (inter.id % 2) * green_steps
+        offset = (iid % 2) * green_steps
         if progressive_offsets:
-            offset = inter.id % (2 * green_steps)
-        signals[inter.id] = TrafficSignal(
+            offset = iid % (2 * green_steps)
+        signals[iid] = TrafficSignal(
             phases=[ew, ns],
             durations=[green_steps, green_steps],
             offset=offset,

@@ -137,17 +137,17 @@ class MicroSimulator:
             )
             trips = generator.generate_trajectories(n_vehicles, n_steps)
 
-        n_segments = self._network.n_segments
+        network = self._network
+        n_segments = network.n_segments
+        lengths = network.segment_lengths()
+        # RoadSegment.capacity's float operations, in its order
         capacities = np.maximum(
-            1, [int(seg.capacity) for seg in self._network.segments]
+            1, (lengths * network.segment_lanes() * 0.15).astype(int)
         )
         travel_steps = np.maximum(
-            1,
-            [
-                int(np.ceil(seg.length / seg.speed_limit / self._dt))
-                for seg in self._network.segments
-            ],
+            1, np.ceil(lengths / network.segment_speed_limits() / self._dt).astype(int)
         )
+        targets = network.segment_endpoint_ids()[1].tolist()
 
         queues: List[Deque[_Vehicle]] = [deque() for __ in range(n_segments)]
         occupancy = np.zeros(n_segments, dtype=int)
@@ -194,9 +194,7 @@ class MicroSimulator:
                     if step - vehicle.entered_at < travel_steps[sid]:
                         break  # FIFO: nobody behind can pass the head
                     if signals is not None:
-                        signal = signals.get(
-                            self._network.segment(sid).target
-                        )
+                        signal = signals.get(targets[sid])
                         if signal is not None and not signal.allows(sid, step):
                             break  # red light holds the whole queue
                     nxt_pos = vehicle.position + 1
@@ -224,7 +222,6 @@ class MicroSimulator:
 
             counts[step] = occupancy
 
-        lengths = np.array([seg.length for seg in self._network.segments])
         densities = counts / lengths[np.newaxis, :]
         return SimulationResult(
             densities=densities,

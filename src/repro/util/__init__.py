@@ -1,6 +1,5 @@
-"""Shared utilities: validation, RNG plumbing, timing, parallel maps."""
+"""Shared utilities: validation, RNG plumbing, timing."""
 
-from repro.util.parallel import map_parallel, resolve_workers
 from repro.util.rng import ensure_rng, spawn_rngs
 from repro.util.timer import ModuleTimer, Timer
 from repro.util.validation import (
@@ -15,8 +14,6 @@ __all__ = [
     "spawn_rngs",
     "Timer",
     "ModuleTimer",
-    "map_parallel",
-    "resolve_workers",
     "check_positive_int",
     "check_in_range",
     "check_probability",

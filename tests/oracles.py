@@ -772,3 +772,121 @@ def repair_connectivity_loop(adjacency, labels, k: int) -> np.ndarray:
             comp = dense(np.where(comp == a, b, comp))
         n_comp = int(comp.max()) + 1
     return comp
+
+
+def simulate_objects(
+    network: RoadNetwork, trips, n_steps: int, dt: float = 120.0, signals=None
+):
+    """``MicroSimulator.run`` over given trips (no gate), reading every
+    segment attribute from the ``RoadSegment`` objects:
+    ``(densities, counts, flows, completed_trips)``."""
+    segments = network.segments
+    m = len(segments)
+    capacities = np.maximum(1, [int(seg.capacity) for seg in segments])
+    travel_steps = np.maximum(
+        1, [int(np.ceil(seg.length / seg.speed_limit / dt)) for seg in segments]
+    )
+    queues = [deque() for __ in range(m)]  # [trip, position, entered_at]
+    occupancy = np.zeros(m, dtype=int)
+    pending = {}
+    for trip in trips:
+        if trip.segments:
+            pending.setdefault(trip.depart_time, []).append(trip)
+    counts = np.zeros((n_steps, m), dtype=int)
+    flows = np.zeros((n_steps, m), dtype=int)
+    completed = 0
+    for step in range(n_steps):
+        for trip in pending.pop(step, []):
+            first = trip.segments[0]
+            if occupancy[first] < capacities[first]:
+                queues[first].append([trip, 0, step])
+                occupancy[first] += 1
+            else:
+                pending.setdefault(step + 1, []).append(trip)
+        for sid in range(m):
+            queue = queues[sid]
+            moved = 0
+            while queue:
+                vehicle = queue[0]
+                if step - vehicle[2] < travel_steps[sid]:
+                    break
+                signal = (signals or {}).get(segments[sid].target)
+                if signal is not None and not signal.allows(sid, step):
+                    break
+                nxt_pos = vehicle[1] + 1
+                if nxt_pos >= len(vehicle[0].segments):
+                    queue.popleft()
+                    occupancy[sid] -= 1
+                    flows[step, sid] += 1
+                    completed += 1
+                    continue
+                nxt = vehicle[0].segments[nxt_pos]
+                if occupancy[nxt] >= capacities[nxt]:
+                    break
+                queue.popleft()
+                occupancy[sid] -= 1
+                flows[step, sid] += 1
+                vehicle[1], vehicle[2] = nxt_pos, step
+                queues[nxt].append(vehicle)
+                occupancy[nxt] += 1
+                moved += 1
+                if moved > len(queue) + 1:
+                    break
+        counts[step] = occupancy
+    lengths = np.array([seg.length for seg in segments])
+    return counts / lengths[np.newaxis, :], counts, flows, completed
+
+# ----------------------------------------------------------------------
+# a cheap labeller for serving tests and benches: balanced spatial
+# cells instead of a full partitioning run
+def spatial_shards(points, n_cells: int) -> np.ndarray:
+    """Balanced recursive kd-split: cell label per point.
+
+    Each recursion splits the current cell along its widest axis at
+    the point median (stable argsort, so ties break by index and the
+    result is deterministic), sending ``floor(k/2)`` of the ``k``
+    cells to the lower half. Cell sizes differ by at most one.
+
+    Parameters
+    ----------
+    points:
+        ``(n, d)`` coordinates (``d`` >= 1).
+    n_cells:
+        Number of cells; must satisfy ``1 <= n_cells <= n``.
+
+    Returns
+    -------
+    ``(n,)`` int array of cell labels in ``0..n_cells-1``.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, np.newaxis]
+    if pts.ndim != 2:
+        raise GraphError(f"points must be (n, d), got shape {pts.shape}")
+    n = pts.shape[0]
+    if not 1 <= n_cells <= max(n, 1):
+        raise GraphError(
+            f"need 1 <= n_cells <= n_points, got n_cells={n_cells}, n={n}"
+        )
+    labels = np.zeros(n, dtype=np.int64)
+    if n_cells == 1:
+        return labels
+
+    # iterative worklist instead of recursion: (indices, first, last)
+    stack = [(np.arange(n), 0, n_cells)]
+    while stack:
+        idx, lo, hi = stack.pop()
+        count = hi - lo
+        if count == 1:
+            labels[idx] = lo
+            continue
+        left = count // 2
+        spans = pts[idx].max(axis=0) - pts[idx].min(axis=0)
+        axis = int(np.argmax(spans))
+        order = np.argsort(pts[idx, axis], kind="stable")
+        # proportional cut keeps sizes balanced for any cell count;
+        # idx.size >= count guarantees both halves stay non-empty
+        cut = (idx.size * left) // count
+        stack.append((idx[order[:cut]], lo, lo + left))
+        stack.append((idx[order[cut:]], lo + left, hi))
+    return labels

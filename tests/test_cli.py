@@ -54,21 +54,6 @@ class TestPartitionCommand:
         labels = np.loadtxt(out, dtype=int)
         assert labels.max() + 1 == 3
 
-    @pytest.mark.parametrize("shards", [None, 2])
-    def test_labels_identical_across_worker_counts(self, tmp_path, shards):
-        """``--workers 2`` (threads, or processes with ``--shards``)
-        writes the same labels as ``--workers 1``."""
-        labels = []
-        for workers in (1, 2):
-            out = tmp_path / f"labels-{workers}.csv"
-            argv = ["partition", "D1", "-k", "4", "--seed", "0",
-                    "--workers", str(workers), "--labels-out", str(out)]
-            if shards is not None:
-                argv += ["--shards", str(shards)]
-            assert main(argv) == 0
-            labels.append(np.loadtxt(out, dtype=int))
-        np.testing.assert_array_equal(labels[0], labels[1])
-
     def test_scheme_choice(self, capsys):
         assert main(["partition", "D1", "-k", "3", "--scheme", "NG"]) == 0
         assert "NG" in capsys.readouterr().out
@@ -160,13 +145,12 @@ class TestDatasetsCommand:
         assert "unknown" in capsys.readouterr().err
 
 
-class TestProcessModePipesClean:
-    """Worker-process diagnostics must never land on stdout.
+class TestSubprocessPipesClean:
+    """Diagnostics must never land on the process's stdout.
 
-    Runs the CLI as a real subprocess — pool workers inherit the
-    process-level stdout fd, which in-process capsys capture cannot
-    see — and asserts ``--json`` output stays machine-parseable when
-    ``--workers 2 --shards 2`` mines the shards in worker processes.
+    Runs the CLI as a real subprocess — anything written to the
+    process-level stdout fd bypasses in-process capsys capture — and
+    asserts ``--json`` output stays machine-parseable.
     """
 
     def test_json_stdout_is_pure_json(self):
@@ -191,10 +175,6 @@ class TestProcessModePipesClean:
                 "--seed",
                 "0",
                 "--json",
-                "--workers",
-                "2",
-                "--shards",
-                "2",
             ],
             capture_output=True,
             text=True,
@@ -204,11 +184,4 @@ class TestProcessModePipesClean:
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)  # raises if diagnostics leaked
         assert payload["k"] == 4
-        manifest = payload["manifest"]
-        assert manifest["workers_resolved"] == 2
-        assert manifest["n_shards_requested"] == 2
-        assert manifest["n_shards_resolved"] == 2
-        stages = manifest["stages"]
-        assert stages["module1"]["pool"] == "serial"
-        assert stages["module2"]["pool"] == "process"
-        assert stages["module2"]["n_shards"] == manifest["n_shards_resolved"]
+        assert payload["connected"]

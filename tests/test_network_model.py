@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import simulate_objects
 
 from repro.analysis.stats import partition_report
 from repro.datasets.large import melbourne_like
@@ -13,7 +14,12 @@ from repro.pipeline.incremental import IncrementalRepartitioner
 from repro.serve import SnapshotStore
 from repro.serve.snapshot import attach_repartitioner
 from repro.traffic.congestion import congested_speeds, congested_travel_times
+from repro.traffic.demand import zone_centroids
 from repro.traffic.density import densities_from_counts
+from repro.traffic.mntg import MNTGenerator
+from repro.traffic.routing import Router
+from repro.traffic.signals import signalize
+from repro.traffic.simulator import MicroSimulator
 
 
 def _tiny_network():
@@ -192,3 +198,48 @@ class TestObjectsBuiltOnlyWhenRead:
         assert speeds.tobytes() == expected.tobytes()
         assert times.tobytes() == (lengths / expected).tobytes()
         assert per_metre.tobytes() == (counts.astype(float) / lengths).tobytes()
+
+    def test_simulation_builds_no_objects_and_matches_the_object_loops(self, built):
+        network = melbourne_like("M1", 0.1)[0]
+        MicroSimulator(network, seed=0).run(50, 5)
+        generator = MNTGenerator(network, seed=0)
+        # enough vehicles on short steps that capacities, travel steps
+        # and red lights decide the queues
+        trips = generator.generate_trajectories(1500, 30)
+        signals = signalize(network)
+        results = [
+            MicroSimulator(network, dt=5.0).run(0, 30, trips=trips, signals=lights)
+            for lights in (None, signals)
+        ]
+        occupancy = [generator.occupancy_at(trips, t) for t in range(5)]
+        router = Router(network, weight="length")
+        zones = [list(range(0, network.n_intersections, 3)), [1, 4, 2]]
+        centroids = zone_centroids(network, zones)
+        assert built == []
+
+        # the same trips through the loop over RoadSegment objects
+        for result, lights in zip(results, (None, signals)):
+            expected = simulate_objects(network, trips, 30, dt=5.0, signals=lights)
+            assert result.densities.tobytes() == expected[0].tobytes()
+            assert result.counts.tobytes() == expected[1].tobytes()
+            assert result.flows.tobytes() == expected[2].tobytes()
+            assert result.completed_trips == expected[3]
+        segments, intersections = network.segments, network.intersections
+        travel = [seg.length / seg.speed_limit for seg in segments]
+        for t, counts in enumerate(occupancy):
+            on_route = {}
+            for trip in trips:
+                elapsed = (t - trip.depart_time) * 30.0
+                for sid in trip.segments if elapsed >= 0 else ():
+                    if elapsed < travel[sid]:
+                        on_route[sid] = on_route.get(sid, 0) + 1
+                        break
+                    elapsed -= travel[sid]
+            assert counts == on_route
+        adjacency = [[] for __ in intersections]
+        for seg in segments:
+            adjacency[seg.source].append((seg.target, seg.id, seg.length))
+        assert router._adj == adjacency
+        xs = np.array([inter.location.x for inter in intersections])
+        assert network.intersection_coordinates()[0].tobytes() == xs.tobytes()
+        assert [float(np.mean(xs[zone])) for zone in zones] == centroids[:, 0].tolist()

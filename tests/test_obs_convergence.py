@@ -246,8 +246,7 @@ class TestInstrumentedSolvers:
                 fn()
         return span.attrs
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_scan_attaches_the_oracle_shift_series(self, workers):
+    def test_scan_attaches_the_oracle_shift_series(self):
         # one batched fit per scan now; each kappa still files the
         # trace its own loop would, in kappa order, up to the cap
         values = np.random.default_rng(6).gamma(2.0, 0.02, size=300)
@@ -255,7 +254,7 @@ class TestInstrumentedSolvers:
         tracer = Tracer()
         with activate_tracer(tracer):
             with tracer.span("host") as host:
-                scan_kappa(values, kappa_max=20, workers=workers)
+                scan_kappa(values, kappa_max=20)
         (scan_span,) = [c for c in host.children if c.name == "module2.scan"]
         oracle = self._attrs_after(
             lambda: [kmeans_1d_prefix_reference(values, k) for k in kappas]

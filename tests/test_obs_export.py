@@ -125,6 +125,16 @@ class TestHistogramExposition:
         with pytest.raises(ValueError, match="Inf"):
             parse_prometheus(bad)
 
+    def test_labelled_histogram_family_renders_once(self):
+        reg = MetricsRegistry()
+        reg.observe("lookup_seconds[endpoint=single]", 0.5)
+        reg.observe("lookup_seconds[endpoint=batch]", 0.25)
+        text = render_prometheus(reg)
+        assert text.count("# TYPE repro_lookup_seconds histogram") == 1
+        samples, __ = parse_prometheus(text)  # parser rejects duplicates
+        counts = [s for s in samples if s.name == "repro_lookup_seconds_count"]
+        assert {s.labels["endpoint"] for s in counts} == {"single", "batch"}
+
 
 class TestParser:
     def test_sample_without_type_rejected(self):

@@ -114,6 +114,17 @@ class TestChromeExport:
                 {"traceEvents": [{"name": "x", "ph": "Q", "pid": 0, "tid": 0}]}
             )
 
+    def test_serial_trace_has_one_process_lane(self):
+        doc = self._make().to_chrome_trace()
+        validate_chrome_trace(doc)
+        meta = [
+            ev
+            for ev in doc["traceEvents"]
+            if ev.get("ph") == "M" and ev["name"] == "process_name"
+        ]
+        assert len(meta) == 1  # only the main-process banner
+        assert {ev["pid"] for ev in doc["traceEvents"]} == {1}
+
 
 class TestAmbientTracer:
     def test_no_tracer_by_default(self):

@@ -19,7 +19,6 @@ from repro.pipeline.incremental import IncrementalRepartitioner
 from repro.pipeline.schemes import SCHEMES, run_scheme
 from repro.serve import SegmentIndex, SnapshotStore
 from repro.serve.snapshot import attach_repartitioner
-from repro.shard.spatial import segment_midpoints
 
 
 class TestLookupCorrectness:
@@ -50,7 +49,7 @@ class TestLookupCorrectness:
         index = SegmentIndex.from_result(
             result, network=small_grid, graph=small_grid_graph
         )
-        points = segment_midpoints(small_grid)
+        points = small_grid.segment_midpoints()
         # querying exactly at a midpoint must return that segment's region
         for segment in range(0, small_grid.n_segments, 7):
             found = index.lookup_point(*points[segment])
@@ -77,7 +76,7 @@ class TestLookupCorrectness:
         assert index.region_of(0) != 99 or int(result.labels[0]) == 99
 
 
-_GRID_MIDPOINTS = segment_midpoints(grid_network(5, 5, spacing=100.0, two_way=True))
+_GRID_MIDPOINTS = grid_network(5, 5, spacing=100.0, two_way=True).segment_midpoints()
 _GRID_INDEX = SegmentIndex(
     np.arange(len(_GRID_MIDPOINTS)) % 3, points=_GRID_MIDPOINTS
 )
@@ -177,7 +176,7 @@ class TestDerivedEpochs:
     def _base(network, graph):
         return SegmentIndex(
             np.zeros(graph.n_nodes, dtype=int),
-            points=segment_midpoints(network),
+            points=network.segment_midpoints(),
             adjacency=graph.adjacency,
             features=graph.features,
         )
@@ -190,7 +189,7 @@ class TestDerivedEpochs:
         labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
         rng.shuffle(labels)
         densities = rng.gamma(2.0, 0.02, size=n)
-        points = segment_midpoints(small_grid)
+        points = small_grid.segment_midpoints()
         derived = self._base(small_grid, small_grid_graph).relabel(labels, densities)
         fresh = SegmentIndex(
             labels, points=points, adjacency=small_grid_graph.adjacency, features=densities

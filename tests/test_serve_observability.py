@@ -13,12 +13,12 @@ import urllib.request
 
 import pytest
 
+from oracles import spatial_shards
 from repro.network.dual import build_road_graph
 from repro.network.generators import grid_network
 from repro.obs.slo import SLOTracker, default_objectives
 from repro.obs.trace import Tracer, make_traceparent
 from repro.serve import PartitionServer, SegmentIndex, SnapshotStore
-from repro.shard.spatial import segment_midpoints, spatial_shards
 
 
 def _get(url: str, timeout: float = 10.0) -> bytes:
@@ -43,7 +43,7 @@ def _wait_counter(registry, name: str, minimum: float = 1.0) -> float:
 
 def _make_store():
     network = grid_network(6, 6, two_way=True)
-    points = segment_midpoints(network)
+    points = network.segment_midpoints()
     labels = spatial_shards(points, 4)
     graph = build_road_graph(network)
     index = SegmentIndex(labels, points=points, adjacency=graph.adjacency)

@@ -7,15 +7,16 @@ Two layers of evidence that readers can never observe a torn epoch:
   every batch's answers come from exactly one epoch — the pin taken
   at batch start keeps serving that labelling even while newer epochs
   land mid-batch;
-* **threaded tests** (the pool from ``repro.util.parallel``): N
-  readers against a hot publisher for ~a second, asserting zero
-  exceptions and monotone epoch observations; and readers pinned while
-  an ``IncrementalRepartitioner`` publishes derived epochs, asserting
+* **threaded tests** (one thread per reader): N readers against a hot
+  publisher for ~a second, asserting zero exceptions and monotone epoch
+  observations; and readers pinned while an
+  ``IncrementalRepartitioner`` publishes derived epochs, asserting
   every pinned answer matches the labels that epoch was published with.
 """
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,9 +27,14 @@ from repro.exceptions import ServeError
 from repro.pipeline.incremental import IncrementalRepartitioner
 from repro.serve import SegmentIndex, SnapshotStore
 from repro.serve.snapshot import attach_repartitioner
-from repro.util.parallel import map_parallel
 
 N_SEGMENTS = 60
+
+
+def _run_threads(fn, items):
+    """``[fn(item) for item in items]``, each call on its own thread."""
+    with ThreadPoolExecutor(max_workers=len(items)) as pool:
+        return list(pool.map(fn, items))
 
 
 def _index(epoch_value: int) -> SegmentIndex:
@@ -282,7 +288,7 @@ class TestAttachedEpochs:
 
         thread = threading.Thread(target=writer, daemon=True)
         thread.start()
-        observations = map_parallel(reader, [0, 1, 2, 3], workers=4)
+        observations = _run_threads(reader, [0, 1, 2, 3])
         thread.join(timeout=60)
         store.close()
         assert not errors, f"update failed: {errors!r}"
@@ -343,7 +349,7 @@ class TestConcurrencyStress:
                 errors.append(exc)
             return n_reads
 
-        reads = map_parallel(reader, [0, 1, 2, 3], workers=4)
+        reads = _run_threads(reader, [0, 1, 2, 3])
         stop.set()
         thread.join(timeout=10)
         store.close()

@@ -1,40 +1,27 @@
-"""Spatial sharding: balance, compactness, determinism, fallbacks."""
+"""The ``segment_midpoints`` import path and the ``spatial_shards`` labeller.
+
+``repro.shard.spatial.segment_midpoints`` stays importable for callers
+of its old path; ``spatial_shards`` (in ``tests/oracles.py``) labels
+segments into balanced spatial cells for the serving tests and bench.
+"""
 
 import numpy as np
 import pytest
 
+from oracles import spatial_shards
 from repro.exceptions import GraphError
-from repro.graph.adjacency import Graph
 from repro.network.generators import urban_network
-from repro.shard.spatial import (
-    graph_shards,
-    segment_midpoints,
-    shard_order,
-    spatial_shards,
-    structural_shards,
-)
-
-
-def _grid_graph(rows, cols):
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            i = r * cols + c
-            if c + 1 < cols:
-                edges.append((i, i + 1))
-            if r + 1 < rows:
-                edges.append((i, i + cols))
-    return Graph(rows * cols, edges)
+from repro.shard.spatial import segment_midpoints
 
 
 class TestSpatialShards:
-    @pytest.mark.parametrize("n_shards", [1, 2, 3, 4, 7, 8])
-    def test_balanced_partition(self, n_shards):
+    @pytest.mark.parametrize("n_cells", [1, 2, 3, 4, 7, 8])
+    def test_balanced_partition(self, n_cells):
         rng = np.random.default_rng(0)
         pts = rng.uniform(0, 100, size=(500, 2))
-        labels = spatial_shards(pts, n_shards)
+        labels = spatial_shards(pts, n_cells)
         assert labels.shape == (500,)
-        counts = np.bincount(labels, minlength=n_shards)
+        counts = np.bincount(labels, minlength=n_cells)
         assert counts.min() >= 1
         assert counts.max() - counts.min() <= 1  # balanced to within one
 
@@ -66,48 +53,6 @@ class TestSpatialShards:
             spatial_shards(pts, 6)
 
 
-class TestStructuralShards:
-    @pytest.mark.parametrize("n_shards", [1, 2, 3, 5])
-    def test_balanced_partition(self, n_shards):
-        g = _grid_graph(10, 10)
-        labels = structural_shards(g.adjacency, n_shards)
-        counts = np.bincount(labels, minlength=n_shards)
-        assert counts.min() >= 1
-        assert counts.max() - counts.min() <= 1
-
-    def test_locality_beats_random(self):
-        # RCM chunking must cut far fewer edges than a random split
-        g = _grid_graph(20, 20)
-        labels = structural_shards(g.adjacency, 4)
-        coo = g.adjacency.tocoo()
-        upper = coo.row < coo.col
-        cut = int((labels[coo.row[upper]] != labels[coo.col[upper]]).sum())
-        rng = np.random.default_rng(0)
-        rand = rng.integers(0, 4, size=g.n_nodes)
-        rand_cut = int((rand[coo.row[upper]] != rand[coo.col[upper]]).sum())
-        assert cut < rand_cut
-
-
-class TestGraphShards:
-    def test_points_route_to_spatial(self):
-        g = _grid_graph(6, 6)
-        pts = np.column_stack(
-            (np.repeat(np.arange(6.0), 6), np.tile(np.arange(6.0), 6))
-        )
-        labels = graph_shards(g, 4, points=pts)
-        assert np.array_equal(labels, spatial_shards(pts, 4))
-
-    def test_no_points_routes_to_structural(self):
-        g = _grid_graph(6, 6)
-        labels = graph_shards(g, 3)
-        assert np.array_equal(labels, structural_shards(g.adjacency, 3))
-
-    def test_point_count_mismatch_rejected(self):
-        g = _grid_graph(4, 4)
-        with pytest.raises(GraphError, match="must match"):
-            graph_shards(g, 2, points=np.zeros((5, 2)))
-
-
 class TestSegmentMidpoints:
     def test_shapes_and_values(self):
         net = urban_network(n_rows=5, n_cols=5, seed=2)
@@ -117,14 +62,3 @@ class TestSegmentMidpoints:
         assert pts[0, 0] == pytest.approx(mid.x)
         assert pts[0, 1] == pytest.approx(mid.y)
 
-
-class TestShardOrder:
-    def test_groups_nodes_by_shard(self):
-        labels = np.array([2, 0, 1, 0, 2, 1, 0])
-        order, offsets = shard_order(labels, 3)
-        assert offsets.tolist() == [0, 3, 5, 7]
-        for s in range(3):
-            members = order[offsets[s] : offsets[s + 1]]
-            assert (labels[members] == s).all()
-            # stable: members ascend within each shard
-            assert np.array_equal(members, np.sort(members))

@@ -12,7 +12,6 @@ from repro.exceptions import GraphError
 from repro.graph.adjacency import Graph
 from repro.graph.components import count_constrained_components, is_connected
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.shard.pipeline import ShardedSupergraphBuilder
 from repro.supergraph.builder import SupergraphBuilder, build_supergraph
 
 
@@ -193,29 +192,3 @@ class TestShortlistReusesScan:
         )
         refits = _refit(graph, report.shortlisted)
         assert report.component_counts == [count for __, count in refits]
-
-    @pytest.mark.parametrize("sample_size", [None, 80])
-    def test_every_mode_gives_the_same_build(self, sample_size):
-        """Reused and refitted shortlists alike come out in kappa order in
-        every pool: the loop or threads unsharded, the loop or processes
-        over two shards."""
-        graph = _stepped_path(per=50, noise=0.1)
-        for n_shards in (None, 2):
-            outcomes = []
-            for workers in (1, 2):
-                if n_shards is None:
-                    builder = SupergraphBuilder(
-                        seed=0, sample_size=sample_size, workers=workers
-                    )
-                    supergraph = builder.build(graph)
-                    report = builder.report
-                    outcome = (report.component_counts, report.chosen_kappa)
-                else:
-                    builder = ShardedSupergraphBuilder(
-                        n_shards=n_shards, seed=0, sample_size=sample_size, workers=workers
-                    )
-                    supergraph = builder.build(graph)
-                    report = builder.report
-                    outcome = (report.shard_kappas, report.shard_supernodes)
-                outcomes.append((outcome, supergraph.member_of.tolist()))
-            assert outcomes[0] == outcomes[1]
