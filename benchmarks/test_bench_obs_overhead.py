@@ -43,7 +43,8 @@ from benchmarks.conftest import print_table, save_results
 from repro.core.boundary_refine import boundary_refine
 from repro.network.dual import build_road_graph
 from repro.network.generators import grid_network
-from repro.obs import ObsContext, validate_chrome_trace
+from repro.obs import ObsContext
+from repro.obs.trace import validate_chrome_trace
 from repro.pipeline.schemes import run_scheme
 from repro.traffic.profiles import hotspot_profile
 

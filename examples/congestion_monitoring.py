@@ -32,7 +32,8 @@ from repro.analysis.stats import partition_report
 from repro.datasets.small import small_network_series
 from repro.network.dual import build_road_graph
 from repro.network.geojson import network_to_geojson, save_geojson
-from repro.obs import parse_prometheus, use_registry
+from repro.obs.export import parse_prometheus
+from repro.obs.metrics import use_registry
 from repro.pipeline.incremental import IncrementalRepartitioner
 from repro.serve import PartitionServer, SnapshotStore, attach_repartitioner
 from repro.viz.svg import render_partitions, save_svg

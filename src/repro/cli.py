@@ -32,10 +32,9 @@ Subcommands
     (the CI serve-smoke job uses this as its SLO gate).
 ``obs analyze``
     Analyze a trace JSON (nested or Chrome format): critical path,
-    per-stage self times, parallel slack with the Amdahl ceiling,
-    ranked optimization targets and harvested solver-convergence
-    traces. ``--json`` emits the strict analysis document the CI
-    obs-smoke job validates.
+    per-stage self and total times, ranked optimization targets and
+    harvested solver-convergence traces. ``--json`` emits the strict
+    analysis document the CI obs-smoke job validates.
 ``serve``
     Partition a dataset (or load a saved ``PartitioningResult``) and
     serve segment→region lookups over HTTP with snapshot epochs; with
@@ -184,19 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0.25,
         help="relative regression band around the baseline (default 0.25)",
     )
-    cmp_.add_argument(
-        "--window",
-        type=int,
-        default=10,
-        help="baseline uses at most this many prior runs (default 10)",
-    )
-    cmp_.add_argument(
-        "--min-history",
-        type=int,
-        default=3,
-        help="below this many prior runs, gate against the best prior "
-        "value instead of the median (default 3)",
-    )
     cmp_.add_argument("--bench", default=None, help="restrict to one benchmark name")
     cmp_.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
@@ -206,13 +192,13 @@ def _build_parser() -> argparse.ArgumentParser:
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
     ana = obs_sub.add_parser(
         "analyze",
-        help="critical path, per-stage self times, parallel slack and "
+        help="critical path, per-stage self/total times and ranked "
         "optimization targets from a trace JSON",
     )
     ana.add_argument(
         "trace",
         help="trace JSON path (nested --trace-out format or Chrome "
-        "trace-event format, merged multi-process traces included)",
+        "trace-event format)",
     )
     ana.add_argument(
         "--top", type=int, default=10,
@@ -541,8 +527,6 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
         summary = compare_latest(
             records,
             tolerance=args.tolerance,
-            window=args.window,
-            min_history=args.min_history,
             bench=args.bench,
         )
     except ValueError as exc:

@@ -48,123 +48,22 @@ On top of the per-run pillars sits the continuous-monitoring layer:
 And the analysis layer, which *reads* what the other pillars record:
 
 * :mod:`repro.obs.analyze` — critical-path extraction, per-stage
-  self/total time, parallel slack with an Amdahl ceiling, and a ranked
-  optimization-target report over any trace export
-  (``repro-partition obs analyze``);
+  self/total time and a ranked optimization-target report over any
+  trace export (``repro-partition obs analyze``);
 * :mod:`repro.obs.convergence` — per-iteration solver telemetry
   (:class:`ConvergenceTrace`) attached to spans by the
   k-means / boundary-refinement kernels and summarised by
   ``obs analyze``.
 
+Only :class:`ObsContext` and :func:`observe_run` are re-exported here;
+every other name is imported from its submodule (one import path per
+name), so ``import repro`` loads neither the analysis, the benchmark
+history nor the SLO layer.
+
 For a function-level CPU breakdown use the stdlib profiler:
 ``python -m cProfile -o run.prof -m repro partition D1 -k 6``.
 """
 
-from repro.obs.analyze import (
-    ANALYSIS_SCHEMA_VERSION,
-    AnalysisReport,
-    analyze_trace,
-    validate_analysis,
-)
-from repro.obs.convergence import (
-    CONVERGENCE_SCHEMA_VERSION,
-    ConvergenceTrace,
-    attach_convergence,
-    convergence_enabled,
-    convergence_wanted,
-    traces_from_attrs,
-)
-from repro.obs.bench import (
-    append_history,
-    compare_latest,
-    load_history,
-    machine_fingerprint,
-)
 from repro.obs.context import ObsContext, observe_run
-from repro.obs.export import (
-    histogram_quantile,
-    parse_prometheus,
-    quantile_from_latencies,
-    quantiles_from_latencies,
-    render_prometheus,
-)
-from repro.obs.logs import configure_logging, get_logger, log_context
-from repro.obs.slo import (
-    SLOAccumulator,
-    SLObjective,
-    SLOTracker,
-    default_objectives,
-)
-from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, run_manifest
-from repro.obs.metrics import (
-    MetricsRegistry,
-    current_registry,
-    incr,
-    metrics_enabled,
-    observe,
-    sample_process_gauges,
-    set_gauge,
-    use_registry,
-)
-from repro.obs.trace import (
-    Span,
-    Tracer,
-    activate_tracer,
-    current_tracer,
-    make_traceparent,
-    parse_traceparent,
-    traced,
-    validate_chrome_trace,
-)
 
-__all__ = [
-    "ObsContext",
-    "observe_run",
-    # trace analytics
-    "ANALYSIS_SCHEMA_VERSION",
-    "AnalysisReport",
-    "analyze_trace",
-    "validate_analysis",
-    "CONVERGENCE_SCHEMA_VERSION",
-    "ConvergenceTrace",
-    "attach_convergence",
-    "convergence_enabled",
-    "convergence_wanted",
-    "traces_from_attrs",
-    # continuous monitoring layer
-    "append_history",
-    "load_history",
-    "compare_latest",
-    "machine_fingerprint",
-    "render_prometheus",
-    "parse_prometheus",
-    "histogram_quantile",
-    "quantile_from_latencies",
-    "quantiles_from_latencies",
-    # SLOs
-    "SLObjective",
-    "SLOTracker",
-    "SLOAccumulator",
-    "default_objectives",
-    "Span",
-    "Tracer",
-    "activate_tracer",
-    "current_tracer",
-    "make_traceparent",
-    "parse_traceparent",
-    "traced",
-    "validate_chrome_trace",
-    "MetricsRegistry",
-    "current_registry",
-    "use_registry",
-    "metrics_enabled",
-    "incr",
-    "set_gauge",
-    "observe",
-    "sample_process_gauges",
-    "configure_logging",
-    "get_logger",
-    "log_context",
-    "run_manifest",
-    "MANIFEST_SCHEMA_VERSION",
-]
+__all__ = ["ObsContext", "observe_run"]

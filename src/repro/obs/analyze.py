@@ -1,4 +1,4 @@
-"""Trace analytics: critical paths, parallel slack, optimization targets.
+"""Trace analytics: critical paths, per-stage times, optimization targets.
 
 This module *reads* a trace. Given a span forest — a live
 :class:`repro.obs.trace.Tracer`, its nested-JSON export, or a Chrome
@@ -9,14 +9,11 @@ to eyeball:
 * **critical path** — the chain of longest spans from the root down,
   i.e. the wall-clock you would have to shorten to make the run faster;
 * **self vs total time per stage** — span durations aggregated by
-  name, with self time = duration minus the union of child intervals
-  (robust to overlapping parallel children), so for a serial trace the
-  per-stage self times sum back to the wall clock;
-* **parallel slack** — for every region where ≥2 spans overlap
-  (overlapping children, roots opened on other threads), the achieved vs ideal speedup and an Amdahl ceiling from
-  the serial fraction of the run;
+  name, with self time = duration minus the union of child intervals,
+  so for a serial trace the per-stage self times sum back to the wall
+  clock;
 * **optimization targets** — stages ranked by self time, annotated
-  with parallel efficiency and solver-convergence caveats;
+  with critical-path and solver-convergence caveats;
 * **convergence traces** — every :class:`repro.obs.convergence.
   ConvergenceTrace` harvested from span attributes, with its host span.
 
@@ -41,12 +38,7 @@ __all__ = [
 ]
 
 #: Bump when the serialized AnalysisReport layout changes incompatibly.
-ANALYSIS_SCHEMA_VERSION = 1
-
-#: Two overlapping spans only count as a parallel region when their
-#: combined busy time exceeds the window by this factor — guards
-#: against float jitter on back-to-back serial children.
-_OVERLAP_FACTOR = 1.02
+ANALYSIS_SCHEMA_VERSION = 2
 
 
 class _Node:
@@ -167,9 +159,8 @@ def _merge_intervals(
 def _self_seconds(node: _Node) -> float:
     """Duration minus the union of child intervals, clipped to the node.
 
-    The union (not the sum) makes self time well-defined even when
-    children overlap — a parallel map's children cover the same wall
-    clock once, not once per worker.
+    The union (not the sum) counts time that children share once; in
+    a serial trace they overlap only by timestamp jitter.
     """
     if not node.children:
         return node.duration
@@ -185,14 +176,13 @@ def _self_seconds(node: _Node) -> float:
     return max(node.duration - covered, 0.0)
 
 
-def _iter_nodes(roots: Sequence[_Node]) -> Iterator[Tuple[_Node, int]]:
-    """Depth-first ``(node, depth)`` over a forest."""
-    stack: List[Tuple[_Node, int]] = [(root, 0) for root in reversed(roots)]
+def _iter_nodes(roots: Sequence[_Node]) -> Iterator[_Node]:
+    """Depth-first, pre-order walk over a forest."""
+    stack: List[_Node] = list(reversed(roots))
     while stack:
-        node, depth = stack.pop()
-        yield node, depth
-        for child in reversed(node.children):
-            stack.append((child, depth + 1))
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
 
 
 # ----------------------------------------------------------------------
@@ -216,122 +206,10 @@ def _critical_path(root: _Node) -> List[Dict[str, Any]]:
     return path
 
 
-def _overlap_groups(children: Sequence[_Node]) -> List[List[_Node]]:
-    """Chains of transitively-overlapping children, longest-first."""
-    groups: List[List[_Node]] = []
-    group: List[_Node] = []
-    group_end = float("-inf")
-    for child in sorted(children, key=lambda c: c.start):
-        if group and child.start < group_end - 1e-9:
-            group.append(child)
-            group_end = max(group_end, child.end)
-        else:
-            if len(group) >= 2:
-                groups.append(group)
-            group = [child]
-            group_end = child.end
-    if len(group) >= 2:
-        groups.append(group)
-    return groups
-
-
-def _region_stats(region: str, members: Sequence[_Node]) -> Optional[Dict[str, Any]]:
-    """Speedup bookkeeping of one set of concurrently-running spans."""
-    busy = sum(m.duration for m in members)
-    window = max(m.end for m in members) - min(m.start for m in members)
-    if window <= 0.0 or busy <= window * _OVERLAP_FACTOR:
-        return None  # back-to-back serial spans, not a parallel region
-    longest = max(m.duration for m in members)
-    achieved = busy / window
-    ideal = busy / longest if longest > 0 else achieved
-    return {
-        "region": region,
-        "n_lanes": len(members),
-        "busy_s": busy,
-        "window_s": window,
-        "window_start_s": min(m.start for m in members),
-        "achieved_speedup": achieved,
-        "ideal_speedup": ideal,
-        "efficiency": achieved / ideal if ideal > 0 else 1.0,
-    }
-
-
-def _innermost_host(roots: Sequence[_Node], guest: _Node) -> Optional[_Node]:
-    """Deepest main-tree node whose interval contains ``guest``'s midpoint."""
-    mid = guest.start + guest.duration / 2.0
-    best: Optional[_Node] = None
-    best_depth = -1
-    for node, depth in _iter_nodes(roots):
-        if node.start - 1e-9 <= mid <= node.end + 1e-9 and depth > best_depth:
-            best, best_depth = node, depth
-    return best
-
-
-def _parallel_regions(
-    main_roots: Sequence[_Node], detached: Sequence[_Node]
-) -> List[Dict[str, Any]]:
-    """Every region of the trace where ≥2 spans ran concurrently.
-
-    Two shapes occur in practice: overlapping *children* of one span
-    (in-process parallel maps) and *detached roots* — worker-thread
-    spans that the tracer records as separate roots — which are
-    attributed to the innermost main-tree span covering them.
-    """
-    regions: List[Dict[str, Any]] = []
-    for node, __ in _iter_nodes(main_roots):
-        for group in _overlap_groups(node.children):
-            stats = _region_stats(node.name, group)
-            if stats is not None:
-                regions.append(stats)
-    by_host: Dict[int, Tuple[str, List[_Node]]] = {}
-    for guest in detached:
-        host = _innermost_host(main_roots, guest)
-        key = id(host) if host is not None else 0
-        name = host.name if host is not None else "(detached)"
-        by_host.setdefault(key, (name, []))[1].append(guest)
-    for name, members in by_host.values():
-        group = list(members)
-        if len(group) < 2:
-            # a single worker lane still overlaps its host: measure the
-            # pair so thread-pool runs with one worker stay visible
-            host = _innermost_host(main_roots, group[0])
-            if host is None:
-                continue
-            group = group + [host]
-        stats = _region_stats(name, group)
-        if stats is not None:
-            regions.append(stats)
-    regions.sort(key=lambda r: -r["window_s"])
-    return regions
-
-
-def _amdahl(wall_s: float, regions: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    """Serial fraction and the speedup ceiling it implies (Amdahl)."""
-    parallel_s = sum(
-        end - start
-        for start, end in _merge_intervals(
-            [
-                (r["window_start_s"], r["window_start_s"] + r["window_s"])
-                for r in regions
-            ]
-        )
-    )
-    parallel_s = min(parallel_s, wall_s)
-    serial_s = max(wall_s - parallel_s, 0.0)
-    serial_fraction = serial_s / wall_s if wall_s > 0 else 1.0
-    return {
-        "parallel_s": parallel_s,
-        "serial_s": serial_s,
-        "serial_fraction": serial_fraction,
-        # None = unbounded (fully parallel trace)
-        "ceiling": (1.0 / serial_fraction) if serial_fraction > 0 else None,
-    }
-
-
 def _unconverged_spans(roots: Sequence[_Node]) -> Dict[str, List[str]]:
     """Span name → list of solver names that failed to converge there."""
     out: Dict[str, List[str]] = {}
-    for node, __ in _iter_nodes(roots):
+    for node in _iter_nodes(roots):
         solvers = [
             t.solver for t in traces_from_attrs(node.attrs) if t.converged is False
         ]
@@ -346,23 +224,21 @@ def _unconverged_spans(roots: Sequence[_Node]) -> Dict[str, List[str]]:
 class AnalysisReport:
     """Everything :func:`analyze_trace` extracts from one trace.
 
-    Serialises losslessly through :meth:`to_dict` / :meth:`from_dict`
-    (the CLI's ``--json`` output is exactly :meth:`to_dict`);
-    :meth:`render` is the human-readable form.
+    :meth:`to_dict` is the CLI's ``--json`` output (checked by
+    :func:`validate_analysis`); :meth:`render` is the human-readable
+    form.
     """
 
     wall_s: float = 0.0
     n_spans: int = 0
-    coverage: float = 0.0  #: Σ self over the main tree / wall clock
+    coverage: float = 0.0  #: Σ self over every span / wall clock
     stages: List[Dict[str, Any]] = field(default_factory=list)
     critical_path: List[Dict[str, Any]] = field(default_factory=list)
-    parallel: List[Dict[str, Any]] = field(default_factory=list)
-    amdahl: Dict[str, Any] = field(default_factory=dict)
     targets: List[Dict[str, Any]] = field(default_factory=list)
     convergence: List[Dict[str, Any]] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable form; inverse of :meth:`from_dict`."""
+        """JSON-serialisable form (the strict analysis document)."""
         return {
             "schema_version": ANALYSIS_SCHEMA_VERSION,
             "wall_s": self.wall_s,
@@ -370,27 +246,9 @@ class AnalysisReport:
             "coverage": self.coverage,
             "stages": [dict(s) for s in self.stages],
             "critical_path": [dict(s) for s in self.critical_path],
-            "parallel": [dict(r) for r in self.parallel],
-            "amdahl": dict(self.amdahl),
             "targets": [dict(t) for t in self.targets],
             "convergence": [dict(c) for c in self.convergence],
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "AnalysisReport":
-        """Rebuild a report from its :meth:`to_dict` form (validating)."""
-        validate_analysis(payload)
-        return cls(
-            wall_s=float(payload["wall_s"]),
-            n_spans=int(payload["n_spans"]),
-            coverage=float(payload["coverage"]),
-            stages=[dict(s) for s in payload["stages"]],
-            critical_path=[dict(s) for s in payload["critical_path"]],
-            parallel=[dict(r) for r in payload["parallel"]],
-            amdahl=dict(payload["amdahl"]),
-            targets=[dict(t) for t in payload["targets"]],
-            convergence=[dict(c) for c in payload["convergence"]],
-        )
 
     def render(self, top: int = 10) -> str:
         """Human-readable report (what the CLI prints without --json)."""
@@ -414,21 +272,6 @@ class AnalysisReport:
                 f"self {target['self_s']:.3f}s "
                 f"({target['pct_of_wall']:.1f}% of wall){notes}"
             )
-        if self.parallel:
-            lines += ["", "parallel regions:"]
-            for region in self.parallel:
-                lines.append(
-                    f"  {region['region']}: {region['n_lanes']} lanes, "
-                    f"{region['achieved_speedup']:.2f}x achieved of "
-                    f"{region['ideal_speedup']:.2f}x ideal "
-                    f"(efficiency {region['efficiency']:.0%})"
-                )
-            ceiling = self.amdahl.get("ceiling")
-            lines.append(
-                f"  amdahl: serial fraction "
-                f"{self.amdahl.get('serial_fraction', 1.0):.0%}"
-                + (f", speedup ceiling {ceiling:.1f}x" if ceiling else "")
-            )
         if self.convergence:
             lines += ["", f"convergence traces ({len(self.convergence)}):"]
             by_solver: Dict[str, List[Dict]] = {}
@@ -451,8 +294,8 @@ def analyze_trace(trace: Any, top: int = 10) -> AnalysisReport:
     trace:
         A live :class:`repro.obs.trace.Tracer`, the nested-JSON dict of
         :meth:`Tracer.to_dict`, a Chrome trace document
-        (:meth:`Tracer.to_chrome_trace`, merged multi-process traces
-        included), or a bare Chrome event list.
+        (:meth:`Tracer.to_chrome_trace`, one lane per ``(pid, tid)``),
+        or a bare Chrome event list.
     top:
         Number of ranked optimization targets to keep.
     """
@@ -466,14 +309,7 @@ def analyze_trace(trace: Any, top: int = 10) -> AnalysisReport:
     if wall_s <= 0.0:
         raise DataError("trace spans have zero extent; nothing to analyze")
 
-    # main tree = the longest root; every other root is a detached lane
-    # (spans opened on other threads)
-    main_root = max(forest, key=lambda r: r.duration)
-    detached = [r for r in forest if r is not main_root]
-    main_roots = [main_root]
-
-    all_nodes = [node for node, __ in _iter_nodes(forest)]
-    main_nodes = [node for node, __ in _iter_nodes(main_roots)]
+    all_nodes = list(_iter_nodes(forest))
 
     # per-stage aggregation (by span name, across the whole forest)
     stage_acc: Dict[str, Dict[str, Any]] = {}
@@ -487,17 +323,13 @@ def analyze_trace(trace: Any, top: int = 10) -> AnalysisReport:
         acc["self_s"] += _self_seconds(node)
         acc["max_s"] = max(acc["max_s"], node.duration)
 
-    critical_path = _critical_path(main_root)
+    # the critical path runs down the longest root
+    critical_path = _critical_path(max(forest, key=lambda r: r.duration))
     on_path = {entry["name"] for entry in critical_path}
     stages = sorted(stage_acc.values(), key=lambda s: -s["self_s"])
     for stage in stages:
         stage["pct_of_wall"] = 100.0 * stage["self_s"] / wall_s
         stage["on_critical_path"] = stage["name"] in on_path
-
-    regions = _parallel_regions(main_roots, detached)
-    efficiency_by_region: Dict[str, float] = {}
-    for region in regions:
-        efficiency_by_region.setdefault(region["region"], region["efficiency"])
 
     unconverged = _unconverged_spans(forest)
     targets: List[Dict[str, Any]] = []
@@ -505,10 +337,6 @@ def analyze_trace(trace: Any, top: int = 10) -> AnalysisReport:
         reasons: List[str] = []
         if stage["on_critical_path"]:
             reasons.append("on the critical path")
-        if stage["name"] in efficiency_by_region:
-            reasons.append(
-                f"parallel efficiency {efficiency_by_region[stage['name']]:.0%}"
-            )
         if stage["name"] in unconverged:
             reasons.append(
                 "unconverged: " + ", ".join(sorted(set(unconverged[stage["name"]])))
@@ -530,7 +358,7 @@ def analyze_trace(trace: Any, top: int = 10) -> AnalysisReport:
         for trace_obj in traces_from_attrs(node.attrs):
             convergence.append({"span": node.name, "trace": trace_obj.to_dict()})
 
-    coverage = sum(_self_seconds(node) for node in main_nodes) / wall_s
+    coverage = sum(stage["self_s"] for stage in stages) / wall_s
 
     return AnalysisReport(
         wall_s=wall_s,
@@ -538,8 +366,6 @@ def analyze_trace(trace: Any, top: int = 10) -> AnalysisReport:
         coverage=coverage,
         stages=stages,
         critical_path=critical_path,
-        parallel=regions,
-        amdahl=_amdahl(wall_s, regions),
         targets=targets,
         convergence=convergence,
     )
@@ -576,8 +402,6 @@ def validate_analysis(payload: Any) -> Dict[str, Any]:
         "coverage",
         "stages",
         "critical_path",
-        "parallel",
-        "amdahl",
         "targets",
         "convergence",
     ):
@@ -619,37 +443,6 @@ def validate_analysis(payload: Any) -> Dict[str, Any]:
                 _is_num(entry.get(num_key)) and entry[num_key] >= 0,
                 f"critical_path[{i}] {num_key}",
             )
-
-    _require(isinstance(payload["parallel"], list), "parallel must be a list")
-    for region in payload["parallel"]:
-        _require(isinstance(region, dict), "parallel entries must be objects")
-        _require(isinstance(region.get("region"), str), "parallel region name")
-        _require(
-            isinstance(region.get("n_lanes"), int) and region["n_lanes"] >= 2,
-            "parallel n_lanes must be >= 2",
-        )
-        for num_key in (
-            "busy_s",
-            "window_s",
-            "window_start_s",
-            "achieved_speedup",
-            "ideal_speedup",
-            "efficiency",
-        ):
-            _require(_is_num(region.get(num_key)), f"parallel region {num_key}")
-
-    amdahl = payload["amdahl"]
-    _require(isinstance(amdahl, dict), "amdahl must be an object")
-    _require(
-        _is_num(amdahl.get("serial_fraction"))
-        and 0.0 <= amdahl["serial_fraction"] <= 1.0 + 1e-9,
-        "amdahl serial_fraction must be in [0, 1]",
-    )
-    ceiling = amdahl.get("ceiling")
-    _require(
-        ceiling is None or (_is_num(ceiling) and ceiling >= 1.0 - 1e-9),
-        "amdahl ceiling must be None or >= 1",
-    )
 
     targets = payload["targets"]
     _require(isinstance(targets, list) and targets, "targets must be non-empty")

@@ -11,11 +11,12 @@ history:
 * every record carries the run manifest (:func:`repro.obs.manifest.
   run_manifest`), so the machine fingerprint — platform + python +
   numpy/scipy versions — groups records that are actually comparable;
-* the baseline is the **median of the previous N runs** (robust to a
-  single noisy run) with a configurable tolerance band; when history
-  is shorter than ``min_history`` the comparator falls back to the
-  **best** previous value, which is the sane default for the first few
-  commits of a trajectory;
+* the baseline is the **median of the previous runs** (at most
+  ``_WINDOW`` of them; robust to a single noisy run) with a
+  configurable tolerance band; when history is shorter than
+  ``_MIN_HISTORY`` runs the comparator falls back to the **best**
+  previous value, which is the sane default for the first few commits
+  of a trajectory;
 * only keys whose *direction* is known are gated: dotted keys ending
   in ``_s`` / ``_seconds`` / ``_ms`` (wall times, lower is better),
   memory footprints such as ``max_rss_bytes`` / ``peak_alloc_bytes``
@@ -61,6 +62,11 @@ DEFAULT_HISTORY = (
 )
 
 PathLike = Union[str, Path]
+
+#: at most this many prior runs feed a baseline ...
+_WINDOW = 10
+#: ... and below this many it is the best prior value, not the median
+_MIN_HISTORY = 3
 
 # direction suffixes: lower-is-better wall times ...
 _TIME_SUFFIXES = ("_s", "seconds", "_ms")
@@ -141,65 +147,25 @@ def value_direction(key: str) -> Optional[str]:
     return None
 
 
-#: Leaves that carry a problem size; ``history_record`` lifts the
-#: largest onto the record so size-aware consumers (dashboards) need
-#: not guess which dotted key means "n".
-_SIZE_LEAVES = {
-    "n_segments": ("n_segments", "segments"),
-    "n_supernodes": ("n_supernodes",),
-}
-
-
-def _lift_sizes(values: Dict[str, float]) -> Dict[str, int]:
-    """Top-level size stamps from a flattened value dict.
-
-    An exact top-level key wins; otherwise the maximum over matching
-    dotted leaves — for a multi-dataset payload (Table 3 runs D1
-    through M3 in one record) that is the largest network measured.
-    """
-    sizes: Dict[str, int] = {}
-    for name, leaves in _SIZE_LEAVES.items():
-        if name in values:
-            sizes[name] = int(values[name])
-            continue
-        candidates = [
-            value
-            for key, value in values.items()
-            if key.rsplit(".", 1)[-1] in leaves
-        ]
-        if candidates:
-            sizes[name] = int(max(candidates))
-    return sizes
-
-
 def history_record(
     bench: str,
     payload: Dict[str, Any],
     manifest: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Build one provenance-stamped history record (not yet written).
-
-    Besides the flattened numeric surface, the record is stamped with
-    top-level ``n_segments`` / ``n_supernodes`` whenever the payload
-    carries them (under any dotted prefix) — the problem size a
-    record's timings were measured at.
-    """
+    """Build one provenance-stamped history record (not yet written)."""
     if manifest is None:
         manifest = payload.get("provenance") if isinstance(payload, dict) else None
     if manifest is None:
         manifest = run_manifest(extra={"bench": bench})
-    values = flatten_numeric(payload)
-    record = {
+    return {
         "schema_version": HISTORY_SCHEMA_VERSION,
         "bench": str(bench),
         "recorded_utc": manifest.get("created_utc"),
         "git_sha": manifest.get("git_sha"),
         "fingerprint": machine_fingerprint(manifest),
-        "values": values,
+        "values": flatten_numeric(payload),
         "manifest": manifest,
     }
-    record.update(_lift_sizes(values))
-    return record
 
 
 def append_history(
@@ -312,8 +278,6 @@ def _is_regression(
 def compare_latest(
     records: Iterable[Dict[str, Any]],
     tolerance: float = 0.25,
-    window: int = 10,
-    min_history: int = 3,
     bench: Optional[str] = None,
 ) -> CompareSummary:
     """Compare each group's newest record against its prior runs.
@@ -326,18 +290,11 @@ def compare_latest(
         Relative band around the baseline; a timing more than
         ``(1 + tolerance) * baseline`` (or a speedup below
         ``(1 - tolerance) * baseline``) is flagged.
-    window:
-        At most this many prior runs feed the baseline.
-    min_history:
-        Below this many prior runs the baseline is the *best* prior
-        value instead of the median.
     bench:
         Restrict to one benchmark name (default: all).
     """
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
     groups: Dict[Tuple[str, str], List[Dict]] = {}
     for record in records:
         name = str(record.get("bench"))
@@ -354,7 +311,7 @@ def compare_latest(
             summary.skipped_benches.append(name)
             continue
         *history, latest = group
-        history = history[-window:]
+        history = history[-_WINDOW:]
         current_values = latest.get("values") or {}
         for key in sorted(current_values):
             direction = value_direction(key)
@@ -368,7 +325,7 @@ def compare_latest(
             ]
             if not prior:
                 continue
-            if len(prior) >= min_history:
+            if len(prior) >= _MIN_HISTORY:
                 baseline = float(median(prior))
                 method = f"median-of-{len(prior)}"
             else:

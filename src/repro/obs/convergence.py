@@ -18,9 +18,10 @@ of the ambient tracer — from where it rides the normal trace exports
 
 Cost model (the obs-overhead bench gates this):
 
-* **disabled** (no tracer, no metrics registry): the instrumented
-  solver performs one :func:`convergence_enabled` check — two
-  contextvar reads — and skips everything else;
+* **disabled** (no active tracer — a metrics registry alone has no
+  span to attach to): the instrumented solver performs one
+  :func:`convergence_enabled` check — a contextvar read — and skips
+  everything else;
 * **enabled**: one small object per solver run plus one float append
   per iteration. Hot callers (the kappa scan runs thousands of 1-D
   k-means fits) are bounded by :data:`MAX_TRACES_PER_SPAN` *before
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.obs.metrics import metrics_enabled
 from repro.obs.trace import Span, current_tracer
 
 __all__ = [
@@ -160,70 +160,68 @@ class ConvergenceTrace:
 
 
 def convergence_enabled() -> bool:
-    """Whether any observability sink is active.
+    """Whether a tracer is active, i.e. whether traces can be attached.
 
     Instrumented solvers call this once per run; when it returns False
     they build no trace and append nothing — the disabled cost is the
-    two contextvar reads below.
+    contextvar read below. A metrics registry alone does not enable
+    convergence telemetry: traces ride spans, and it opens none.
     """
-    return current_tracer() is not None or metrics_enabled()
+    return current_tracer() is not None
 
 
-def convergence_wanted() -> bool:
-    """:func:`convergence_enabled`, plus: the attach target has room.
+def _span_with_room(span: Optional[Span] = None) -> Optional[Span]:
+    """``span`` (default: the innermost open span of the ambient
+    tracer) when it can take one more trace, else None.
 
-    Hot solvers (the kappa scan fits thousands of 1-D k-means under a
-    single span) call this *before* building a trace. Once the
-    innermost open span holds :data:`MAX_TRACES_PER_SPAN` traces this
-    returns False — bumping the span's ``convergence_dropped`` counter
-    exactly as a late :func:`attach_convergence` would — so a
-    saturated span costs one capacity check per solver run instead of
-    a full recording.
+    A span holds at most :data:`MAX_TRACES_PER_SPAN` traces; each
+    refusal by a full span bumps its ``convergence_dropped`` counter.
     """
-    tracer = current_tracer()
-    if tracer is None:
-        return metrics_enabled()
-    span = tracer.current
     if span is None:
-        return True
+        tracer = current_tracer()
+        span = tracer.current if tracer is not None else None
+        if span is None:
+            return None
     attached = span.attrs.get("convergence")
     if attached is not None and len(attached) >= MAX_TRACES_PER_SPAN:
         span.attrs["convergence_dropped"] = (
             int(span.attrs.get("convergence_dropped", 0)) + 1
         )
-        return False
-    return True
+        return None
+    return span
+
+
+def convergence_wanted() -> bool:
+    """Whether a trace built now would be attached.
+
+    Hot solvers (the kappa scan fits thousands of 1-D k-means under a
+    single span) call this *before* building a trace. It is False
+    without an open span of an active tracer, and once the innermost
+    open span is saturated — bumping the span's
+    ``convergence_dropped`` counter exactly as a late
+    :func:`attach_convergence` would — so a saturated span costs one
+    capacity check per solver run instead of a full recording.
+    """
+    return _span_with_room() is not None
 
 
 def attach_convergence(
     trace: ConvergenceTrace, span: Optional[Span] = None
 ) -> bool:
-    """File ``trace`` on the innermost open span of the ambient tracer.
+    """File ``trace`` on ``span`` or the innermost open span of the
+    ambient tracer.
 
     The trace is stored (as its :meth:`ConvergenceTrace.to_dict` form)
     in the span's ``convergence`` attribute list, from where it rides
     both trace exports. A span keeps at most
     :data:`MAX_TRACES_PER_SPAN` traces; beyond that only its
     ``convergence_dropped`` counter grows. Returns True when the trace
-    was stored, False when it was dropped or no span was open
-    (metrics-only observability sessions have nowhere to attach).
+    was stored, False when it was dropped or no span was open.
     """
+    span = _span_with_room(span)
     if span is None:
-        tracer = current_tracer()
-        if tracer is None:
-            return False
-        span = tracer.current
-        if span is None:
-            return False
-    attached = span.attrs.get("convergence")
-    if attached is None:
-        attached = span.attrs["convergence"] = []
-    if len(attached) >= MAX_TRACES_PER_SPAN:
-        span.attrs["convergence_dropped"] = (
-            int(span.attrs.get("convergence_dropped", 0)) + 1
-        )
         return False
-    attached.append(trace.to_dict())
+    span.attrs.setdefault("convergence", []).append(trace.to_dict())
     return True
 
 

@@ -36,8 +36,6 @@ __all__ = [
     "render_prometheus",
     "parse_prometheus",
     "PrometheusSample",
-    "histogram_quantile",
-    "quantile_from_latencies",
     "quantiles_from_latencies",
 ]
 
@@ -189,26 +187,18 @@ def render_prometheus(
 
 # ----------------------------------------------------------------------
 # quantile estimation (the serving layer's p50/p99 gauges)
-def quantile_from_latencies(values: Sequence[float], q: float) -> float:
-    """Exact ``q``-quantile of a sample list (0 for an empty list).
-
-    The partition server keeps a bounded reservoir of recent request
-    latencies and exports ``serve.latency_p50_s`` / ``serve.latency_p99_s``
-    through this; it is the nearest-rank quantile, so a p99 over 100
-    samples is the worst sample, not an interpolation below it.
-    """
-    return quantiles_from_latencies(values, (q,))[0]
-
-
 def quantiles_from_latencies(
     values: Sequence[float], qs: Sequence[float]
 ) -> List[float]:
-    """Nearest-rank quantiles of one sample list, sorted exactly once.
+    """Nearest-rank quantiles of one sample list, sorted exactly once
+    (0 for each quantile of an empty list).
 
     The single source of truth for the nearest-rank semantics shared by
     the server's gauge refresh and the load generator's report — both
     need several quantiles of the same latency reservoir, and sorting
-    per quantile is wasted work on an 8k-sample deque.
+    per quantile is wasted work on an 8k-sample deque. Nearest rank
+    means a p99 over 100 samples is the worst sample, not an
+    interpolation below it.
     """
     for q in qs:
         if not 0.0 <= q <= 1.0:
@@ -220,48 +210,6 @@ def quantiles_from_latencies(
     return [
         ordered[min(n - 1, max(0, math.ceil(q * n) - 1))] for q in qs
     ]
-
-
-def histogram_quantile(hist: Dict[str, Any], q: float) -> float:
-    """Estimate the ``q``-quantile of a registry histogram snapshot.
-
-    ``hist`` is a :meth:`repro.obs.metrics.Histogram.to_dict` snapshot
-    (power-of-two buckets). The quantile is located by cumulative
-    bucket counts and linearly interpolated inside the bucket, clamped
-    to the histogram's observed ``min`` / ``max`` — the same
-    upper-bound convention Prometheus' own ``histogram_quantile``
-    uses, adapted to the ``2^N`` bucket keys this package emits.
-    Returns 0 when the histogram is empty.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q}")
-    count = int(hist.get("count", 0))
-    if count <= 0:
-        return 0.0
-    bounds: List[Tuple[float, int]] = []
-    for key, n in (hist.get("buckets") or {}).items():
-        bound = _bucket_bound(str(key))
-        if bound is not None:
-            bounds.append((bound, int(n)))
-    bounds.sort()
-    if not bounds:
-        return float(hist.get("max") or 0.0)
-    target = q * count
-    cumulative = 0
-    for upper, n in bounds:
-        if cumulative + n >= target and n > 0:
-            # bucket 2^N spans (2^(N-1), 2^N]; the "<=0" bucket spans {..0}
-            lower = 0.0 if upper <= 0 else upper / 2.0
-            within = (target - cumulative) / n
-            estimate = lower + within * (upper - lower)
-            lo, hi = hist.get("min"), hist.get("max")
-            if lo is not None:
-                estimate = max(estimate, float(lo))
-            if hi is not None:
-                estimate = min(estimate, float(hi))
-            return estimate
-        cumulative += n
-    return float(hist.get("max") or bounds[-1][0])
 
 
 # ----------------------------------------------------------------------

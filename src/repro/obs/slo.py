@@ -16,11 +16,14 @@ guard against flapping on short bursts) marks the objective
 ``burning``.
 
 :class:`SLOTracker` keeps per-second good/bad ring buckets sized to
-the longest window, so :meth:`record` is O(1) per call and the server
-can batch one call per pipelined request group. :meth:`export_gauges`
-publishes ``slo.*`` gauges into a :class:`MetricsRegistry` (scraped at
-``/metrics``), and :meth:`to_dict` is the payload behind the server's
-``/slo`` endpoint and ``repro obs slo``.
+the longest window, so :meth:`record` is O(objectives) per call; the
+server calls it once per emitted telemetry window (up to a few hundred
+all-200 requests of one connection, or one group with an error in it),
+filing the outcomes in the second the window is emitted.
+:meth:`export_gauges` publishes ``slo.*`` gauges into a
+:class:`MetricsRegistry` (scraped at ``/metrics``), and
+:meth:`to_dict` is the payload behind the server's ``/slo`` endpoint
+and ``repro obs slo``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import DataError
 
-__all__ = ["SLOAccumulator", "SLObjective", "SLOTracker", "default_objectives"]
+__all__ = ["SLObjective", "SLOTracker", "default_objectives"]
 
 _KINDS = ("availability", "latency")
 
@@ -171,9 +174,10 @@ class SLOTracker:
     def record(self, latency_s: float, ok: bool = True, n: int = 1) -> None:
         """Record ``n`` requests that shared one outcome and latency.
 
-        The server calls this once per pipelined group (all requests of
-        a group share the measured per-request latency), so the cost is
-        O(objectives) per *group*, not per request.
+        The outcomes land in the ring bucket of the current second. The
+        server calls this once per emitted telemetry window per outcome
+        (all requests of a window share its per-request latency), so
+        the cost is O(objectives) per window, not per request.
         """
         if n <= 0:
             return
@@ -185,10 +189,6 @@ class SLOTracker:
                     good = latency_s <= objective.threshold_s
                 ring = self._rings[objective.name]
                 ring.add(now, n if good else 0, 0 if good else n)
-
-    def accumulator(self) -> "SLOAccumulator":
-        """A merging front-end for hot paths (see :class:`SLOAccumulator`)."""
-        return SLOAccumulator(self)
 
     # ------------------------------------------------------------------
     def evaluate(self) -> List[Dict[str, Any]]:
@@ -277,73 +277,6 @@ class SLOTracker:
             "burning": any(e["burning"] for e in evaluation),
             "objectives": evaluation,
         }
-
-
-class SLOAccumulator:
-    """Merges many :meth:`SLOTracker.record` calls into one ring update.
-
-    ``record`` costs O(objectives) ring writes under the tracker lock —
-    ~1 us per call, which at serving rates (thousands of pipelined
-    groups per second) is a measurable slice of the 5% telemetry
-    budget. The accumulator moves the classification to a handful of
-    integer adds per group (:meth:`add`) and applies the merged per-
-    objective counts in one locked pass (:meth:`flush`), which the
-    server triggers every few hundred requests and on every ``/slo`` /
-    ``/metrics`` read — so readers always see a consistent view while
-    the hot path pays a fraction of a microsecond.
-
-    Outcomes land in the ring bucket of their *flush* second, not
-    their request second; with flushes at least once per second under
-    load the shift is below the tracker's one-second bucket
-    granularity.
-    """
-
-    __slots__ = ("_tracker", "_good", "_bad", "_thresholds", "_lock", "pending")
-
-    def __init__(self, tracker: SLOTracker) -> None:
-        self._tracker = tracker
-        n = len(tracker.objectives)
-        self._good = [0] * n
-        self._bad = [0] * n
-        # None for availability objectives, threshold_s for latency ones
-        self._thresholds = [
-            o.threshold_s if o.kind == "latency" else None
-            for o in tracker.objectives
-        ]
-        self._lock = threading.Lock()
-        #: requests accumulated since the last flush
-        self.pending = 0
-
-    def add(self, latency_s: float, n_good: int, n_bad: int) -> None:
-        """Classify one request group (``n_good`` ok + ``n_bad`` failed
-        requests sharing ``latency_s``) against every objective."""
-        good = self._good
-        bad = self._bad
-        with self._lock:
-            for i, threshold in enumerate(self._thresholds):
-                if threshold is not None and latency_s > threshold:
-                    bad[i] += n_good + n_bad
-                else:
-                    good[i] += n_good
-                    bad[i] += n_bad
-            self.pending += n_good + n_bad
-
-    def flush(self) -> None:
-        """Apply the accumulated counts to the tracker's rings."""
-        if not self.pending:
-            return
-        tracker = self._tracker
-        with self._lock:
-            merged = list(zip(self._good, self._bad))
-            for i in range(len(self._good)):
-                self._good[i] = 0
-                self._bad[i] = 0
-            self.pending = 0
-        now = tracker._clock()
-        with tracker._lock:
-            for objective, (good, bad) in zip(tracker.objectives, merged):
-                if good or bad:
-                    tracker._rings[objective.name].add(now, good, bad)
 
 
 def default_objectives(

@@ -14,8 +14,7 @@ Two export formats:
 * :meth:`Tracer.to_chrome_trace` — the Chrome trace-event format
   (``{"traceEvents": [...]}`` with complete ``"ph": "X"`` events),
   loadable in Perfetto (https://ui.perfetto.dev) or
-  ``chrome://tracing``. Spans opened from worker threads appear on
-  their own track (``tid`` lane).
+  ``chrome://tracing``.
 
 The active tracer is contextvar-scoped: :func:`activate_tracer`
 installs one, :func:`current_tracer` resolves it, and the
@@ -24,10 +23,10 @@ active. When none is active every entry point is a single contextvar
 lookup — the no-op path costs nanoseconds.
 
 Thread model: each thread entering spans on a tracer gets its own span
-stack (spans never interleave across threads); completed root spans
-are collected under a lock. Cross-thread *nesting* is intentionally
-not attempted — a worker thread's spans become roots on the worker's
-track.
+stack and ``tid`` lane; completed root spans are collected under a
+lock. The pipeline is serial, so a run's spans share lane 0; the
+serving layer builds its request-group spans from a buffer when a
+reader flushes it, on lane 0 too.
 """
 
 from __future__ import annotations

@@ -49,7 +49,7 @@ microseconds of Python, a 64-id batch under twenty (see
 ``benchmarks/test_bench_serving.py``).
 
 Metrics (rendered by :func:`repro.obs.export.render_prometheus`, the
-quantile gauges via :func:`repro.obs.export.quantile_from_latencies`):
+quantile gauges via :func:`repro.obs.export.quantiles_from_latencies`):
 ``serve.requests[endpoint=..]`` counters, ``serve.lookups`` counter,
 ``serve.request_latency_s`` histogram plus ``serve.latency_p50_s`` /
 ``serve.latency_p99_s`` gauges, ``serve.qps`` gauge over a sliding
@@ -59,16 +59,28 @@ gauges every scrape refreshes. A per-status ``serve.responses
 [status=..]`` counter family tracks the response mix, and an attached
 :class:`~repro.obs.slo.SLOTracker` adds ``slo.*`` burn-rate gauges.
 
+The latency series measure two different things. The
+``serve.latency_p50_s`` / ``serve.latency_p99_s`` gauges are
+nearest-rank quantiles of *group* busy time: the seconds spent
+serving one pipelined socket read, over the last
+``_LATENCY_RESERVOIR`` groups. The ``serve.request_latency_s``
+histogram and the SLO latency objective use the *per-request* share:
+group time divided by the requests in the group (for the SLO, a
+merged window's summed group time divided by its requests).
+
 Request telemetry is strictly opt-in and batched into per-connection
-*merge windows*: consecutive all-200 fast-path groups on a connection
-are folded together with a couple of integer adds, and the real work —
+*merge windows*: consecutive all-200 groups on a connection (single,
+point or batch lookups) are folded together with a couple of integer
+adds, and the real work —
 SLO classification, one span (endpoint/status/epoch/trace-id
 attributes, the trace id taken from the window's W3C ``traceparent``
 header or freshly assigned), one sampled access line through
 ``obs.logs`` (stderr — stdout stays reserved for the CLI's JSON) —
-runs once per window: every ``_TEL_MERGE_REQUESTS`` requests, at any
-status change, when the connection closes, and before every reader
-endpoint. That amortisation is what keeps the traced ``/lookup`` path
+runs once per window: every ``_TEL_MERGE_REQUESTS`` requests, at a
+group with a non-200 answer, when the connection closes, and when a
+reader endpoint flushes the pending windows. The SLO files a window's
+outcomes in the second it is emitted, so on an idle keep-alive
+connection they land in the second of the next read. That amortisation is what keeps the traced ``/lookup`` path
 within 5% of untraced throughput (asserted by
 ``benchmarks/test_bench_serving.py``). With nothing attached, the
 fast path is byte-for-byte the PR 8 hot loop.
@@ -124,12 +136,10 @@ _MAX_HEAD_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 1024 * 1024
 #: sliding-window length for the QPS gauge, seconds
 _QPS_WINDOW_S = 10.0
-#: per-request latency reservoir for the p50/p99 gauges
+#: group busy-time reservoir (last N groups) for the p50/p99 gauges
 _LATENCY_RESERVOIR = 8192
 #: bounded root-span history when request tracing is attached
 _TRACE_ROOTS_CAP = 4096
-#: flush the SLO accumulator to the tracker rings every N requests
-_SLO_FLUSH_EVERY = 256
 #: emit a connection's merged telemetry window every N requests
 _TEL_MERGE_REQUESTS = 512
 
@@ -169,7 +179,7 @@ class _HttpProtocol(asyncio.Protocol):
         # single memcmp on the hot path
         self.tp_cache: Optional[Tuple[bytes, Tuple[str, str]]] = None
         # pending merged telemetry window for this connection:
-        # [epoch, n_requests, seconds, head, target] or None (see
+        # [epoch, n_requests, seconds, head, target, method] or None (see
         # PartitionServer._tel_boundary)
         self.tel: Optional[list] = None
 
@@ -434,11 +444,9 @@ class PartitionServer:
         # QPS window: (monotonic_time, n_lookups) per handled group
         self._qps_window: Deque[Tuple[float, int]] = deque()
         self._latencies: Deque[float] = deque(maxlen=_LATENCY_RESERVOIR)
-        # hot-path telemetry buffers: per-group outcomes are merged
-        # here (integer adds / one tuple append) and materialised into
-        # the tracker rings / Span objects only when a reader asks —
-        # that is how the traced fast path stays within the 5% budget
-        self._slo_acc = None if slo is None else slo.accumulator()
+        # hot-path span buffer: one tuple append per telemetry window,
+        # materialised into Span objects only when a reader asks — that
+        # is how the traced fast path stays within the 5% budget
         self._span_ring: Deque[tuple] = deque(maxlen=_TRACE_ROOTS_CAP)
         # telemetry plane attached? (fixed at construction; one bool
         # load per group instead of three attribute checks)
@@ -663,15 +671,18 @@ class PartitionServer:
         n_requests = len(requests)
         self._account(n_requests, n_lookups, seconds, statuses)
         if self._tel_on:
-            # merge consecutive all-200 fast-path groups into one
-            # per-connection telemetry window: a couple of list adds
-            # per group, with the real work (SLO classification, span,
-            # access log) amortised over _TEL_MERGE_REQUESTS requests.
-            # Pipelined reads often carry only 1-2 requests, so even a
-            # ~1 us per-group cost would blow the 5% overhead budget.
+            # merge consecutive all-200 groups (single, point or batch
+            # lookups) into one per-connection telemetry window: a
+            # couple of list adds per group, with the real work (SLO
+            # classification, span, access log) amortised over
+            # _TEL_MERGE_REQUESTS requests. Pipelined reads often carry
+            # only 1-2 requests, so even a ~1 us per-group cost would
+            # blow the 5% overhead budget.
             tel = proto.tel
-            if tel is not None and n_ok == n_requests:
-                tel[1] += n_ok
+            if tel is not None and (
+                n_ok == n_requests or statuses.get(200, 0) == n_requests
+            ):
+                tel[1] += n_requests
                 tel[2] += seconds
                 if tel[1] >= _TEL_MERGE_REQUESTS:
                     self._emit_tel(proto)
@@ -686,16 +697,17 @@ class PartitionServer:
         seconds: float,
         epoch: int,
     ) -> None:
-        """Telemetry-window boundary: first group on a connection, a
-        status mix, or a full window. Flushes the pending window, then
-        either starts a fresh one (all-200 group) or emits this group
-        unmerged with its own status mix (rare: errors, 503s)."""
+        """Telemetry-window boundary: the first group after an emitted
+        window, or a group with a non-200 answer. Flushes the pending
+        window, then either starts a fresh one (all-200 group) or emits
+        this group unmerged with its own status mix (rare: errors,
+        503s)."""
         self._emit_tel(proto)
         n_requests = len(requests)
-        __, target, __b, head = requests[0]
+        method, target, __b, head = requests[0]
         if statuses.get(200, 0) == n_requests:
-            # [epoch, n_requests, seconds, head, target]
-            proto.tel = [epoch, n_requests, seconds, head, target]
+            # [epoch, n_requests, seconds, head, target, method]
+            proto.tel = [epoch, n_requests, seconds, head, target, method]
             return
         n_bad = 0
         for status, n in statuses.items():
@@ -704,7 +716,7 @@ class PartitionServer:
         worst = max(statuses) if statuses else 200
         self._emit(
             proto, head, target, n_requests, seconds, worst, epoch, n_bad,
-            method=requests[0][0],
+            method=method,
         )
 
     def _emit_tel(self, proto: _HttpProtocol) -> None:
@@ -713,8 +725,10 @@ class PartitionServer:
         if tel is None:
             return
         proto.tel = None
-        epoch, n_requests, seconds, head, target = tel
-        self._emit(proto, head, target, n_requests, seconds, 200, epoch, 0)
+        epoch, n_requests, seconds, head, target, method = tel
+        self._emit(
+            proto, head, target, n_requests, seconds, 200, epoch, 0, method=method
+        )
 
     def _emit(
         self,
@@ -731,16 +745,15 @@ class PartitionServer:
         """Feed one (possibly merged) request window into SLO/trace/log.
 
         ``seconds`` is the summed serving time of the window's groups
-        (busy time, not wall span); ``target`` is the window's first
-        request target — representative, since windows only merge
-        uniform fast-path traffic.
+        (busy time, not wall span); ``method``, ``target`` and ``head``
+        are the window's first request's, which stand for the whole
+        window (clients pipeline one request template per connection).
         """
-        per_request = seconds / n_requests if n_requests else 0.0
-        acc = self._slo_acc
-        if acc is not None:
-            acc.add(per_request, n_requests - n_bad, n_bad)
-            if acc.pending >= _SLO_FLUSH_EVERY:
-                acc.flush()
+        slo = self.slo
+        if slo is not None:
+            per_request = seconds / n_requests if n_requests else 0.0
+            slo.record(per_request, n=n_requests - n_bad)
+            slo.record(per_request, ok=False, n=n_bad)
 
         if self.tracer is None and not self.access_log_sample:
             return
@@ -997,10 +1010,10 @@ class PartitionServer:
     def flush_telemetry(self) -> None:
         """Drain the hot-path telemetry buffers into their stores.
 
-        The request path batches SLO outcomes (integer accumulator)
-        and spans (tuple ring); every reader — ``/slo``, ``/metrics``,
-        ``/trace`` and the CLI's shutdown export — flushes first, so
-        observers always see a consistent view.
+        The request path batches outcomes into per-connection merge
+        windows and spans into a tuple ring; every reader — ``/slo``,
+        ``/metrics``, ``/trace`` and the CLI's shutdown export — flushes
+        first, so observers always see a consistent view.
         Safe to call from any thread (the per-connection merge windows
         are only drained when called on the serving loop's thread; off
         the loop they stay pending, bounding staleness at
@@ -1014,8 +1027,6 @@ class PartitionServer:
                 on_loop = False
             if on_loop:
                 self._flush_conn_tel()
-        if self._slo_acc is not None:
-            self._slo_acc.flush()
         self._flush_spans()
 
     def _flush_conn_tel(self) -> None:
@@ -1083,8 +1094,6 @@ class PartitionServer:
         registry.set_gauge("serve.latency_p50_s", p50)
         registry.set_gauge("serve.latency_p99_s", p99)
         if self.slo is not None:
-            if self._slo_acc is not None:
-                self._slo_acc.flush()
             self.slo.export_gauges(registry)
         try:
             sample_process_gauges(registry)

@@ -10,6 +10,7 @@ compare on come from :mod:`strategies`.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import List, Optional, Sequence, Set, Tuple
 
@@ -890,3 +891,30 @@ def spatial_shards(points, n_cells: int) -> np.ndarray:
         stack.append((idx[order[:cut]], lo, lo + left))
         stack.append((idx[order[cut:]], lo + left, hi))
     return labels
+
+
+def slo_window_counts(events, objective, now: float) -> List[Tuple[int, int]]:
+    """``(good, bad)`` per window of ``objective`` at time ``now``, by a
+    scan over every recorded event.
+
+    ``events`` are ``(t, latency_s, n_good, n_bad)`` tuples recorded at
+    clock time ``t``. A window of ``w`` seconds holds the events of the
+    current whole second and the ``ceil(w)`` seconds before it; a
+    latency objective counts every request of a slower-than-threshold
+    event as bad. The oracle for :meth:`repro.obs.slo.SLOTracker.evaluate`.
+    """
+    sec = int(now)
+    counts = []
+    for window_s in objective.windows_s:
+        lo = sec - math.ceil(window_s)
+        good = bad = 0
+        for t, latency_s, n_good, n_bad in events:
+            if t > now or not lo <= int(t) <= sec:
+                continue
+            if objective.kind == "latency" and latency_s > objective.threshold_s:
+                bad += n_good + n_bad
+            else:
+                good += n_good
+                bad += n_bad
+        counts.append((good, bad))
+    return counts

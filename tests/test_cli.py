@@ -83,7 +83,7 @@ class TestPartitionCommand:
         assert "wrote" in captured.err
 
     def test_trace_and_metrics_outputs(self, tmp_path):
-        from repro.obs import validate_chrome_trace
+        from repro.obs.trace import validate_chrome_trace
 
         trace = tmp_path / "trace.json"
         metrics = tmp_path / "metrics.json"

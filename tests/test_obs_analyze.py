@@ -1,11 +1,11 @@
-"""Tests for repro.obs.analyze: critical paths and parallel slack.
+"""Tests for repro.obs.analyze: critical paths and per-stage times.
 
-Built around hand-crafted span trees whose critical path, self times
-and parallel regions are known in closed form, fed through all three
-input adapters (live Tracer, nested JSON, Chrome events) to pin the
+Built around hand-crafted span trees whose critical path and self
+times are known in closed form, fed through all three input adapters
+(live Tracer, nested JSON, Chrome events) to pin the
 format-independence contract, plus the strict ``validate_analysis``
-rejection surface, a hypothesis round trip for the report document,
-and the ``repro obs analyze`` CLI.
+rejection surface, a hypothesis JSON round trip for the report
+document, and the ``repro obs analyze`` CLI.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.cli import main
 from repro.exceptions import DataError
 from repro.obs.analyze import (
     ANALYSIS_SCHEMA_VERSION,
-    AnalysisReport,
     analyze_trace,
     validate_analysis,
 )
@@ -119,11 +118,21 @@ class TestSerialAnalysis:
         )
         assert "on the critical path" in report.targets[0]["reasons"]
 
-    def test_serial_trace_has_no_parallel_regions(self):
-        report = analyze_trace(_serial_pipeline())
-        assert report.parallel == []
-        assert report.amdahl["serial_fraction"] == pytest.approx(1.0)
-        assert report.amdahl["ceiling"] == pytest.approx(1.0)
+    def test_every_root_counts_toward_coverage(self):
+        # two back-to-back roots (a server's request groups, say): both
+        # count toward the stages and the coverage, and the critical
+        # path runs down the longer one
+        trace = _nested(
+            _span("group", 0.0, 1.0),
+            _span("run", 1.0, 3.0, children=[_span("inner", 1.0, 2.0)]),
+        )
+        report = analyze_trace(trace)
+        assert report.coverage == pytest.approx(1.0)
+        assert [e["name"] for e in report.critical_path] == ["run", "inner"]
+        self_by_name = {s["name"]: s["self_s"] for s in report.stages}
+        assert self_by_name == pytest.approx(
+            {"group": 1.0, "run": 1.0, "inner": 2.0}
+        )
 
     def test_top_truncates_targets(self):
         report = analyze_trace(_serial_pipeline(), top=2)
@@ -179,89 +188,6 @@ class TestInputFormats:
     def test_zero_extent_trace_raises(self):
         with pytest.raises(DataError):
             analyze_trace(_nested(_span("instant", 0.0, 0.0)))
-
-
-# ----------------------------------------------------------------------
-# parallel slack
-class TestParallelRegions:
-    def test_overlapping_children_form_a_region(self):
-        trace = _nested(
-            _span(
-                "run",
-                0.0,
-                10.0,
-                children=[
-                    _span(
-                        "parallel_map",
-                        2.0,
-                        6.0,
-                        children=[
-                            _span("shard", 2.0, 6.0),
-                            _span("shard", 2.0, 6.0),
-                        ],
-                    )
-                ],
-            )
-        )
-        report = analyze_trace(trace)
-        assert len(report.parallel) == 1
-        region = report.parallel[0]
-        assert region["region"] == "parallel_map"
-        assert region["n_lanes"] == 2
-        assert region["achieved_speedup"] == pytest.approx(2.0)
-        assert region["ideal_speedup"] == pytest.approx(2.0)
-        assert region["efficiency"] == pytest.approx(1.0)
-        # window [2, 8] of a 10s wall -> 40% serial, ceiling 2.5x
-        assert report.amdahl["serial_fraction"] == pytest.approx(0.4)
-        assert report.amdahl["ceiling"] == pytest.approx(2.5)
-
-    def test_back_to_back_children_are_not_parallel(self):
-        trace = _nested(
-            _span(
-                "run",
-                0.0,
-                4.0,
-                children=[_span("a", 0.0, 2.0), _span("b", 2.0, 2.0)],
-            )
-        )
-        assert analyze_trace(trace).parallel == []
-
-    def test_detached_root_pairs_with_host(self):
-        # a worker-thread lane recorded as a separate root overlaps
-        # the main run: it must surface as a 2-lane region
-        trace = _nested(
-            _span("run", 0.0, 10.0),
-            _span("worker:loader", 3.0, 4.0),
-        )
-        report = analyze_trace(trace)
-        assert len(report.parallel) == 1
-        assert report.parallel[0]["n_lanes"] == 2
-        assert report.parallel[0]["region"] == "run"
-        # busy = 10 + 4 over a 10s window
-        assert report.parallel[0]["achieved_speedup"] == pytest.approx(1.4)
-
-    def test_parallel_efficiency_feeds_target_reasons(self):
-        trace = _nested(
-            _span(
-                "run",
-                0.0,
-                10.0,
-                children=[
-                    _span(
-                        "mine",
-                        0.0,
-                        8.0,
-                        children=[
-                            _span("shard", 0.0, 8.0),
-                            _span("shard", 0.0, 4.0),
-                        ],
-                    )
-                ],
-            )
-        )
-        report = analyze_trace(trace)
-        mine = next(t for t in report.targets if t["name"] == "mine")
-        assert any("parallel efficiency" in r for r in mine["reasons"])
 
 
 # ----------------------------------------------------------------------
@@ -344,8 +270,7 @@ class TestReportDocument:
     def test_round_trip_identity(self):
         report = analyze_trace(_serial_pipeline())
         through = json.loads(json.dumps(report.to_dict()))
-        rebuilt = AnalysisReport.from_dict(through)
-        assert rebuilt.to_dict() == report.to_dict()
+        assert validate_analysis(through) == report.to_dict()
 
     def test_validate_accepts_real_report(self):
         payload = analyze_trace(_serial_pipeline()).to_dict()
@@ -365,10 +290,8 @@ class TestReportDocument:
             lambda p: p["targets"][0].update(reasons="not-a-list"),
             lambda p: p["stages"][0].update(count=0),
             lambda p: p["stages"][0].pop("on_critical_path"),
-            lambda p: p.update(amdahl={"serial_fraction": 2.0}),
-            lambda p: p.update(
-                parallel=[{"region": "x", "n_lanes": 1}]
-            ),
+            lambda p: p["targets"][0].update(self_s="slow"),
+            lambda p: p["convergence"].append("not-an-object"),
             lambda p: p.update(
                 convergence=[{"span": "x", "trace": {"schema_version": 9}}]
             ),
@@ -401,7 +324,7 @@ class TestReportDocument:
     @settings(max_examples=40, deadline=None)
     def test_serial_chain_round_trips_and_covers(self, durations):
         # a run with N back-to-back children: coverage must be ~1 and
-        # the document must survive JSON + from_dict exactly
+        # the document must survive JSON and validate unchanged
         children, clock = [], 0.0
         for i, dur in enumerate(durations):
             children.append(_span(f"stage_{i}", clock, dur))
@@ -410,7 +333,7 @@ class TestReportDocument:
         report = analyze_trace(trace)
         assert report.coverage == pytest.approx(1.0, rel=1e-6)
         through = json.loads(json.dumps(report.to_dict()))
-        assert AnalysisReport.from_dict(through).to_dict() == report.to_dict()
+        assert validate_analysis(through) == report.to_dict()
 
 
 # ----------------------------------------------------------------------

@@ -129,10 +129,20 @@ class TestAttach:
         assert attach_convergence(ConvergenceTrace("x")) is False
 
     def test_enabled_with_tracer_or_metrics(self):
+        # traces ride spans: a tracer enables them, a metrics registry
+        # alone does not (it would build traces only to drop them)
         with activate_tracer(Tracer()):
             assert convergence_enabled() is True
         with use_registry(MetricsRegistry()):
-            assert convergence_enabled() is True
+            assert convergence_enabled() is False
+            assert convergence_wanted() is False
+
+    def test_wanted_false_without_an_open_span(self):
+        tracer = Tracer()
+        with activate_tracer(tracer):
+            assert convergence_wanted() is False
+            with tracer.span("solve"):
+                assert convergence_wanted() is True
 
     def test_attach_to_current_span(self):
         tracer = Tracer()

@@ -162,15 +162,12 @@ class TestParser:
 
 class TestQuantilesFromLatencies:
     def test_multi_quantile_matches_single(self):
-        from repro.obs.export import (
-            quantile_from_latencies,
-            quantiles_from_latencies,
-        )
+        from repro.obs.export import quantiles_from_latencies
 
         values = [5.0, 1.0, 3.0, 2.0, 4.0]
         multi = quantiles_from_latencies(values, (0.0, 0.5, 0.9, 1.0))
         assert multi == [
-            quantile_from_latencies(values, q) for q in (0.0, 0.5, 0.9, 1.0)
+            quantiles_from_latencies(values, (q,))[0] for q in (0.0, 0.5, 0.9, 1.0)
         ]
         assert multi == [1.0, 3.0, 5.0, 5.0]
 

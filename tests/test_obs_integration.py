@@ -7,7 +7,7 @@ import logging
 import pytest
 
 from repro import ObsContext, SpatialPartitioningFramework, observe_run, small_network
-from repro.obs import validate_chrome_trace
+from repro.obs.trace import validate_chrome_trace
 from repro.obs.logs import configure_logging, get_logger
 from repro.obs.manifest import MANIFEST_SCHEMA_VERSION
 from repro.pipeline.persistence import result_from_dict, result_to_dict

@@ -7,7 +7,10 @@ multi-window rule, sustained errors across every window must.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import slo_window_counts
 from repro.exceptions import DataError
 from repro.obs.export import parse_prometheus, render_prometheus
 from repro.obs.metrics import MetricsRegistry
@@ -159,6 +162,62 @@ class TestBurnRate:
         tracker.record(0.001, ok=False, n=-5)
         entry = tracker.evaluate()[0]
         assert all(w["good"] + w["bad"] == 0 for w in entry["windows"])
+
+
+# one step of a fake-clock session: advance the clock by ``dt``, then
+# either record an event (latency, n_good, n_bad) or evaluate (None)
+_steps = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=30.0, allow_nan=False),
+        st.one_of(
+            st.none(),
+            st.tuples(
+                st.sampled_from([0.001, 0.01, 0.05]),
+                st.integers(0, 5),
+                st.integers(0, 5),
+            ),
+        ),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestAgainstBruteForce:
+    @given(
+        steps=_steps,
+        windows=st.sampled_from([(1.0,), (2.5, 7.0), (5.0, 20.0)]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_evaluate_matches_a_scan_over_the_events(self, steps, windows):
+        clock = FakeClock(start=0.0)
+        objectives = [
+            SLObjective(name="a", kind="availability", objective=0.9,
+                        windows_s=windows),
+            SLObjective(name="l", kind="latency", objective=0.9,
+                        threshold_s=0.01, windows_s=windows),
+        ]
+        tracker = SLOTracker(objectives, clock=clock)
+        events = []
+        for dt, event in steps:
+            clock.advance(dt)
+            if event is not None:
+                latency, n_good, n_bad = event
+                tracker.record(latency, ok=True, n=n_good)
+                tracker.record(latency, ok=False, n=n_bad)
+                events.append((clock.now, latency, n_good, n_bad))
+                continue
+            for objective, entry in zip(objectives, tracker.evaluate()):
+                expected = slo_window_counts(events, objective, clock.now)
+                got = [(w["good"], w["bad"]) for w in entry["windows"]]
+                assert got == expected
+                burning = all(
+                    good + bad
+                    and bad / (good + bad) / objective.budget
+                    > objective.burn_threshold
+                    for good, bad in expected
+                )
+                assert entry["burning"] is burning
 
 
 class TestExport:

@@ -129,6 +129,68 @@ class TestInjectedSlowness:
             store.close()
 
 
+class TestServerSLOOutcomes:
+    def test_idle_server_ages_out_a_closed_connections_outcomes(self):
+        """Outcomes are filed in the second they were served, not the
+        second a later reader asks: after 1000 idle seconds every
+        window is empty, however late ``/slo`` is read."""
+        import time
+
+        now = [0.0]
+        store, __ = _make_store()
+        slo = SLOTracker(default_objectives(0.010), clock=lambda: now[0])
+        server = PartitionServer(store, slo=slo, inject_slow_s=0.02)
+        handle = server.start_background()
+        try:
+            for sid in range(3):  # one connection each, closed after
+                _get(handle.url + f"/lookup?segment={sid}")
+            # the server files a connection's window when it sees the
+            # close; wait for that without reading an endpoint
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                windows = slo.evaluate()[0]["windows"]
+                if windows[-1]["good"] + windows[-1]["bad"] == 3:
+                    break
+                time.sleep(0.01)
+            now[0] = 1000.0
+            doc = json.loads(_get(handle.url + "/slo"))
+            for entry in doc["objectives"]:
+                for window in entry["windows"]:
+                    assert window["good"] == window["bad"] == 0, entry
+                assert entry["burning"] is False
+            assert doc["burning"] is False
+        finally:
+            handle.stop()
+            store.close()
+
+    def test_unavailable_requests_count_against_availability(self):
+        import time
+
+        store = SnapshotStore()  # nothing published: every request is a 503
+        slo = SLOTracker(default_objectives(0.010))
+        server = PartitionServer(store, slo=slo, require_epoch=False)
+        handle = server.start_background()
+        try:
+            for __ in range(2):
+                with pytest.raises(urllib.error.HTTPError):
+                    _get(handle.url + "/lookup?segment=0")
+            # /slo itself would get a 503, so read the tracker directly
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                availability = slo.evaluate()[0]
+                if availability["windows"][-1]["bad"] >= 2:
+                    break
+                time.sleep(0.01)
+            assert availability["objective"]["name"] == "availability"
+            assert [(w["good"], w["bad"]) for w in availability["windows"]] == [
+                (0, 2), (0, 2)
+            ]
+            assert availability["burning"] is True
+        finally:
+            handle.stop()
+            store.close()
+
+
 class TestTraceEndpoint:
     def test_traceparent_propagates_into_span_attrs(self, observed_server):
         handle, __, __n = observed_server

@@ -386,3 +386,38 @@ class TestBulkGroups:
         if telemetry:
             server._emit_tel(proto)
             assert sum(span[5] for span in server._span_ring) == len(parsed)
+
+
+class TestTelemetryWindows:
+    """All-200 groups of any lookup kind share one telemetry window per
+    connection; the SLO and the span ring see it once, when emitted."""
+
+    def test_point_and_batch_groups_merge_into_one_window(self):
+        server, __, proto = _live_server(telemetry=True)
+        body = json.dumps({"segments": [1, 2, 3]}).encode()
+        batch = b"POST /lookup/batch HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (
+            len(body),
+            body,
+        )
+        point = b"GET /lookup?x=10&y=20 HTTP/1.1\r\nHost: a\r\n\r\n"
+        for group in (batch * 2, point, batch, point * 3):  # one read each
+            proto.data_received(group)
+        answers = _responses(b"".join(proto.transport.written))
+        assert [status for status, __ in answers] == [200] * 7
+        assert proto.tel is not None and proto.tel[1] == 7
+        assert proto.tel[5] == b"POST"  # the window's first request stands for it
+        assert not server._span_ring
+        windows = server.slo.evaluate()[0]["windows"]
+        assert windows[-1]["good"] + windows[-1]["bad"] == 0
+
+        server._emit_tel(proto)
+        assert [span[5] for span in server._span_ring] == [7]
+        for entry in server.slo.evaluate():
+            assert (entry["windows"][-1]["good"], entry["windows"][-1]["bad"]) == (7, 0)
+
+    def test_an_error_group_closes_the_window(self):
+        server, __, proto = _live_server(telemetry=True)
+        proto.data_received(b"GET /lookup?x=10&y=20 HTTP/1.1\r\n\r\n" * 2)
+        proto.data_received(b"GET /nope HTTP/1.1\r\n\r\n")
+        assert proto.tel is None
+        assert [span[5] for span in server._span_ring] == [2, 1]
