@@ -2,7 +2,7 @@
 
 Two variants:
 
-* :func:`kmeans_1d_batch` / :func:`kmeans_1d` — the paper's variant
+* :func:`fit_sorted` / :func:`kmeans_1d` — the paper's variant
   for single-dimension feature values (traffic densities): values are
   sorted and the j-th cluster mean is initialised with the value at
   position ``n/kappa * j``, removing the randomness of standard seeding
@@ -19,14 +19,18 @@ Both hot paths are engineered for city-scale inputs:
   sorted values) and prefix sums to recompute every cluster mean —
   O(kappa log n) per iteration instead of O(n log kappa). The
   Algorithm-1 scan fits about thirty kappa on one density vector, and
-  per kappa that loop is interpreter-bound. :func:`kmeans_1d_batch`
+  per kappa that loop is interpreter-bound. :func:`fit_sorted`
   therefore fits every kappa in one loop: one shared sort, all fits'
   centers in one flat array, one ``searchsorted`` per iteration for
   all of them. Each fit stops where its own loop would have, and every
-  result is bit-identical to the per-kappa fit; :func:`kmeans_1d` is
-  the one-kappa call. ``tests/oracles.py`` keeps the per-kappa
-  prefix-sum loop and the original O(n)-per-iteration formulation for
-  equivalence testing.
+  result is bit-identical to the per-kappa fit. The returned
+  :class:`SortedFits` keeps the sort and each fit's centers and
+  iteration count, and builds a fit's labels only when asked, so the
+  scan streams through the kappa with one label vector instead of
+  holding one per kappa. :func:`kmeans_1d_batch` reads every fit out
+  as a result and :func:`kmeans_1d` is the one-kappa call.
+  ``tests/oracles.py`` keeps the per-kappa prefix-sum loop and the
+  original O(n)-per-iteration formulation for equivalence testing.
 * ``kmeans`` avoids materialising the O(n * kappa * d) broadcast
   distance tensor: assignment uses the expansion
   ``||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2`` evaluated in row chunks,
@@ -129,7 +133,7 @@ def _reseed_empty(sorted_vals: np.ndarray, centers: np.ndarray, counts) -> None:
 def _lloyd_batch(
     sorted_vals: np.ndarray, k_all: np.ndarray, max_iter: int, tol: float, keep_history: bool
 ):
-    """The batched Lloyd loop of :func:`kmeans_1d_batch`.
+    """The batched Lloyd loop of :func:`fit_sorted`.
 
     Returns each fit's final (sorted) centers, its iteration count, its
     converged flag and, with ``keep_history``, per iteration the
@@ -219,16 +223,64 @@ def _lloyd_batch(
     return [final[i] for i in range(k_all.size)], n_iters, converged, history
 
 
-def kmeans_1d_batch(
+@dataclass
+class SortedFits:
+    """Several 1-D k-means fits of one value vector, on one shared sort.
+
+    Holds the values, their stable argsort and the sorted values, and
+    per fit only its final (sorted) centers and ``n_iter``. A fit's
+    cluster sizes, labels and :class:`KMeansResult` are built from its
+    centers when asked, so a caller walking many kappa holds one label
+    vector at a time, never one per kappa.
+    """
+
+    data: np.ndarray
+    order: np.ndarray
+    sorted_vals: np.ndarray
+    kappas: List[int]
+    centers: List[np.ndarray]
+    n_iters: np.ndarray
+
+    def counts(self, i: int) -> np.ndarray:
+        """Cluster sizes of fit ``i``, read off the positions of its
+        midpoint bounds in the sorted values (value x belongs to cluster
+        q iff bounds[q-1] < x <= bounds[q])."""
+        centers = self.centers[i]
+        cuts = np.searchsorted(self.sorted_vals, (centers[:-1] + centers[1:]) / 2.0, side="right")
+        return np.diff(cuts, prepend=0, append=self.sorted_vals.size)
+
+    def labels(
+        self, i: int, counts: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Fit ``i``'s labels in input order, written into ``out`` (an
+        intp buffer of the values' length) when given."""
+        if counts is None:
+            counts = self.counts(i)
+        if out is None:
+            out = np.empty(self.sorted_vals.size, dtype=np.intp)
+        out[self.order] = np.repeat(np.arange(counts.size), counts)
+        return out
+
+    def result(self, i: int) -> KMeansResult:
+        """Fit ``i`` as a :class:`KMeansResult`."""
+        centers = self.centers[i]
+        labels = self.labels(i)
+        inertia = float(((self.data - centers[labels]) ** 2).sum())
+        return KMeansResult(
+            labels=labels, centers=centers, inertia=inertia, n_iter=int(self.n_iters[i])
+        )
+
+
+def fit_sorted(
     values: Sequence[float],
     kappas: Sequence[int],
     max_iter: int = 100,
     tol: float = 1e-9,
-) -> List[KMeansResult]:
+) -> SortedFits:
     """Fit 1-D k-means once per kappa in ``kappas``, in one Lloyd loop.
 
     Every fit equals a separate :func:`kmeans_1d` call bit for bit
-    (labels, centers, inertia, ``n_iter``); the list keeps the order of
+    (labels, centers, inertia, ``n_iter``); fits keep the order of
     ``kappas``.
 
     All fits share one stable argsort of ``values`` and its prefix
@@ -242,8 +294,11 @@ def kmeans_1d_batch(
     sum by rounding; a shift that close to ``tol`` is re-summed the
     1-D way, so every stop decision is the per-kappa one. Empty
     clusters are re-seeded per fit, and a fit whose means come out of
-    order is re-sorted on its own. Labels are the final bounds'
-    positions in the sorted values, scattered back through the argsort.
+    order is re-sorted on its own. Only the centers and iteration
+    counts are kept; labels are the final bounds' positions in the
+    sorted values, scattered back through the argsort when a fit is
+    read. Under an active tracer each fit files its convergence trace
+    here, in the order of ``kappas``.
     """
     data = np.asarray(values, dtype=float).ravel()
     n = data.size
@@ -252,36 +307,39 @@ def kmeans_1d_batch(
     if not np.isfinite(data).all():
         raise ClusteringError("values must be finite")
     k_all = np.asarray(kappas, dtype=np.int64)
-    if k_all.size == 0:
-        return []
-
     order = np.argsort(data, kind="stable")
     sorted_vals = data[order]
+    if k_all.size == 0:
+        return SortedFits(data, order, sorted_vals, [], [], _NO_FITS)
+
     keep_history = convergence_enabled()
     final, n_iters, converged, history = _lloyd_batch(
         sorted_vals, k_all, max_iter, tol, keep_history
     )
-
-    results: List[KMeansResult] = []
-    for i, (kappa, centers) in enumerate(zip(k_all.tolist(), final)):
-        cuts = np.searchsorted(sorted_vals, (centers[:-1] + centers[1:]) / 2.0, side="right")
-        labels = np.empty(n, dtype=np.intp)
-        labels[order] = np.repeat(np.arange(kappa), np.diff(cuts, prepend=0, append=n))
-        inertia = float(((data - centers[labels]) ** 2).sum())
-        n_iter = int(n_iters[i])
-        results.append(
-            KMeansResult(labels=labels, centers=centers, inertia=inertia, n_iter=n_iter)
-        )
+    fits = SortedFits(data, order, sorted_vals, k_all.tolist(), final, n_iters)
+    for i, kappa in enumerate(fits.kappas):
         if keep_history and convergence_wanted():
             conv = ConvergenceTrace("kmeans_1d", meta={"n": n, "kappa": kappa, "tol": tol})
-            for moved, fits, layout in history[:n_iter]:
-                j = int(np.searchsorted(fits, i))
+            for moved, active, layout in history[: n_iters[i]]:
+                j = int(np.searchsorted(active, i))
                 conv.record(shift=float(moved[layout.starts[j] : layout.ends[j]].sum()))
-            conv.finish(converged=bool(converged[i]), inertia=inertia)
+            conv.finish(converged=bool(converged[i]), inertia=fits.result(i).inertia)
             attach_convergence(conv)
-    incr("kmeans1d.fits", len(results))
+    incr("kmeans1d.fits", k_all.size)
     incr("kmeans1d.iterations", int(n_iters.sum()))
-    return results
+    return fits
+
+
+def kmeans_1d_batch(
+    values: Sequence[float],
+    kappas: Sequence[int],
+    max_iter: int = 100,
+    tol: float = 1e-9,
+) -> List[KMeansResult]:
+    """Every fit of :func:`fit_sorted`, as a list of results in the
+    order of ``kappas``."""
+    fits = fit_sorted(values, kappas, max_iter=max_iter, tol=tol)
+    return [fits.result(i) for i in range(len(fits.kappas))]
 
 
 def kmeans_1d(
@@ -311,9 +369,9 @@ def kmeans_1d(
     means from prefix sums — O(kappa log n) per iteration. Empty
     clusters are re-seeded with the value farthest from its mean.
     Labels are returned in the order of ``values``. This is the
-    one-kappa call of :func:`kmeans_1d_batch`.
+    one-kappa call of :func:`fit_sorted`.
     """
-    return kmeans_1d_batch(values, [kappa], max_iter=max_iter, tol=tol)[0]
+    return fit_sorted(values, [kappa], max_iter=max_iter, tol=tol).result(0)
 
 
 def _kmeanspp_init(

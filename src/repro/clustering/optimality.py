@@ -28,7 +28,11 @@ global mean mu0 and cluster means mu_q:
 (optionally on a random sample of the data, as the paper does for very
 large datasets) and records the MCG curve; :func:`shortlist_kappa`
 returns every kappa whose MCG clears the optimality threshold
-``epsilon_theta`` (Algorithm 1, lines 3-9).
+``epsilon_theta`` (Algorithm 1, lines 3-9). The scan fits every kappa
+on one shared sort and then scores them one at a time through one
+reused label buffer, sharing :func:`moderated_clustering_gain`'s
+statistics and Theta core, so its working memory does not grow with
+the number of kappa scanned.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.clustering.kmeans import KMeansResult, kmeans_1d_batch
+from repro.clustering.kmeans import KMeansResult, SortedFits, fit_sorted
 from repro.exceptions import ClusteringError
 from repro.obs.metrics import incr, set_gauge
 from repro.util.rng import RngLike, ensure_rng
@@ -46,16 +50,23 @@ from repro.util.timer import ModuleTimer
 
 
 def _cluster_stats(
-    data: np.ndarray, labels: np.ndarray, kappa: int
+    data: np.ndarray,
+    labels: np.ndarray,
+    kappa: int,
+    sizes: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-cluster (sizes, means, intra error sums) + global mean.
 
     ``data`` is (n, d); returns sizes (kappa,), means (kappa, d),
     intra (kappa,), mu0 (d,). Empty clusters get zero entries.
+    ``sizes`` (float cluster sizes) skips the counting pass when the
+    caller already has them. Sums and intra errors are weighted
+    ``bincount`` calls, accumulated in input order.
     """
     n, d = data.shape
     mu0 = data.mean(axis=0)
-    sizes = np.bincount(labels, minlength=kappa).astype(float)
+    if sizes is None:
+        sizes = np.bincount(labels, minlength=kappa).astype(float)
     means = np.zeros((kappa, d))
     for col in range(d):
         sums = np.bincount(labels, weights=data[:, col], minlength=kappa)
@@ -115,7 +126,11 @@ def moderated_clustering_gain(data, labels) -> float:
     honouring the paper's statement that Theta2 lies in [0, 1].
     """
     arr, lab, kappa = _prepare(data, labels)
-    sizes, means, intra, mu0 = _cluster_stats(arr, lab, kappa)
+    return _theta(*_cluster_stats(arr, lab, kappa))
+
+
+def _theta(sizes: np.ndarray, means: np.ndarray, intra: np.ndarray, mu0: np.ndarray) -> float:
+    """Theta(C) from :func:`_cluster_stats`' per-cluster statistics."""
     sep = ((means - mu0) ** 2).sum(axis=1)
 
     active = (sizes > 0) & (sep > 0)
@@ -142,17 +157,30 @@ class KappaScan:
         The kappa values scanned, ascending.
     mcg:
         MCG measure at each kappa (same order).
-    results:
-        The 1-D k-means result at each kappa, on the scanned data
-        (the sample when sampling was used).
     sampled:
         True when the scan ran on a random sample of the data.
+    fits:
+        The scan's 1-D k-means fits on the scanned data (the sample
+        when sampling was used): the shared sort plus each kappa's
+        centers and ``n_iter``, no label vectors. :meth:`fit` builds
+        one kappa's result from them.
     """
 
     kappas: List[int] = field(default_factory=list)
     mcg: List[float] = field(default_factory=list)
-    results: List[KMeansResult] = field(default_factory=list)
     sampled: bool = False
+    fits: Optional[SortedFits] = field(default=None, repr=False)
+
+    def fit(self, kappa: int) -> KMeansResult:
+        """The 1-D k-means result at ``kappa``, built on request."""
+        if self.fits is None or kappa not in self.kappas:
+            raise ClusteringError(f"kappa={kappa} was not scanned")
+        return self.fits.result(self.kappas.index(kappa))
+
+    @property
+    def results(self) -> List[KMeansResult]:
+        """The result at every scanned kappa, each built on access."""
+        return [self.fit(kappa) for kappa in self.kappas]
 
     @property
     def best_kappa(self) -> int:
@@ -183,6 +211,26 @@ class KappaScan:
         return self.shortlist(fraction * self.best_mcg)
 
 
+def _scan_mcg(fits: SortedFits) -> List[float]:
+    """The MCG of every fit, in order, from one reused label buffer.
+
+    Each kappa's cluster sizes come from its cut positions in the
+    sorted values; its sums and intra-cluster errors from
+    :func:`_cluster_stats`' weighted ``bincount`` calls in input order, so
+    every value equals ``moderated_clustering_gain(data, labels)`` bit
+    for bit.
+    """
+    data = fits.data[:, np.newaxis]
+    labels = np.empty(data.shape[0], dtype=np.intp)
+    mcg = []
+    for i, kappa in enumerate(fits.kappas):
+        counts = fits.counts(i)
+        fits.labels(i, counts, out=labels)
+        stats = _cluster_stats(data, labels, kappa, sizes=counts.astype(float))
+        mcg.append(_theta(*stats))
+    return mcg
+
+
 def scan_kappa(
     values: Sequence[float],
     kappa_max: Optional[int] = None,
@@ -193,9 +241,11 @@ def scan_kappa(
 ) -> KappaScan:
     """Run 1-D k-means for each kappa and record the MCG curve.
 
-    Every kappa is fitted in one :func:`kmeans_1d_batch` call, which
-    shares one sort of the (sampled) density vector and one Lloyd loop
-    across all fits; the per-kappa MCG scores follow in order.
+    Every kappa is fitted in one :func:`fit_sorted` call, which shares
+    one sort of the (sampled) density vector and one Lloyd loop across
+    all fits. The MCG scores then stream through the kappa in order,
+    each scored from one reused label buffer (see :func:`_scan_mcg`),
+    so the scan keeps each kappa's centers but no label vectors.
 
     Parameters
     ----------
@@ -244,11 +294,8 @@ def scan_kappa(
     scan = KappaScan(sampled=sampled)
     with own_timer.time("module2.scan"):
         scan.kappas = list(range(kappa_min, kappa_max + 1))
-        scan.results = kmeans_1d_batch(scan_data, scan.kappas)
-        scan.mcg = [
-            moderated_clustering_gain(scan_data, result.labels)
-            for result in scan.results
-        ]
+        scan.fits = fit_sorted(scan_data, scan.kappas)
+        scan.mcg = _scan_mcg(scan.fits)
     incr("kappa_scan.candidates", len(scan.kappas))
     set_gauge("kappa_scan.sampled", 1.0 if sampled else 0.0)
     set_gauge("kappa_scan.best_kappa", scan.best_kappa)

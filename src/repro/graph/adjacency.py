@@ -187,11 +187,13 @@ class Graph:
         )
         if idx.size and (idx.min() < 0 or idx.max() >= self._n):
             raise GraphError("subgraph nodes out of range")
-        if len(np.unique(idx)) != len(idx):
+        # a strictly increasing selection is unique; others pay a sort
+        if not (np.diff(idx) > 0).all() and np.unique(idx).size != idx.size:
             raise GraphError("subgraph nodes must be unique")
+        # an induced subgraph of this validated graph is symmetric,
+        # non-negative, zero-diagonal and free of explicit zeros
         sub = self._adj[idx][:, idx]
-        graph = Graph.from_adjacency(sub, features=self._features[idx])
-        return graph, idx
+        return Graph._trusted(sub, self._features[idx]), idx
 
     def with_features(self, features: Sequence[float]) -> "Graph":
         """Copy of this graph with replaced node features.
@@ -207,10 +209,14 @@ class Graph:
 
 
 def _node_features(features: Optional[Sequence[float]], n: int) -> np.ndarray:
-    """A private float copy of ``features`` (zeros when None), shape-checked."""
+    """A private float copy of ``features`` (zeros when None), checked
+    for shape and for finite values."""
     if features is None:
         return np.zeros(n, dtype=float)
     feats = np.asarray(features, dtype=float)
     if feats.shape != (n,):
         raise GraphError(f"features must have shape ({n},), got {feats.shape}")
+    if not np.isfinite(feats).all():
+        bad = int(np.flatnonzero(~np.isfinite(feats))[0])
+        raise GraphError(f"features must be finite; node {bad} has {feats[bad]}")
     return feats.copy()

@@ -411,6 +411,10 @@ class RoadNetwork:
             raise NetworkError(
                 f"densities must have shape ({self.n_segments},), got {arr.shape}"
             )
+        # NaN compares False against 0, so finiteness is its own check
+        if not np.isfinite(arr).all():
+            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
+            raise NetworkError(f"densities must be finite; segment {bad} has {arr[bad]}")
         if arr.size and arr.min() < 0:
             raise NetworkError("densities must be non-negative")
         self._density = arr

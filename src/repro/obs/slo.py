@@ -125,6 +125,8 @@ class _Ring:
     def add(self, now: float, good: int, bad: int) -> None:
         sec = int(now)
         idx = sec % self.size
+        if self.stamp[idx] > sec:
+            return  # a later second owns this bucket: never overwrite it
         if self.stamp[idx] != sec:
             self.stamp[idx] = sec
             self.good[idx] = 0
@@ -165,23 +167,36 @@ class SLOTracker:
         self.objectives: Tuple[SLObjective, ...] = tuple(objectives)
         self._clock = clock
         self._lock = threading.Lock()
-        horizon = max(max(o.windows_s) for o in self.objectives)
+        self._horizon = max(max(o.windows_s) for o in self.objectives)
         self._rings: Dict[str, _Ring] = {
-            o.name: _Ring(horizon) for o in self.objectives
+            o.name: _Ring(self._horizon) for o in self.objectives
         }
 
     # ------------------------------------------------------------------
-    def record(self, latency_s: float, ok: bool = True, n: int = 1) -> None:
+    def now(self) -> float:
+        """The tracker's clock, for stamping outcomes recorded later."""
+        return self._clock()
+
+    def record(
+        self, latency_s: float, ok: bool = True, n: int = 1, at: Optional[float] = None
+    ) -> None:
         """Record ``n`` requests that shared one outcome and latency.
 
-        The outcomes land in the ring bucket of the current second. The
-        server calls this once per emitted telemetry window per outcome
-        (all requests of a window share its per-request latency), so
-        the cost is O(objectives) per window, not per request.
+        The outcomes land in the ring bucket of second ``at`` (a
+        :meth:`now` reading; default: the current second). Outcomes
+        older than the longest window are dropped, and never overwrite
+        a newer second's bucket. The server calls this once per emitted
+        telemetry window per outcome (all requests of a window share
+        its per-request latency, and its stamp is the time its first
+        group was served), so the cost is O(objectives) per window, not
+        per request.
         """
         if n <= 0:
             return
-        now = self._clock()
+        current = self._clock()
+        now = current if at is None else at
+        if current - now > self._horizon:
+            return
         with self._lock:
             for objective in self.objectives:
                 good = ok

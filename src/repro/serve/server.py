@@ -78,9 +78,10 @@ header or freshly assigned), one sampled access line through
 ``obs.logs`` (stderr — stdout stays reserved for the CLI's JSON) —
 runs once per window: every ``_TEL_MERGE_REQUESTS`` requests, at a
 group with a non-200 answer, when the connection closes, and when a
-reader endpoint flushes the pending windows. The SLO files a window's
-outcomes in the second it is emitted, so on an idle keep-alive
-connection they land in the second of the next read. That amortisation is what keeps the traced ``/lookup`` path
+reader endpoint flushes the pending windows. Each window is stamped
+with the SLO clock when its first group is served, and the SLO files
+its outcomes in that second, however late an idle keep-alive
+connection's window is flushed. That amortisation is what keeps the traced ``/lookup`` path
 within 5% of untraced throughput (asserted by
 ``benchmarks/test_bench_serving.py``). With nothing attached, the
 fast path is byte-for-byte the PR 8 hot loop.
@@ -179,8 +180,8 @@ class _HttpProtocol(asyncio.Protocol):
         # single memcmp on the hot path
         self.tp_cache: Optional[Tuple[bytes, Tuple[str, str]]] = None
         # pending merged telemetry window for this connection:
-        # [epoch, n_requests, seconds, head, target, method] or None (see
-        # PartitionServer._tel_boundary)
+        # [epoch, n_requests, seconds, head, target, method, slo_time]
+        # or None (see PartitionServer._tel_boundary)
         self.tel: Optional[list] = None
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
@@ -706,8 +707,10 @@ class PartitionServer:
         n_requests = len(requests)
         method, target, __b, head = requests[0]
         if statuses.get(200, 0) == n_requests:
-            # [epoch, n_requests, seconds, head, target, method]
-            proto.tel = [epoch, n_requests, seconds, head, target, method]
+            # [epoch, n_requests, seconds, head, target, method, slo_time]:
+            # the window's outcomes are filed in the second it started
+            started = self.slo.now() if self.slo is not None else None
+            proto.tel = [epoch, n_requests, seconds, head, target, method, started]
             return
         n_bad = 0
         for status, n in statuses.items():
@@ -725,9 +728,10 @@ class PartitionServer:
         if tel is None:
             return
         proto.tel = None
-        epoch, n_requests, seconds, head, target, method = tel
+        epoch, n_requests, seconds, head, target, method, started = tel
         self._emit(
-            proto, head, target, n_requests, seconds, 200, epoch, 0, method=method
+            proto, head, target, n_requests, seconds, 200, epoch, 0,
+            method=method, at=started,
         )
 
     def _emit(
@@ -741,6 +745,7 @@ class PartitionServer:
         epoch: int,
         n_bad: int,
         method: bytes = b"GET",
+        at: Optional[float] = None,
     ) -> None:
         """Feed one (possibly merged) request window into SLO/trace/log.
 
@@ -748,12 +753,14 @@ class PartitionServer:
         (busy time, not wall span); ``method``, ``target`` and ``head``
         are the window's first request's, which stand for the whole
         window (clients pipeline one request template per connection).
+        ``at`` is the SLO clock when the window's first group was
+        served (default: now).
         """
         slo = self.slo
         if slo is not None:
             per_request = seconds / n_requests if n_requests else 0.0
-            slo.record(per_request, n=n_requests - n_bad)
-            slo.record(per_request, ok=False, n=n_bad)
+            slo.record(per_request, n=n_requests - n_bad, at=at)
+            slo.record(per_request, ok=False, n=n_bad, at=at)
 
         if self.tracer is None and not self.access_log_sample:
             return

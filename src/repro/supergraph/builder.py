@@ -4,14 +4,20 @@ Steps (paper Section 4):
 
 1. scan kappa with 1-D k-means on (a sample of) the node densities and
    shortlist every kappa whose MCG clears the optimality threshold;
-2. for each shortlisted kappa, cluster the *full* density set (the
-   scan's own fit when it ran on the full set), count the constrained
-   connected components, and keep the configuration producing the
-   fewest components (fewest supernodes);
+2. for each shortlisted kappa in turn, cluster the *full* density set
+   (read off the scan's own fit when it ran on the full set), count
+   the constrained connected components, and keep the configuration
+   producing the fewest components (fewest supernodes);
 3. create supernodes with cluster means as features;
 4. optionally run the stability check (Algorithm 2) with threshold
    epsilon_eta;
 5. establish weighted superlinks (Equation 3).
+
+The build streams through kappa: the scan keeps one shared sort and
+each kappa's centers, never a label vector per kappa; the shortlist
+holds the running winner's fit beside the one being counted; the
+superlinks are written straight into their CSR arrays. The working
+memory of each step on M3 is tabled in ``docs/scaling.md``.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.clustering.kmeans import KMeansResult, kmeans_1d_batch
+from repro.clustering.kmeans import fit_sorted
 from repro.clustering.optimal1d import kmeans_1d_optimal
 from repro.clustering.optimality import KappaScan, shortlist_kappa
 from repro.exceptions import GraphError
@@ -50,25 +56,43 @@ def _shortlist_outcomes(
     scan: KappaScan,
     shortlisted: List[int],
     kmeans_method: str,
-) -> List[Tuple[KMeansResult, Tuple[int, np.ndarray]]]:
-    """(fit, (supernode count, raw component ids)) per shortlisted kappa,
-    in shortlist order (the ids as :func:`label_components` returns them).
+) -> Tuple[int, np.ndarray, np.ndarray, int, np.ndarray, List[int]]:
+    """The shortlisted kappa with the fewest supernodes: ``(kappa,
+    labels, centers, supernode count, raw component ids, every kappa's
+    count)``, the ids as :func:`label_components` returns them.
 
-    An unsampled Lloyd scan already fitted every shortlisted kappa on
-    these densities, so only the counts remain. After a sampled scan
-    the Lloyd candidates are refitted on the full set in one
-    :func:`kmeans_1d_batch` call; the exact-DP variant fits each
-    candidate on its own. Every count filters the build's one int32
-    edge list by its labels.
+    Fits are built and counted one at a time in shortlist order; only
+    the running winner's labels, centers and component ids stay alive,
+    and a later kappa wins only on a strictly smaller count. An
+    unsampled Lloyd scan already fitted every shortlisted kappa on
+    these densities, so each one's labels are read off the scan's
+    centers. After a sampled scan the Lloyd candidates are refitted on
+    the full set in one :func:`fit_sorted` call; the exact-DP variant
+    fits each candidate on its own. Every count filters the build's
+    one int32 edge list by its labels.
     """
     if kmeans_method == "optimal":
-        results = [kmeans_1d_optimal(features, kappa) for kappa in shortlisted]
-    elif scan.sampled:
-        results = kmeans_1d_batch(features, shortlisted)
+        fits = (kmeans_1d_optimal(features, kappa) for kappa in shortlisted)
+        candidates = ((fit.labels, fit.centers) for fit in fits)
     else:
-        fits = dict(zip(scan.kappas, scan.results))
-        results = [fits[kappa] for kappa in shortlisted]
-    return [(result, label_components(edges, result.labels)) for result in results]
+        if scan.sampled:
+            lloyd, index = fit_sorted(features, shortlisted), range(len(shortlisted))
+        else:
+            lloyd, index = scan.fits, [scan.kappas.index(kappa) for kappa in shortlisted]
+        # int32 labels halve the gathers of every component count
+        candidates = (
+            (lloyd.labels(i, out=np.empty(features.size, dtype=np.int32)), lloyd.centers[i])
+            for i in index
+        )
+    best = None
+    counts: List[int] = []
+    for kappa, (labels, centers) in zip(shortlisted, candidates):
+        count, raw_ids = label_components(edges, labels)
+        counts.append(count)
+        if best is None or count < best[3]:
+            best = (kappa, labels, centers, count, raw_ids)
+    assert best is not None
+    return (*best, counts)
 
 
 @dataclass
@@ -183,37 +207,23 @@ class SupergraphBuilder:
             timer=timer,
         )
 
-        # Step 2: pick the configuration with the fewest supernodes. The
-        # candidates come back in shortlist order, so the strict-<
-        # selection below is deterministic. The counts, the supernodes
-        # and the superlinks all read one edge list.
+        # Step 2: pick the configuration with the fewest supernodes,
+        # the first of them in shortlist order. The counts, the
+        # supernodes and the superlinks all read one edge list.
         edges = edge_list(adjacency)
         with timer.time("module2.shortlist_fits"):
-            outcomes = _shortlist_outcomes(
-                edges, features, scan, shortlisted, self._kmeans_method
+            best_kappa, labels, centers, best_count, best_ids, component_counts = (
+                _shortlist_outcomes(edges, features, scan, shortlisted, self._kmeans_method)
             )
         incr("supergraph.shortlist_fits", len(shortlisted))
-        best_kappa = -1
-        best_count = None
-        best_result = None
-        best_ids = None
-        component_counts: List[int] = []
-        for kappa, (result, (count, raw_ids)) in zip(shortlisted, outcomes):
-            component_counts.append(count)
-            if best_count is None or count < best_count:
-                best_count = count
-                best_kappa = kappa
-                best_result = result
-                best_ids = raw_ids
-        assert best_result is not None
 
         # Step 3: supernodes with cluster means as features, from the
         # components the shortlist count already found
         with timer.time("module2.supernodes"):
             member_of = renumber_components(best_count, best_ids)
-            sn_features = supernode_features(
-                member_of, best_result.labels, cluster_means=best_result.centers
-            )
+            sn_features = supernode_features(member_of, labels, cluster_means=centers)
+        # from here on the supergraph needs only member_of and features
+        del labels, best_ids
         n_before = sn_features.size
 
         # Step 4: optional stability check

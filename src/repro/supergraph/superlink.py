@@ -89,13 +89,27 @@ def superlink_weights(
                 f"node_features must have shape ({edges.n},), got {node_feats.shape}"
             )
 
-    # vectorised accumulation per supernode pair (each link once)
-    p, q = np.take(member_of, edges.u), np.take(member_of, edges.v)
+    # one key per supernode pair (each link once), from int32 ids; each
+    # temporary is dropped as soon as the next one is built
+    member = np.asarray(member_of, dtype=np.int32)
+    p, q = member.take(edges.u), member.take(edges.v)
+    del member
     cross = p != q
     if not cross.any():
         return sp.csr_matrix((n_super, n_super))
     p, q = np.compress(cross, p), np.compress(cross, q)
-    keys = np.minimum(p, q).astype(np.int64) * n_super + np.maximum(p, q)
+    if mode == "node":
+        u, v = np.compress(cross, edges.u), np.compress(cross, edges.v)
+        if sigma2 > 0:
+            g = np.exp(-((node_feats[u] - node_feats[v]) ** 2) / (2.0 * sigma2))
+        else:
+            g = np.ones(u.size)
+        del u, v
+    del cross
+    keys = np.minimum(p, q).astype(np.int64)
+    keys *= n_super
+    keys += np.maximum(p, q)
+    del p, q
     if mode == "supernode":
         # a plain sort: np.unique without return arrays takes a hash
         # table, several times slower on these keys
@@ -103,8 +117,10 @@ def superlink_weights(
         unique_keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     else:
         unique_keys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    pair_lo = unique_keys // n_super
-    pair_hi = unique_keys % n_super
+    del keys
+    pair_lo = (unique_keys // n_super).astype(np.int32)
+    pair_hi = (unique_keys % n_super).astype(np.int32)
+    del unique_keys
 
     if mode == "supernode":
         if sigma2 > 0:
@@ -112,21 +128,35 @@ def superlink_weights(
                 -((feats[pair_lo] - feats[pair_hi]) ** 2) / (2.0 * sigma2)
             )
         else:
-            weights = np.ones(unique_keys.size)
+            weights = np.ones(pair_lo.size)
     else:
-        u, v = np.compress(cross, edges.u), np.compress(cross, edges.v)
-        if sigma2 > 0:
-            g = np.exp(-((node_feats[u] - node_feats[v]) ** 2) / (2.0 * sigma2))
-        else:
-            g = np.ones(u.size)
         # bincount adds each pair's links in edge order, whatever order
         # the sort left the pairs in
-        sums = np.bincount(inverse, weights=g * g, minlength=unique_keys.size)
+        sums = np.bincount(inverse, weights=g * g, minlength=pair_lo.size)
         weights = np.sqrt(sums / counts)
+    return _symmetric_csr(pair_lo, pair_hi, weights, n_super)
 
-    # the pairs are sorted by (lo, hi), so listing the lower triangle
-    # first puts every row's columns in ascending order
+
+def _symmetric_csr(
+    pair_lo: np.ndarray, pair_hi: np.ndarray, weights: np.ndarray, n: int
+) -> sp.csr_matrix:
+    """The symmetric CSR matrix with ``weights`` at (lo, hi) and (hi, lo),
+    its arrays filled directly.
+
+    Entry j of the lower-triangle list (hi, lo) and then the upper one
+    (lo, hi) is ordered by a stable sort on its row. The pairs come
+    sorted by (lo, hi), so each row lists its lower columns ascending,
+    then its upper ones: the canonical CSR order. The stable sort is a
+    plain sort of the unique keys ``row << 32 | j``.
+    """
+    m = weights.size
     rows = np.concatenate([pair_hi, pair_lo])
-    cols = np.concatenate([pair_lo, pair_hi])
-    vals = np.concatenate([weights, weights])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n_super, n_super))
+    order = rows.astype(np.int64) << 32
+    order |= np.arange(2 * m, dtype=np.int32)
+    order.sort()
+    order &= 0xFFFFFFFF
+    indices = np.concatenate([pair_lo, pair_hi])[order]
+    data = np.concatenate([weights, weights])[order]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))

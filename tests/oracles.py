@@ -17,10 +17,15 @@ from typing import List, Optional, Sequence, Set, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.clustering.kmeans import KMeansResult, _validate_kappa
-from repro.clustering.optimality import _cluster_stats, _prepare
+from repro.clustering.kmeans import KMeansResult, _validate_kappa, kmeans_1d
+from repro.clustering.optimality import _cluster_stats, _prepare, moderated_clustering_gain
 from repro.exceptions import ClusteringError, GraphError, NetworkError
-from repro.graph.components import constrained_components
+from repro.graph.components import (
+    EdgeList,
+    constrained_components,
+    count_constrained_components,
+    edge_list,
+)
 from repro.network.geometry import Point
 from repro.obs.convergence import (
     ConvergenceTrace,
@@ -29,7 +34,7 @@ from repro.obs.convergence import (
 )
 from repro.network.model import Intersection, RoadNetwork, RoadSegment
 from repro.pipeline.schemes import run_scheme
-from repro.supergraph.supernode import Supernode
+from repro.supergraph.supernode import Supernode, create_supernodes
 from repro.util.rng import ensure_rng
 
 
@@ -390,6 +395,85 @@ def superlink_weights_objects(
     cols = np.concatenate([pair_hi, pair_lo])
     vals = np.concatenate([weights, weights])
     return sp.csr_matrix((vals, (rows, cols)), shape=(n_super, n_super))
+
+
+def superlink_weights_coo(
+    edges: EdgeList,
+    member_of: np.ndarray,
+    features: Sequence[float],
+    node_features: Optional[Sequence[float]] = None,
+    mode: str = "supernode",
+) -> sp.csr_matrix:
+    """Eq. 3 superlinks assembled through COO: int64 pair ids mirrored
+    into ``csr_matrix((vals, (rows, cols)))``. The oracle for the CSR
+    arrays :func:`repro.supergraph.superlink.superlink_weights` fills
+    directly."""
+    feats = np.asarray(features, dtype=float)
+    n_super = feats.size
+    sigma2 = float(((feats - feats.mean()) ** 2).mean())
+    p, q = np.take(member_of, edges.u), np.take(member_of, edges.v)
+    cross = p != q
+    if not cross.any():
+        return sp.csr_matrix((n_super, n_super))
+    p, q = np.compress(cross, p), np.compress(cross, q)
+    keys = np.minimum(p, q).astype(np.int64) * n_super + np.maximum(p, q)
+    unique_keys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    pair_lo = unique_keys // n_super
+    pair_hi = unique_keys % n_super
+    if mode == "supernode":
+        if sigma2 > 0:
+            weights = np.exp(-((feats[pair_lo] - feats[pair_hi]) ** 2) / (2.0 * sigma2))
+        else:
+            weights = np.ones(unique_keys.size)
+    else:
+        node_feats = np.asarray(node_features, dtype=float)
+        u, v = np.compress(cross, edges.u), np.compress(cross, edges.v)
+        if sigma2 > 0:
+            g = np.exp(-((node_feats[u] - node_feats[v]) ** 2) / (2.0 * sigma2))
+        else:
+            g = np.ones(u.size)
+        sums = np.bincount(inverse, weights=g * g, minlength=unique_keys.size)
+        weights = np.sqrt(sums / counts)
+    # the lower triangle first puts every row's columns in ascending order
+    rows = np.concatenate([pair_hi, pair_lo])
+    cols = np.concatenate([pair_lo, pair_hi])
+    vals = np.concatenate([weights, weights])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n_super, n_super))
+
+
+def build_supergraph_per_kappa(adjacency, densities, epsilon_fraction: float = 0.995):
+    """Algorithm 1 (no stability check) with one full result per kappa:
+    a :func:`kmeans_1d` fit, its labels and its MCG for every scanned
+    kappa, all held at once, then a component count per shortlisted fit
+    and COO superlinks. The oracle for the streamed
+    :class:`repro.supergraph.builder.SupergraphBuilder`.
+
+    Returns a dict of ``kappas``, ``mcg``, ``fits`` (kappa -> result),
+    ``shortlisted``, ``counts``, ``chosen_kappa``, ``member_of``,
+    ``features`` and ``adjacency``.
+    """
+    values = np.asarray(densities, dtype=float)
+    kappas = list(range(2, min(30, values.size - 1) + 1))
+    fits = {kappa: kmeans_1d(values, kappa) for kappa in kappas}
+    mcg = [moderated_clustering_gain(values, fits[kappa].labels) for kappa in kappas]
+    shortlisted = [k for k, m in zip(kappas, mcg) if m >= epsilon_fraction * max(mcg)]
+    shortlisted = shortlisted or [kappas[int(np.argmax(mcg))]]
+    edges = edge_list(adjacency)
+    counts = [count_constrained_components(edges, fits[kappa].labels) for kappa in shortlisted]
+    chosen = shortlisted[int(np.argmin(counts))]
+    fit = fits[chosen]
+    member_of, features = create_supernodes(edges, fit.labels, cluster_means=fit.centers)
+    return {
+        "kappas": kappas,
+        "mcg": mcg,
+        "fits": fits,
+        "shortlisted": shortlisted,
+        "counts": counts,
+        "chosen_kappa": chosen,
+        "member_of": member_of,
+        "features": features,
+        "adjacency": superlink_weights_coo(edges, member_of, features),
+    }
 
 
 def stability_check_objects(

@@ -196,6 +196,42 @@ class TestGraphProperties:
     def test_degree_sum_is_twice_total_weight(self, g):
         assert g.degree().sum() == pytest.approx(2.0 * g.total_weight())
 
+    @given(g=random_graph(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_subgraph_equals_the_validated_slice(self, g, data):
+        """The trusted induced subgraph equals ``from_adjacency`` on the
+        same slice: CSR arrays, dtypes and features, for ordered and
+        shuffled node selections."""
+        g = g.with_features(np.arange(g.n_nodes) * 0.25)
+        nodes = data.draw(
+            st.lists(st.integers(0, g.n_nodes - 1), unique=True, max_size=g.n_nodes)
+        )
+        if data.draw(st.booleans()):
+            nodes = sorted(nodes)
+        sub, index = g.subgraph(nodes)
+        idx = np.asarray(nodes, dtype=int)
+        want = Graph.from_adjacency(g.adjacency[idx][:, idx], features=g.features[idx])
+        np.testing.assert_array_equal(index, idx)
+        for got, expected in (
+            (sub.adjacency.data, want.adjacency.data),
+            (sub.adjacency.indices, want.adjacency.indices),
+            (sub.adjacency.indptr, want.adjacency.indptr),
+            (sub.features, want.features),
+        ):
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+        assert sub.adjacency.shape == want.adjacency.shape
+
+    @given(g=random_graph(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_subgraph_rejects_repeated_nodes(self, g, data):
+        from repro.exceptions import GraphError
+
+        nodes = data.draw(st.lists(st.integers(0, g.n_nodes - 1), min_size=1, max_size=8))
+        nodes = nodes + [nodes[data.draw(st.integers(0, len(nodes) - 1))]]
+        with pytest.raises(GraphError, match="unique"):
+            g.subgraph(nodes)
+
 
 # -- alpha-cut equivalences ----------------------------------------------
 

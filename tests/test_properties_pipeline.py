@@ -175,3 +175,27 @@ class TestIncrementalProperties:
             assert idle.refreshed == []
             assert idle.n_relabelled == 0
             np.testing.assert_array_equal(idle.labels, labels)
+
+
+class TestNonFiniteDensities:
+    """A NaN or infinite density fails where it enters, with a named
+    error, before any scheme runs on it."""
+
+    @given(
+        data=network_with_densities(),
+        scheme=st.sampled_from(["AG", "NG", "JG", "ASG", "NSG"]),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        where=st.integers(0, 10**6),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_each_scheme_rejects_non_finite_densities(self, data, scheme, bad, where):
+        from repro.exceptions import GraphError, NetworkError
+
+        network, densities, __ = data
+        densities = densities.copy()
+        densities[where % densities.size] = bad
+        with pytest.raises(NetworkError, match="finite"):
+            network.set_densities(densities)
+        with pytest.raises(GraphError, match="finite"):
+            graph = build_road_graph(network).with_features(densities)
+            run_scheme(scheme, graph, 3, seed=0)

@@ -14,10 +14,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    build_supergraph_per_kappa,
     connected_components_bfs,
     create_supernodes_loop,
     membership_vector_loop,
     stability_check_objects,
+    superlink_weights_coo,
     superlink_weights_objects,
 )
 from strategies import graphs_with_labels, road_graphs_with_densities
@@ -36,6 +38,13 @@ MODES = st.sampled_from(["supernode", "node"])
 def _csr_bytes(matrix):
     m = sp.csr_matrix(matrix)
     return m.shape, m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes()
+
+
+def _csr_arrays(matrix):
+    """Shape plus every CSR array's dtype and bytes."""
+    return (matrix.shape,) + tuple(
+        (a.dtype.str, a.tobytes()) for a in (matrix.data, matrix.indices, matrix.indptr)
+    )
 
 
 def _assert_same_supernodes(member_of, features, objects):
@@ -166,3 +175,51 @@ def test_build_matches_the_object_pipeline(inputs, epsilon_eta, mode, kappa_max)
     assert _csr_bytes(supergraph.adjacency) == _csr_bytes(
         superlink_weights_objects(adj, objects, densities, mode=mode)
     )
+
+
+@given(inputs=road_graphs_with_densities(), n_supernodes=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), mode=MODES)
+@settings(max_examples=150, deadline=None)
+def test_superlinks_csr_matches_the_coo_oracle(inputs, n_supernodes, seed, mode):
+    """The CSR arrays filled directly equal the COO assembly's: indptr,
+    indices, data and their dtypes."""
+    adj, densities = inputs
+    rng = np.random.default_rng(seed)
+    n_supernodes = min(n_supernodes, densities.size)
+    member_of = np.concatenate(
+        [np.arange(n_supernodes), rng.integers(0, n_supernodes, densities.size - n_supernodes)]
+    )
+    rng.shuffle(member_of)
+    features = rng.random(n_supernodes) if seed % 2 else np.zeros(n_supernodes)
+    edges = edge_list(adj)
+    fast = superlink_weights(edges, member_of, features, densities, mode=mode)
+    slow = superlink_weights_coo(edges, member_of, features, densities, mode=mode)
+    assert _csr_arrays(fast) == _csr_arrays(slow)
+
+
+@given(inputs=road_graphs_with_densities())
+@settings(max_examples=100, deadline=None)
+def test_streamed_build_matches_the_per_kappa_path(inputs):
+    """The streamed scan, the one-fit-at-a-time shortlist and the
+    direct CSR superlinks against a build that keeps every kappa's
+    result: the MCG list, every ``fit(kappa)``, the shortlist counts,
+    the chosen kappa and the supergraph arrays."""
+    adj, densities = inputs
+    if densities.size < 3:
+        return
+    builder = SupergraphBuilder()
+    supergraph = builder.build(Graph.from_adjacency(adj, features=densities))
+    report, oracle = builder.report, build_supergraph_per_kappa(adj, densities)
+    assert report.scan.kappas == oracle["kappas"]
+    assert np.array(report.scan.mcg).tobytes() == np.array(oracle["mcg"]).tobytes()
+    for kappa in report.scan.kappas:
+        fit, expected = report.scan.fit(kappa), oracle["fits"][kappa]
+        assert fit.labels.tobytes() == expected.labels.tobytes()
+        assert fit.centers.tobytes() == expected.centers.tobytes()
+        assert (fit.inertia, fit.n_iter) == (expected.inertia, expected.n_iter)
+    assert report.shortlisted == oracle["shortlisted"]
+    assert report.component_counts == oracle["counts"]
+    assert report.chosen_kappa == oracle["chosen_kappa"]
+    np.testing.assert_array_equal(supergraph.member_of, oracle["member_of"])
+    assert supergraph.features().tobytes() == oracle["features"].tobytes()
+    assert _csr_arrays(supergraph.adjacency) == _csr_arrays(oracle["adjacency"])

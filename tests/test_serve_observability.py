@@ -163,6 +163,44 @@ class TestServerSLOOutcomes:
             handle.stop()
             store.close()
 
+    def test_keep_alive_window_is_filed_when_it_was_served(self):
+        """Three slow requests at t=0 on a connection that stays open:
+        their pending window is flushed by the ``/slo`` read at t=1000,
+        but filed at t=0, so it has aged out of every window."""
+        import http.client
+
+        now = [0.0]
+        store, __ = _make_store()
+        slo = SLOTracker(default_objectives(0.010), clock=lambda: now[0])
+        server = PartitionServer(store, slo=slo, inject_slow_s=0.02)
+        handle = server.start_background()
+        conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=10)
+        try:
+            for sid in range(3):
+                conn.request("GET", f"/lookup?segment={sid}")
+                assert conn.getresponse().read()
+            now[0] = 1000.0
+            doc = json.loads(_get(handle.url + "/slo"))
+            for entry in doc["objectives"]:
+                for window in entry["windows"]:
+                    assert window["good"] == window["bad"] == 0, entry
+                assert entry["burning"] is False
+            assert doc["burning"] is False
+        finally:
+            conn.close()
+            handle.stop()
+            store.close()
+
+    def test_late_outcomes_never_overwrite_a_newer_second(self):
+        now = [1000.0]
+        slo = SLOTracker(default_objectives(0.010), clock=lambda: now[0])
+        slo.record(0.001, n=4)
+        # 301 s back shares the newer second's ring bucket
+        slo.record(0.5, ok=False, n=2, at=1000.0 - 301)
+        slo.record(0.5, ok=False, n=1, at=1000.0 - 1)
+        windows = slo.evaluate()[0]["windows"]
+        assert [(w["good"], w["bad"]) for w in windows] == [(4, 1), (4, 1)]
+
     def test_unavailable_requests_count_against_availability(self):
         import time
 
